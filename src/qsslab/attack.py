@@ -14,21 +14,26 @@ whatever the bit was, so every guess rule is uninformative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .quantum import (
-    check_projectors,
     ATOL_STATE,
     MINUS_I_SIGMA_Y,
     InvariantError,
     State,
-    add_angles,
     apply_controlled,
-    apply_unitary,
+    # Not called in this module; kept importable because qssbench/selftest.py
+    # checks that the benchmark's tracer patches it here.
+    apply_unitary,  # noqa: F401
     basis_state,
     canonical_angle,
-    measure_projective,
+    canonical_angles,
+    check_norms,
+    check_projectors,
+    check_unitary,
+    measure_projective_rows,
     overlap,
     projector,
     rotation_operator,
@@ -134,7 +139,9 @@ def build_entangler(spec: EntanglerSpec, completion: str = "forward") -> np.ndar
     ]
     src = _complete_basis(sources, dim, reverse=(completion == "reversed"))
     img = _complete_basis(images, dim, reverse=(completion == "reversed"))
-    return img @ src.conj().T
+    entangler = img @ src.conj().T
+    check_unitary(entangler)
+    return entangler
 
 
 def qgwz_spec(ancilla_state: State) -> EntanglerSpec:
@@ -196,12 +203,32 @@ def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
     return State(u[:, 0]), State(s[0] * vh[0, :])
 
 
+@lru_cache(maxsize=16)
+def _attack_operators(
+    spec: EntanglerSpec, completion: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entangler and the joint and ancilla-only projector sets of an attack.
+
+    Built and validated once per (spec, completion): a campaign runs one
+    adversary per trial, and they all share these read-only arrays.
+    """
+    entangler = build_entangler(spec, completion)
+    joint = np.array(ancilla_projectors(spec, with_photon=True))
+    ancilla = np.array(ancilla_projectors(spec, with_photon=False))
+    check_projectors(list(joint), 2 * spec.ancilla_dim)
+    check_projectors(list(ancilla), spec.ancilla_dim)
+    for op in (entangler, joint, ancilla):
+        op.flags.writeable = False
+    return entangler, joint, ancilla
+
+
 class EntanglingAdversary:
     """Adversary hook running the entangling attack inside a protocol run.
 
-    ``adaptive=False`` gives the naive control variant that always announces
-    its honest angle without measuring the ancilla (and so gets caught at the
-    per-photon rate |beta|^2 sin^2(theta')).
+    Hooks act on batches of photons, one row per photon (see
+    ``protocol.NullAdversary``). ``adaptive=False`` gives the naive control
+    variant that always announces its honest angle without measuring the
+    ancilla (and so gets caught at the per-photon rate |beta|^2 sin^2(theta')).
     """
 
     def __init__(
@@ -216,60 +243,74 @@ class EntanglingAdversary:
         self.rng = rng
         self.rule = rule
         self.adaptive = adaptive
-        self.entangler = build_entangler(spec, completion)
+        self.entangler, self._joint_projs, self._ancilla_projs = _attack_operators(
+            spec, completion
+        )
         self.check_outcomes: dict[int, int] = {}
-        self.ancilla_states: dict[int, State] = {}
         self.final_outcomes: dict[int, int] = {}
-        # Fixed projector sets; validated once here, reused per photon.
-        self._joint_projs = ancilla_projectors(spec, with_photon=True)
-        self._ancilla_projs = ancilla_projectors(spec, with_photon=False)
-        check_projectors(self._joint_projs, 2 * spec.ancilla_dim)
-        check_projectors(self._ancilla_projs, spec.ancilla_dim)
+        # Ancilla factors split off returning photons: (photon ids, rows).
+        self._returned: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def on_photon_forward(self, photon_id: int, state: State) -> State:
-        if state.num_qubits != 1:
+    def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        if amps.shape[1] != 2:
             raise InvariantError("attack expects a bare single-photon state on the channel")
-        joint = tensor(self.spec.epsilon, state)
-        return apply_unitary(joint, list(range(joint.num_qubits)), self.entangler)
+        joint = (self.spec.epsilon.amps[None, :, None] * amps[:, None, :]).reshape(len(amps), -1)
+        return joint @ self.entangler.T
 
     def on_check_announcement(
-        self, photon_id: int, honest_angle: float, state: State
-    ) -> tuple[float, State]:
+        self, photon_ids: np.ndarray, honest_angles: np.ndarray, amps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         if not self.adaptive:
-            return honest_angle, state
-        outcome, collapsed, prob = measure_projective(
-            state, self._joint_projs, self.rng, validate=False
+            return honest_angles, amps
+        outcomes, collapsed, probs = measure_projective_rows(
+            amps, self._joint_projs, self.rng.random(len(amps))
         )
-        if outcome == 2:
+        residual = np.flatnonzero(outcomes == 2)
+        if residual.size:
             raise InvariantError(
-                f"residual outcome outside span(eps, eps_perp) with probability {prob}"
+                "residual outcome outside span(eps, eps_perp) with probability "
+                f"{probs[residual[0]]}"
             )
-        self.check_outcomes[photon_id] = outcome
-        if outcome == 0:
-            return honest_angle, collapsed
-        return add_angles(honest_angle, self.spec.theta_prime), collapsed
+        self.check_outcomes.update(zip(np.asarray(photon_ids).tolist(), outcomes.tolist()))
+        shifted = canonical_angles(honest_angles + self.spec.theta_prime)
+        return np.where(outcomes == 0, honest_angles, shifted), collapsed
 
-    def on_photon_return(self, photon_id: int, state: State) -> State:
-        separated = apply_unitary(
-            state, list(range(state.num_qubits)), self.entangler.conj().T
+    def on_photon_return(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        separated = (amps @ self.entangler.conj()).reshape(
+            len(amps), self.spec.ancilla_dim, 2
         )
-        ancilla, photon = split_product(separated, self.spec.ancilla_qubits)
-        self.ancilla_states[photon_id] = ancilla
+        # By the attack's construction E^-1 returns the ancilla to |eps>, so
+        # <eps| (x) I splits the photon off; its norm is the Schmidt weight
+        # on |eps>, and anything short of 1 is residual entanglement.
+        photon = np.einsum("a,nab->nb", self.spec.epsilon.amps.conj(), separated)
+        weight = np.sqrt(np.sum(np.abs(photon) ** 2, axis=1))
+        if np.any(weight < 1.0 - 1e-8):
+            raise InvariantError(
+                f"state is not a product with |eps> (Schmidt weight {weight.min()})"
+            )
+        ancilla = np.einsum("nab,nb->na", separated, photon.conj())
+        ancilla /= np.linalg.norm(ancilla, axis=1, keepdims=True)
+        check_norms(photon)
+        self._returned.append((np.asarray(photon_ids), ancilla))
         return photon
 
     def on_finish(self) -> dict[int, int]:
-        guesses = {}
-        for photon_id, ancilla in sorted(self.ancilla_states.items()):
-            outcome, _, prob = measure_projective(
-                ancilla, self._ancilla_projs, self.rng, validate=False
+        if not self._returned:
+            return {}
+        ids = np.concatenate([ids for ids, _ in self._returned])
+        ancillas = np.concatenate([rows for _, rows in self._returned])
+        order = np.argsort(ids, kind="stable")
+        outcomes, _, probs = measure_projective_rows(
+            ancillas[order], self._ancilla_projs, self.rng.random(len(ids))
+        )
+        residual = np.flatnonzero(outcomes == 2)
+        if residual.size:
+            raise InvariantError(
+                "final ancilla outcome outside span(eps, eps_perp), probability "
+                f"{probs[residual[0]]}"
             )
-            if outcome == 2:
-                raise InvariantError(
-                    f"final ancilla outcome outside span(eps, eps_perp), probability {prob}"
-                )
-            self.final_outcomes[photon_id] = outcome
-            guesses[photon_id] = self.rule(outcome)
-        return guesses
+        self.final_outcomes.update(zip(ids[order].tolist(), outcomes.tolist()))
+        return {pid: self.rule(o) for pid, o in self.final_outcomes.items()}
 
 
 def random_entangler_spec(rng: np.random.Generator, ancilla_dim: int | None = None) -> EntanglerSpec:

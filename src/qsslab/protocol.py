@@ -9,24 +9,32 @@ the last agent who undoes the accumulated rotation and reads the bits out
 A dishonest agent is modeled by an adversary hook that may entangle ancilla
 qubits with photons in transit. By convention the photon is always the LAST
 (least significant) qubit of whatever joint state travels on the channel.
+
+One run holds all its photons in one array of shape (n_photons, D), one row
+per photon: D is 2 on an honest channel and 2*d once an adversary has
+attached a d-dimensional ancilla. Every phase is a few array operations on
+that array, and adversary hooks take and return batches of photons. The
+transcript is rendered from the run's recorded outcomes when it is first read.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .quantum import (
     MINUS_I_SIGMA_Y,
-    State,
-    add_angles,
-    apply_unitary,
-    canonical_angle,
-    ket0,
-    measure_qubit_z,
-    rotation_operator,
+    apply_photon_op,
+    # Not called in this module; kept importable because qssbench/selftest.py
+    # checks that the benchmark's tracer patches it here.
+    apply_unitary,  # noqa: F401
+    canonical_angles,
+    check_norms,
+    measure_photons_z,
+    rotate_photons,
 )
 
 PHASES = (
@@ -38,11 +46,7 @@ PHASES = (
     "second-detection",
 )
 
-DISCRETE_ANGLES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
-
-ROLE_CHECK_FIRST = "check-first-detection"
-ROLE_MESSAGE = "message"
-ROLE_CHECK_SECOND = "check-second-detection"
+DISCRETE_ANGLES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
 class ConfigError(Exception):
@@ -89,6 +93,8 @@ class ProtocolConfig:
         if self.angle_distribution not in ("uniform", "discrete"):
             raise ConfigError(f"unknown angle_distribution {self.angle_distribution!r}")
         pos = self.default_adversary_position()
+        if isinstance(pos, bool) or not isinstance(pos, (int, np.integer)):
+            raise ConfigError(f"adversary_position must be an integer, got {pos!r}")
         if not 0 <= pos < self.num_agents:
             raise ConfigError(f"adversary_position {pos} out of range")
 
@@ -98,8 +104,7 @@ class ProtocolConfig:
         return self.num_agents // 2
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     phase: str
     kind: str
     party: str = ""
@@ -154,59 +159,63 @@ class InvariantPhaseError(Exception):
     pass
 
 
-@dataclass
-class PhotonRecord:
-    photon_id: int
-    state: State
-    role: str | None = None
-    position: int | None = None  # payload slot, if any
+class AngleLedger:
+    """Committed rotation angles: row ``agent``, column ``photon``.
+
+    Angles are stored canonicalized; NaN marks an angle its agent withheld.
+    """
+
+    def __init__(self, angles: np.ndarray):
+        self.angles = canonical_angles(np.asarray(angles, dtype=float))
 
     @property
-    def photon_qubit(self) -> int:
-        return self.state.num_qubits - 1
+    def num_agents(self) -> int:
+        return self.angles.shape[0]
 
-
-class AngleLedger:
-    """Per-(agent, photon) record of committed rotation angles."""
-
-    def __init__(self, num_agents: int):
-        self.num_agents = num_agents
-        self.angles: dict[tuple[int, int], float] = {}
-
-    def record(self, agent: int, photon: int, angle: float) -> None:
-        self.angles[(agent, photon)] = canonical_angle(angle)
-
-    def get(self, agent: int, photon: int) -> float:
-        try:
-            return self.angles[(agent, photon)]
-        except KeyError:
+    def get(self, agent: int, photon_ids: np.ndarray) -> np.ndarray:
+        """Angles ``agent`` disclosed for ``photon_ids``; refuses if any is missing."""
+        out = self.angles[agent, photon_ids]
+        missing = np.flatnonzero(np.isnan(out))
+        if missing.size:
+            photon = np.asarray(photon_ids)[missing[0]]
             raise MissingAngleError(f"agent {agent} disclosed no angle for photon {photon}")
+        return out
 
-    def total(self, photon: int) -> float:
-        total = 0.0
-        for agent in range(self.num_agents):
-            total = add_angles(total, self.get(agent, photon))
-        return total
+    def totals(self, photon_ids: np.ndarray) -> np.ndarray:
+        """Canonical sum over all agents of the angles of ``photon_ids``."""
+        return sum_angles(self.get(agent, photon_ids) for agent in range(self.num_agents))
 
     def without_agent(self, agent: int) -> "AngleLedger":
-        out = AngleLedger(self.num_agents)
-        out.angles = {k: v for k, v in self.angles.items() if k[0] != agent}
+        out = AngleLedger(self.angles)
+        out.angles[agent] = np.nan
         return out
 
 
-class NullAdversary:
-    """Identity hook: reproduces the honest protocol exactly."""
+def sum_angles(angles) -> np.ndarray:
+    """Canonical running sum of a sequence of angle vectors, in order."""
+    total = 0.0
+    for a in angles:
+        total = canonical_angles(total + a)
+    return total
 
-    def on_photon_forward(self, photon_id: int, state: State) -> State:
-        return state
+
+class NullAdversary:
+    """Identity hook: reproduces the honest protocol exactly.
+
+    Every hook takes the ids of a batch of photons and their joint states,
+    one row per photon with the photon as the last qubit.
+    """
+
+    def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        return amps
 
     def on_check_announcement(
-        self, photon_id: int, honest_angle: float, state: State
-    ) -> tuple[float, State]:
-        return honest_angle, state
+        self, photon_ids: np.ndarray, honest_angles: np.ndarray, amps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return honest_angles, amps
 
-    def on_photon_return(self, photon_id: int, state: State) -> State:
-        return state
+    def on_photon_return(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        return amps
 
     def on_finish(self) -> dict[int, int]:
         return {}
@@ -224,7 +233,6 @@ class DetectionVerdict:
 @dataclass(frozen=True)
 class RunResult:
     config: ProtocolConfig
-    transcript: Transcript
     message: tuple[int, ...]
     decoded_message: tuple[int, ...] | None
     first_detection: DetectionVerdict
@@ -233,6 +241,62 @@ class RunResult:
     message_photon_ids: tuple[int, ...]
     check_positions: tuple[int, ...]
     recovery_probabilities: tuple[float, ...] = ()
+    # What the transcript is rendered from, besides the fields above.
+    num_photons: int = 0
+    announcements: tuple[tuple[float, ...], ...] = ()  # per check photon, per agent
+    payload_ids: tuple[int, ...] = ()
+    decoded_payload: tuple[int, ...] = ()
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        return render_transcript(self)
+
+
+def render_transcript(r: RunResult) -> Transcript:
+    """The run's event log, in protocol order, from its recorded outcomes."""
+    t = Transcript()
+    k_agents = r.config.num_agents
+    names = [agent_name(k, k_agents) for k in range(k_agents)]
+    next_hop = names[1:] + ["Alice"]
+    for j in range(r.num_photons):
+        t.log("preparation", "Prepared", party="Alice", photon=j)
+    for j in range(r.num_photons):
+        t.log("encryption", "Sent", party="Alice", photon=j, to=names[0])
+        for name, dest in zip(names, next_hop):
+            # The angle is committed to the ledger but never logged in clear.
+            t.log("encryption", "Rotated", party=name, photon=j)
+            t.log("encryption", "Sent", party=name, photon=j, to=dest)
+    first = r.first_detection
+    for (j, outcome, prob), angles in zip(first.outcomes, r.announcements):
+        t.log("first-detection", "AnnouncementRequested", party="Alice", photon=j)
+        for name, angle in zip(names, angles):
+            t.log("first-detection", "Announced", party=name, photon=j, angle=angle)
+        t.log(
+            "first-detection", "Measured",
+            party="Alice", photon=j, basis="Z", outcome=outcome, probability=prob,
+        )
+    _log_verdict(t, first)
+    if r.second_detection is None:
+        return t
+    for j in r.payload_ids:
+        t.log("encoding", "Encoded", party="Alice", photon=j)
+    receiver = names[-1]
+    for j, outcome, prob in zip(r.payload_ids, r.decoded_payload, r.recovery_probabilities):
+        t.log("recovery", "Sent", party="Alice", photon=j, to=receiver)
+        t.log(
+            "recovery", "Measured",
+            party=receiver, photon=j, basis="Z", outcome=outcome, probability=prob,
+        )
+    _log_verdict(t, r.second_detection)
+    return t
+
+
+def _log_verdict(t: Transcript, verdict: DetectionVerdict) -> None:
+    t.log(
+        verdict.phase, "Verdict", party="Alice",
+        result="pass" if verdict.passed else "fail",
+        failed=",".join(str(j) for j in verdict.failed_photons) or "-",
+    )
 
 
 def required_sequence_length(n_payload: int, check_fraction: float) -> int:
@@ -243,163 +307,119 @@ def required_sequence_length(n_payload: int, check_fraction: float) -> int:
     return n
 
 
-def sample_angle(rng: np.random.Generator, distribution: str) -> float:
+def sample_angles(rng: np.random.Generator, distribution: str, shape) -> np.ndarray:
+    """Secret rotation angles; row-major order is the draw order."""
     if distribution == "discrete":
-        return float(DISCRETE_ANGLES[rng.integers(0, len(DISCRETE_ANGLES))])
-    return float(rng.uniform(0.0, 2 * np.pi))
+        return DISCRETE_ANGLES[rng.integers(0, len(DISCRETE_ANGLES), size=shape)]
+    return rng.uniform(0.0, 2 * np.pi, size=shape)
 
 
-def prepare_sequence(n: int, transcript: Transcript | None = None) -> list[PhotonRecord]:
+def prepare_sequence(n: int) -> np.ndarray:
+    """``n`` photons in |0>, one row each."""
     if n < 1:
         raise ConfigError("cannot prepare an empty photon sequence")
-    photons = [PhotonRecord(j, ket0()) for j in range(n)]
-    if transcript is not None:
-        for p in photons:
-            transcript.log("preparation", "Prepared", party="Alice", photon=p.photon_id)
+    photons = np.zeros((n, 2), dtype=complex)
+    photons[:, 0] = 1.0
     return photons
 
 
 def encryption_phase(
-    photons: list[PhotonRecord],
+    photons: np.ndarray,
     config: ProtocolConfig,
     rng: np.random.Generator,
     adversary: NullAdversary,
-    transcript: Transcript,
-) -> AngleLedger:
-    ledger = AngleLedger(config.num_agents)
+) -> tuple[np.ndarray, AngleLedger]:
+    """Every agent in turn rotates every photon by a fresh secret angle; the
+    adversary's forward hook runs right after its own rotation.
+
+    Returns the encrypted photons and the ledger of committed angles.
+    """
+    n = len(photons)
+    # Drawn photon-major, agent-minor: the order of the sequential protocol.
+    angles = sample_angles(rng, config.angle_distribution, (n, config.num_agents))
     adv_pos = config.default_adversary_position()
-    for p in photons:
-        transcript.log(
-            "encryption", "Sent", party="Alice", photon=p.photon_id,
-            to=agent_name(0, config.num_agents),
-        )
-        for k in range(config.num_agents):
-            angle = sample_angle(rng, config.angle_distribution)
-            ledger.record(k, p.photon_id, angle)
-            p.state = apply_unitary(p.state, [p.photon_qubit], rotation_operator(angle))
-            # The angle is committed to the ledger but never logged in clear.
-            transcript.log(
-                "encryption", "Rotated",
-                party=agent_name(k, config.num_agents), photon=p.photon_id,
-            )
-            if k == adv_pos:
-                p.state = adversary.on_photon_forward(p.photon_id, p.state)
-            dest = agent_name(k + 1, config.num_agents) if k + 1 < config.num_agents else "Alice"
-            transcript.log(
-                "encryption", "Sent",
-                party=agent_name(k, config.num_agents), photon=p.photon_id, to=dest,
-            )
-    return ledger
+    for k in range(config.num_agents):
+        photons = rotate_photons(photons, angles[:, k])
+        if k == adv_pos:
+            photons = adversary.on_photon_forward(np.arange(n), photons)
+    check_norms(photons)
+    return photons, AngleLedger(angles.T)
 
 
 def first_detection(
-    photons: list[PhotonRecord],
+    photons: np.ndarray,
     ledger: AngleLedger,
     config: ProtocolConfig,
     rng: np.random.Generator,
     adversary: NullAdversary,
-    transcript: Transcript,
-) -> DetectionVerdict:
+) -> tuple[DetectionVerdict, np.ndarray]:
+    """Alice checks a random sample: every agent announces its angle for each
+    sampled photon, Alice undoes the announced sum and measures Z.
+
+    Returns the verdict and the announced angles, shape (n_checks, n_agents).
+    """
     n = len(photons)
     n_checks = math.ceil(config.check_fraction_first * n)
-    check_ids = sorted(int(j) for j in rng.choice(n, size=n_checks, replace=False))
+    check_ids = np.sort(rng.choice(n, size=n_checks, replace=False))
+    announced = np.array([ledger.get(k, check_ids) for k in range(config.num_agents)])
     adv_pos = config.default_adversary_position()
-    failed = []
-    outcomes = []
-    for j in check_ids:
-        p = photons[j]
-        p.role = ROLE_CHECK_FIRST
-        transcript.log("first-detection", "AnnouncementRequested", party="Alice", photon=j)
-        announced_sum = 0.0
-        for k in range(config.num_agents):
-            honest = ledger.get(k, j)
-            if k == adv_pos:
-                announced, p.state = adversary.on_check_announcement(j, honest, p.state)
-            else:
-                announced = honest
-            transcript.log(
-                "first-detection", "Announced",
-                party=agent_name(k, config.num_agents), photon=j, angle=announced,
-            )
-            announced_sum = add_angles(announced_sum, announced)
-        p.state = apply_unitary(p.state, [p.photon_qubit], rotation_operator(-announced_sum))
-        outcome, p.state, prob = measure_qubit_z(p.state, p.photon_qubit, rng)
-        transcript.log(
-            "first-detection", "Measured",
-            party="Alice", photon=j, basis="Z", outcome=outcome, probability=prob,
-        )
-        outcomes.append((j, outcome, prob))
-        if outcome != 0:
-            failed.append(j)
-    verdict = DetectionVerdict("first-detection", not failed, tuple(failed), tuple(outcomes))
-    transcript.log(
-        "first-detection", "Verdict", party="Alice",
-        result="pass" if verdict.passed else "fail",
-        failed=",".join(str(j) for j in failed) or "-",
+    announced[adv_pos], checked = adversary.on_check_announcement(
+        check_ids, announced[adv_pos], photons[check_ids]
     )
-    return verdict
+    total = sum_angles(announced)
+    checked = rotate_photons(checked, -total)
+    check_norms(checked)
+    outcomes, probs = measure_photons_z(checked, rng.random(n_checks))
+    ids = check_ids.tolist()
+    failed = tuple(j for j, o in zip(ids, outcomes.tolist()) if o != 0)
+    verdict = DetectionVerdict(
+        "first-detection", not failed, failed,
+        tuple(zip(ids, outcomes.tolist(), probs.tolist())),
+    )
+    return verdict, announced.T
 
 
-def encode_message(
-    photons: list[PhotonRecord], bits: tuple[int, ...], transcript: Transcript | None = None
-) -> None:
+def encode_message(photons: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
+    """Alice encodes bit 1 with -i*sigma_y and leaves bit 0 alone."""
     if len(photons) != len(bits):
         raise ConfigError(
             f"message length {len(bits)} does not match {len(photons)} message photons"
         )
-    for p, bit in zip(photons, bits):
-        if bit == 1:
-            p.state = apply_unitary(p.state, [p.photon_qubit], MINUS_I_SIGMA_Y)
-        if transcript is not None:
-            transcript.log("encoding", "Encoded", party="Alice", photon=p.photon_id)
+    ones = np.asarray(bits, dtype=int) == 1
+    out = photons.copy()
+    out[ones] = apply_photon_op(photons[ones], MINUS_I_SIGMA_Y)
+    return out
 
 
 def recovery_phase(
-    photons: list[PhotonRecord],
+    photons: np.ndarray,
+    photon_ids: np.ndarray,
     ledger: AngleLedger,
-    config: ProtocolConfig,
     rng: np.random.Generator,
     adversary: NullAdversary,
-    transcript: Transcript,
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    receiver = agent_name(config.num_agents - 1, config.num_agents)
-    decoded = []
-    probs = []
+    """The receiver undoes every agent's rotation and reads each bit in Z.
+
+    Returns the decoded bits and their Born probabilities.
+    """
     # All agents must disclose before any photon is decoded.
-    totals = {p.photon_id: ledger.total(p.photon_id) for p in photons}
-    for p in photons:
-        p.state = adversary.on_photon_return(p.photon_id, p.state)
-        transcript.log("recovery", "Sent", party="Alice", photon=p.photon_id, to=receiver)
-        p.state = apply_unitary(
-            p.state, [p.photon_qubit], rotation_operator(-totals[p.photon_id])
-        )
-        outcome, p.state, prob = measure_qubit_z(p.state, p.photon_qubit, rng)
-        transcript.log(
-            "recovery", "Measured",
-            party=receiver, photon=p.photon_id, basis="Z", outcome=outcome, probability=prob,
-        )
-        decoded.append(outcome)
-        probs.append(prob)
-    return tuple(decoded), tuple(probs)
+    totals = ledger.totals(photon_ids)
+    photons = adversary.on_photon_return(photon_ids, photons)
+    photons = rotate_photons(photons, -totals)
+    check_norms(photons)
+    outcomes, probs = measure_photons_z(photons, rng.random(len(photon_ids)))
+    return tuple(outcomes.tolist()), tuple(probs.tolist())
 
 
 def second_detection(
     decoded_payload: tuple[int, ...],
     check_positions: tuple[int, ...],
     expected_bits: tuple[int, ...],
-    transcript: Transcript | None = None,
 ) -> DetectionVerdict:
     mismatched = tuple(
         pos for pos, bit in zip(check_positions, expected_bits) if decoded_payload[pos] != bit
     )
-    verdict = DetectionVerdict("second-detection", not mismatched, mismatched)
-    if transcript is not None:
-        transcript.log(
-            "second-detection", "Verdict", party="Alice",
-            result="pass" if verdict.passed else "fail",
-            failed=",".join(str(j) for j in mismatched) or "-",
-        )
-    return verdict
+    return DetectionVerdict("second-detection", not mismatched, mismatched)
 
 
 def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
@@ -413,7 +433,6 @@ def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
     adversary = (
         adversary_factory(np.random.default_rng(adv_ss)) if adversary_factory else NullAdversary()
     )
-    transcript = Transcript()
 
     if config.message_bits is not None:
         message = tuple(int(b) for b in config.message_bits)
@@ -422,17 +441,16 @@ def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
     n_payload = len(message) + config.num_second_checks
     n_total = required_sequence_length(n_payload, config.check_fraction_first)
 
-    photons = prepare_sequence(n_total, transcript)
-    ledger = encryption_phase(photons, config, rng, adversary, transcript)
-    first = first_detection(photons, ledger, config, rng, adversary, transcript)
+    photons, ledger = encryption_phase(prepare_sequence(n_total), config, rng, adversary)
+    first, announced = first_detection(photons, ledger, config, rng, adversary)
+    record = dict(num_photons=n_total, announcements=tuple(map(tuple, announced.tolist())))
     if not first.passed:
         return RunResult(
-            config, transcript, message, None, first, None,
-            adversary.on_finish(), (), (),
+            config, message, None, first, None, adversary.on_finish(), (), (), **record,
         )
 
-    payload = [p for p in photons if p.role is None]
-    assert len(payload) == n_payload
+    payload_ids = np.delete(np.arange(n_total), [j for j, _, _ in first.outcomes])
+    assert len(payload_ids) == n_payload
     if config.num_second_checks > 0:
         check_positions = tuple(
             sorted(int(i) for i in rng.choice(n_payload, config.num_second_checks, replace=False))
@@ -440,31 +458,23 @@ def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
         check_bits = tuple(int(b) for b in rng.integers(0, 2, size=config.num_second_checks))
     else:
         check_positions, check_bits = (), ()
-    payload_bits = []
-    msg_iter = iter(message)
-    check_iter = iter(check_bits)
-    for pos, p in enumerate(payload):
-        p.position = pos
-        if pos in check_positions:
-            p.role = ROLE_CHECK_SECOND
-            payload_bits.append(next(check_iter))
-        else:
-            p.role = ROLE_MESSAGE
-            payload_bits.append(next(msg_iter))
-    payload_bits = tuple(payload_bits)
+    is_check = np.zeros(n_payload, dtype=bool)
+    is_check[list(check_positions)] = True
+    payload_bits = np.zeros(n_payload, dtype=int)
+    payload_bits[is_check] = check_bits
+    payload_bits[~is_check] = message
 
-    encode_message(payload, payload_bits, transcript)
-    decoded_payload, probs = recovery_phase(payload, ledger, config, rng, adversary, transcript)
-    second = second_detection(decoded_payload, check_positions, check_bits, transcript)
-    decoded_message = tuple(
-        bit for pos, bit in enumerate(decoded_payload) if pos not in check_positions
-    )
-    message_photon_ids = tuple(p.photon_id for p in payload if p.role == ROLE_MESSAGE)
+    encoded = encode_message(photons[payload_ids], payload_bits)
+    decoded_payload, probs = recovery_phase(encoded, payload_ids, ledger, rng, adversary)
+    second = second_detection(decoded_payload, check_positions, check_bits)
+    decoded_message = tuple(np.asarray(decoded_payload)[~is_check].tolist())
+    message_photon_ids = tuple(payload_ids[~is_check].tolist())
     guesses = adversary.on_finish()
 
     return RunResult(
-        config, transcript, message, decoded_message, first, second,
+        config, message, decoded_message, first, second,
         guesses, message_photon_ids, check_positions, probs,
+        payload_ids=tuple(payload_ids.tolist()), decoded_payload=decoded_payload, **record,
     )
 
 
@@ -483,7 +493,3 @@ def config_to_dict(config: ProtocolConfig) -> dict:
 
 def with_seed(config: ProtocolConfig, seed: int) -> ProtocolConfig:
     return replace(config, seed=seed)
-
-
-def serialize_config(config: ProtocolConfig) -> str:
-    return json.dumps(config_to_dict(config), sort_keys=True)

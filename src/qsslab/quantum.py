@@ -6,6 +6,12 @@ Conventions (fixed and tested):
 - rotations are real y-axis rotations ``U(t) = [[cos t, -sin t], [sin t, cos t]]``,
   which compose additively: ``U(a) @ U(b) = U(a + b)``.
 - all angles are canonicalized to [0, 2*pi).
+
+Besides the scalar ``State`` API, the module has batched kernels that act on
+a whole sequence of photons at once: an array of shape (n_photons, D) whose
+rows are joint states with the photon as the last (least significant) qubit.
+Operators are checked for unitarity once, when they are built, and the norm
+invariant is checked row-wise on a batch (``check_norms``).
 """
 from __future__ import annotations
 
@@ -26,14 +32,15 @@ class InvariantError(Exception):
     """A numerical invariant that should hold by construction was violated."""
 
 
+def canonical_angles(thetas) -> np.ndarray:
+    """Reduce angles elementwise to the canonical range [0, 2*pi)."""
+    t = np.mod(thetas, TWO_PI)
+    return np.where(t == TWO_PI, 0.0, t)
+
+
 def canonical_angle(theta: float) -> float:
     """Reduce an angle to the canonical range [0, 2*pi)."""
-    t = float(np.mod(theta, TWO_PI))
-    return 0.0 if t == TWO_PI else t
-
-
-def add_angles(a: float, b: float) -> float:
-    return canonical_angle(a + b)
+    return float(canonical_angles(theta))
 
 
 def rotation_operator(theta: float) -> np.ndarray:
@@ -51,6 +58,15 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_norm_sq(norm_sq: float) -> None:
+    if not np.isfinite(norm_sq):
+        raise InvariantError("non-finite amplitude")
+    if abs(norm_sq - 1.0) > 2 * ATOL_STATE:
+        raise InvariantError(
+            f"state norm {np.sqrt(norm_sq)} deviates from 1 by more than {ATOL_STATE}"
+        )
+
+
 @dataclass(frozen=True)
 class State:
     """Normalized pure state over ``num_qubits`` qubits (MSB-first indexing)."""
@@ -61,13 +77,7 @@ class State:
         amps = np.array(self.amps, dtype=complex)
         if amps.ndim != 1 or not _is_power_of_two(amps.size):
             raise ValueError(f"amplitude vector length {amps.size} is not a power of 2")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if not np.isfinite(norm_sq):
-            raise InvariantError("non-finite amplitude")
-        if abs(norm_sq - 1.0) > 2 * ATOL_STATE:
-            raise InvariantError(
-                f"state norm {np.sqrt(norm_sq)} deviates from 1 by more than {ATOL_STATE}"
-            )
+        _check_norm_sq(float(np.vdot(amps, amps).real))
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
@@ -129,6 +139,10 @@ def check_unitary(op: np.ndarray, atol: float = ATOL_STATE) -> None:
         raise InvariantError(f"operator is not unitary (max deviation {err:.3e})")
 
 
+check_unitary(MINUS_I_SIGMA_Y)
+MINUS_I_SIGMA_Y.flags.writeable = False
+
+
 def apply_unitary(state: State, targets: list[int], op: np.ndarray) -> State:
     """Apply ``op`` to the ordered tensor factor ``targets`` of ``state``."""
     n = state.num_qubits
@@ -186,6 +200,45 @@ def apply_controlled(state: State, controls: list[int], target: int, op: np.ndar
     return State(amps)
 
 
+def _photon_rows(amps: np.ndarray) -> np.ndarray:
+    """View a batch (n, D) as (n, D/2, 2): the last axis is the photon."""
+    return amps.reshape(len(amps), amps.shape[1] // 2, 2)
+
+
+def rotate_photons(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Rotate the photon (last qubit) of row i of ``amps`` by ``thetas[i]``.
+
+    One batched y-rotation kernel; the rotations are checked unitary once,
+    as a batch, when they are built.
+    """
+    c, s = np.cos(thetas), np.sin(thetas)
+    # For U = [[c, -s], [s, c]], U^dagger U - I = (c^2 + s^2 - 1) I.
+    err = np.max(np.abs(c * c + s * s - 1.0), initial=0.0)
+    if not err <= ATOL_STATE:
+        raise InvariantError(f"rotation is not unitary (max deviation {err:.3e})")
+    rows = _photon_rows(amps)
+    c, s = c[:, None], s[:, None]
+    out = np.empty_like(rows)
+    out[..., 0] = c * rows[..., 0] - s * rows[..., 1]
+    out[..., 1] = s * rows[..., 0] + c * rows[..., 1]
+    return out.reshape(amps.shape)
+
+
+def apply_photon_op(amps: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Apply one 2x2 operator, already checked unitary where it was built,
+    to the photon (last qubit) of every row of ``amps``."""
+    return (amps.reshape(-1, 2) @ op.T).reshape(amps.shape)
+
+
+def check_norms(amps: np.ndarray) -> None:
+    """The ``State`` norm invariant, checked on every row of a batch at once."""
+    drift = np.abs(np.sum(amps.real**2 + amps.imag**2, axis=1) - 1.0)
+    if len(drift) and not drift.max() <= 2 * ATOL_STATE:
+        # argmax lands on the first NaN, if any, else on the worst drift.
+        worst = amps[np.argmax(drift)]
+        _check_norm_sq(float(np.vdot(worst, worst).real))
+
+
 def projector(state: State) -> np.ndarray:
     return np.outer(state.amps, state.amps.conj())
 
@@ -213,6 +266,41 @@ def check_projectors(projectors: list[np.ndarray], dim: int) -> None:
                 raise InvariantError(f"projectors {i} and {j} are not orthogonal")
 
 
+def sample_outcomes(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Born-rule outcome per row of ``probs`` (n, k) for uniforms ``r`` (n,).
+
+    Picks the first outcome whose cumulative probability exceeds ``r``. When
+    rounding leaves the total below ``r``, picks the last outcome with
+    positive probability, never one that cannot occur.
+    """
+    hit = r[:, None] < np.cumsum(probs, axis=1)
+    outcomes = np.argmax(hit, axis=1)
+    missed = ~hit.any(axis=1)
+    if missed.any():
+        possible = probs[missed] > 0
+        outcomes[missed] = probs.shape[1] - 1 - np.argmax(possible[:, ::-1], axis=1)
+    return outcomes
+
+
+def measure_projective_rows(
+    amps: np.ndarray, projectors: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Born-rule measurement of every row of ``amps`` (n, D) against one
+    complete orthogonal projector set (k, D, D), with uniforms ``r`` (n,).
+
+    Returns (outcomes, collapsed rows, outcome probabilities). The projector
+    set is not validated here; callers check it once with ``check_projectors``.
+    """
+    projected = np.einsum("kij,nj->nki", projectors, amps)
+    probs = np.einsum("nj,nkj->nk", amps.conj(), projected).real
+    outcomes = sample_outcomes(probs, r)
+    rows = np.arange(len(amps))
+    p = probs[rows, outcomes]
+    collapsed = projected[rows, outcomes] / np.sqrt(p)[:, None]
+    check_norms(collapsed)
+    return outcomes, collapsed, p
+
+
 def measure_projective(
     state: State, projectors: list[np.ndarray], rng: np.random.Generator, validate: bool = True
 ) -> tuple[int, State, float]:
@@ -222,45 +310,40 @@ def measure_projective(
     ``validate=False`` skips the completeness/orthogonality check for callers
     that verified a fixed projector set up front.
     """
-    projectors = [np.asarray(p, dtype=complex) for p in projectors]
+    projectors = np.array([np.asarray(p, dtype=complex) for p in projectors])
     if validate:
-        check_projectors(projectors, state.dim)
+        check_projectors(list(projectors), state.dim)
+    outcomes, collapsed, probs = measure_projective_rows(
+        state.amps[None, :], projectors, np.array([rng.random()])
+    )
+    return int(outcomes[0]), State(collapsed[0]), float(probs[0])
 
-    projected = [p @ state.amps for p in projectors]
-    probs = np.array([float(np.real(np.vdot(state.amps, v))) for v in projected])
-    r = rng.random()
-    cum = 0.0
-    outcome = len(probs) - 1
-    for k, p in enumerate(probs):
-        cum += p
-        if r < cum:
-            outcome = k
-            break
-    p = probs[outcome]
-    collapsed = State(projected[outcome] / np.sqrt(p))
-    return outcome, collapsed, float(p)
+
+def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z measurement of the photon (last qubit) of every row of ``amps``,
+    with uniforms ``r``. Returns (outcomes, outcome probabilities); the
+    collapsed rows are norm-checked and dropped."""
+    m = _photon_rows(amps)
+    weights = np.sum(np.abs(m) ** 2, axis=1)
+    outcomes = sample_outcomes(weights, r)
+    p0 = weights[:, 0]
+    probs = np.where(outcomes == 0, p0, 1.0 - p0)
+    kept = np.take_along_axis(m, outcomes[:, None, None], axis=2)[:, :, 0]
+    check_norms(kept / np.sqrt(probs)[:, None])
+    return outcomes, probs
 
 
 def measure_qubit_z(state: State, qubit: int, rng: np.random.Generator) -> tuple[int, State, float]:
-    """Z measurement of one qubit (fast path; Born-rule equivalent to
+    """Z measurement of one qubit (Born-rule equivalent to
     ``measure_projective`` with the z_projectors of that qubit)."""
     n = state.num_qubits
-    if qubit == n - 1:
-        # Hot path: the photon rides as the last (least significant) qubit.
-        m = state.amps.reshape(-1, 2)
-        p0 = float(np.sum(np.abs(m[:, 0]) ** 2))
-        outcome = 0 if rng.random() < p0 else 1
-        prob = p0 if outcome == 0 else 1.0 - p0
-        collapsed = np.zeros_like(m)
-        collapsed[:, outcome] = m[:, outcome] / np.sqrt(prob)
-        return outcome, State(collapsed.reshape(-1)), prob
-    t = np.moveaxis(state.amps.reshape([2] * n), qubit, 0)
-    p0 = float(np.sum(np.abs(t[0]) ** 2))
-    outcome = 0 if rng.random() < p0 else 1
-    prob = p0 if outcome == 0 else 1.0 - p0
+    t = np.moveaxis(state.amps.reshape([2] * n), qubit, 0).reshape(2, -1)
+    weights = np.sum(np.abs(t) ** 2, axis=1)
+    outcome = int(sample_outcomes(weights[None, :], np.array([rng.random()]))[0])
+    prob = float(weights[0] if outcome == 0 else 1.0 - weights[0])
     collapsed = np.zeros_like(t)
     collapsed[outcome] = t[outcome] / np.sqrt(prob)
-    collapsed = np.moveaxis(collapsed, 0, qubit).reshape(-1)
+    collapsed = np.moveaxis(collapsed.reshape([2] * n), 0, qubit).reshape(-1)
     return outcome, State(collapsed), prob
 
 

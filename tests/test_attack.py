@@ -28,6 +28,7 @@ from qsslab.quantum import (
     overlap,
     partial_trace,
     rotation_operator,
+    rotate_photons,
     tensor,
     trace_distance,
 )
@@ -172,32 +173,78 @@ def entangled_joint(spec, theta, entangler=None):
     return apply_unitary(joint, list(range(joint.num_qubits)), ent)
 
 
+THETAS = np.array([0.4, 0.9, 2.2, 3.7, 5.5])
+
+
+def chi_rows(thetas):
+    return np.array([chi_state(t).amps for t in thetas])
+
+
 def test_respond_announces_honest_when_beta_zero(rng):
     spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 1.0, 0.0, 0.7)
     adv = EntanglingAdversary(spec, rng)
-    state = adv.on_photon_forward(0, chi_state(0.4))
-    announced, _ = adv.on_check_announcement(0, 1.0, state)
-    assert announced == pytest.approx(1.0)
+    ids = np.arange(len(THETAS))
+    state = adv.on_photon_forward(ids, chi_rows(THETAS))
+    announced, _ = adv.on_check_announcement(ids, np.full(len(ids), 1.0), state)
+    assert np.allclose(announced, 1.0)
 
 
 def test_respond_announces_shifted_when_alpha_zero(rng):
     spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.0, 1.0, 0.7)
     adv = EntanglingAdversary(spec, rng)
-    state = adv.on_photon_forward(0, chi_state(0.4))
-    announced, _ = adv.on_check_announcement(0, 1.0, state)
-    assert announced == pytest.approx(canonical_angle(1.0 + 0.7))
+    ids = np.arange(len(THETAS))
+    state = adv.on_photon_forward(ids, chi_rows(THETAS))
+    announced, _ = adv.on_check_announcement(ids, np.full(len(ids), 1.0), state)
+    assert np.allclose(announced, canonical_angle(1.0 + 0.7))
 
 
 def test_respond_collapses_to_definite_angle(rng):
     spec = random_entangler_spec(rng, ancilla_dim=4)
     adv = EntanglingAdversary(spec, rng)
-    theta = 0.9
-    state = adv.on_photon_forward(0, chi_state(theta))
-    announced, collapsed = adv.on_check_announcement(0, theta, state)
+    ids = np.arange(len(THETAS))
+    state = adv.on_photon_forward(ids, chi_rows(THETAS))
+    announced, collapsed = adv.on_check_announcement(ids, THETAS, state)
     # Un-rotating by the announced sum must return the photon to |0> exactly.
-    undone = apply_unitary(collapsed, [collapsed.num_qubits - 1], rotation_operator(-announced))
-    rho = partial_trace(undone, [undone.num_qubits - 1])
-    assert rho[0, 0].real >= 1 - 1e-10
+    undone = rotate_photons(collapsed, -announced)
+    for row in undone:
+        joint = State(row)
+        rho = partial_trace(joint, [joint.num_qubits - 1])
+        assert rho[0, 0].real >= 1 - 1e-10
+
+
+def test_adversaries_share_validated_operators(rng):
+    # A campaign builds one adversary per trial; the entangler and projector
+    # sets are built once per spec, and shared read-only.
+    spec = random_entangler_spec(rng, ancilla_dim=4)
+    a, b = EntanglingAdversary(spec, rng), EntanglingAdversary(spec, rng)
+    assert a.entangler is b.entangler
+    assert not a.entangler.flags.writeable
+    assert np.max(np.abs(a.entangler - build_entangler(spec))) == 0.0
+    rev = EntanglingAdversary(spec, rng, completion="reversed")
+    assert np.max(np.abs(rev.entangler - build_entangler(spec, "reversed"))) == 0.0
+
+
+def test_announcement_refuses_residual_outcome():
+    # For the Bell ancilla, eps = |00> and eps_perp = |11>: an ancilla in |01>
+    # lies outside their span and can only give the residual outcome.
+    adv = EntanglingAdversary(qgwz_spec(BELL), np.random.default_rng(0))
+    outside = tensor(basis_state(2, 1), chi_state(0.3)).amps
+    with pytest.raises(InvariantError, match="residual outcome"):
+        adv.on_check_announcement(np.array([0]), np.array([0.2]), outside[None, :])
+
+
+def test_return_refuses_photon_still_entangled(rng):
+    spec = random_entangler_spec(rng, ancilla_dim=4)
+    adv = EntanglingAdversary(spec, rng)
+    ids = np.arange(len(THETAS))
+    state = adv.on_photon_forward(ids, chi_rows(THETAS))
+    photons = adv.on_photon_return(ids, state)
+    for row, theta in zip(photons, THETAS):
+        assert global_phase_equal(State(row), chi_state(theta), tol=1e-12)
+    # The same photons re-entangled with eps_perp do not split off |eps>.
+    wrong = np.array([tensor(spec.epsilon_perp, chi_state(t)).amps for t in THETAS])
+    with pytest.raises(InvariantError, match="Schmidt weight"):
+        adv.on_photon_return(ids, wrong @ adv.entangler.T)
 
 
 def test_respond_frequency_matches_alpha_squared():

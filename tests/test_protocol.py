@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from qsslab.protocol import (
-    AngleLedger,
     ConfigError,
     MissingAngleError,
     NullAdversary,
     ProtocolConfig,
-    Transcript,
     encode_message,
     encryption_phase,
     first_detection,
@@ -17,7 +15,13 @@ from qsslab.protocol import (
     run_protocol,
     second_detection,
 )
-from qsslab.quantum import global_phase_equal, ket0, rotation_operator, State
+from qsslab.quantum import (
+    State,
+    global_phase_equal,
+    ket0,
+    rotation_operator,
+    rotate_photons,
+)
 
 
 def small_config(**kw):
@@ -36,6 +40,8 @@ def test_config_validation():
         small_config(angle_distribution="gaussian").validate()
     with pytest.raises(ConfigError):
         small_config(message_bits=(0, 2)).validate()
+    with pytest.raises(ConfigError):
+        small_config(adversary_position=1.5).validate()
     small_config().validate()
 
 
@@ -48,37 +54,38 @@ def test_required_sequence_length():
 
 def test_prepare_sequence():
     photons = prepare_sequence(5)
-    assert len(photons) == 5
-    for p in photons:
-        assert p.role is None
-        assert np.allclose(p.state.amps, ket0().amps)
+    assert photons.shape == (5, 2)
+    for row in photons:
+        assert np.allclose(row, ket0().amps)
     with pytest.raises(ConfigError):
         prepare_sequence(0)
+
+
+class QuarterTurnRng:
+    """Stand-in generator whose every uniform angle is pi/4."""
+
+    def uniform(self, low, high, size):
+        return np.full(size, np.pi / 4)
 
 
 def test_encryption_two_agents_quarter_turns():
     config = ProtocolConfig(num_agents=2, message_bits=(0,), num_second_checks=0,
                             check_fraction_first=0.5, seed=0)
-    photons = prepare_sequence(1)
-    ledger = AngleLedger(2)
-    # Drive the rotations directly with fixed angles.
-    from qsslab.quantum import apply_unitary
-
-    for k in range(2):
-        ledger.record(k, 0, np.pi / 4)
-        photons[0].state = apply_unitary(photons[0].state, [0], rotation_operator(np.pi / 4))
-    assert np.allclose(photons[0].state.amps, [0, 1], atol=1e-12)  # cos(pi/2)=0
+    # Drive the rotations with fixed angles through the encryption phase.
+    photons, ledger = encryption_phase(prepare_sequence(1), config, QuarterTurnRng(),
+                                       NullAdversary())
+    assert ledger.totals(np.array([0]))[0] == pytest.approx(np.pi / 2, abs=1e-12)
+    assert np.allclose(photons[0], [0, 1], atol=1e-12)  # cos(pi/2)=0
 
 
 def test_ledger_sum_property():
     config = small_config(seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(3))
-    photons = prepare_sequence(6)
-    transcript = Transcript()
-    ledger = encryption_phase(photons, config, rng, NullAdversary(), transcript)
-    for p in photons:
-        expected = State(rotation_operator(ledger.total(p.photon_id)) @ ket0().amps)
-        assert np.max(np.abs(p.state.amps - expected.amps)) <= 1e-12
+    photons, ledger = encryption_phase(prepare_sequence(6), config, rng, NullAdversary())
+    totals = ledger.totals(np.arange(6))
+    for j, row in enumerate(photons):
+        expected = State(rotation_operator(totals[j]) @ ket0().amps)
+        assert np.max(np.abs(row - expected.amps)) <= 1e-12
 
 
 def test_honest_runs_decode_exactly():
@@ -107,21 +114,17 @@ def test_fixed_message_bits_respected():
 
 
 def test_encode_message_examples():
-    photons = prepare_sequence(2)
-    encode_message(photons, (0, 1))
-    assert np.allclose(photons[0].state.amps, [1, 0], atol=1e-15)  # bit 0 unchanged
-    assert np.allclose(photons[1].state.amps, [0, 1], atol=1e-15)  # bit 1 flips |0> to |1>
+    photons = encode_message(prepare_sequence(2), (0, 1))
+    assert np.allclose(photons[0], [1, 0], atol=1e-15)  # bit 0 unchanged
+    assert np.allclose(photons[1], [0, 1], atol=1e-15)  # bit 1 flips |0> to |1>
 
 
 def test_encode_shifts_angle_by_three_half_pi():
     theta = 1.3
-    photons = prepare_sequence(1)
-    from qsslab.quantum import apply_unitary
-
-    photons[0].state = apply_unitary(photons[0].state, [0], rotation_operator(theta))
-    encode_message(photons, (1,))
+    photons = rotate_photons(prepare_sequence(1), np.array([theta]))
+    encoded = encode_message(photons, (1,))
     shifted = State(rotation_operator(theta - 3 * np.pi / 2) @ ket0().amps)
-    assert global_phase_equal(photons[0].state, shifted, tol=1e-12)
+    assert global_phase_equal(State(encoded[0]), shifted, tol=1e-12)
 
 
 def test_encode_length_mismatch():
@@ -132,13 +135,11 @@ def test_encode_length_mismatch():
 def test_recovery_refuses_with_missing_agent():
     config = small_config(seed=9)
     rng = np.random.default_rng(np.random.SeedSequence(9))
-    photons = prepare_sequence(4)
-    transcript = Transcript()
-    ledger = encryption_phase(photons, config, rng, NullAdversary(), transcript)
+    photons, ledger = encryption_phase(prepare_sequence(4), config, rng, NullAdversary())
     for withheld in range(config.num_agents):
         partial = ledger.without_agent(withheld)
         with pytest.raises(MissingAngleError):
-            recovery_phase(photons, partial, config, rng, NullAdversary(), Transcript())
+            recovery_phase(photons, np.arange(4), partial, rng, NullAdversary())
 
 
 def test_second_detection_verdicts():
@@ -170,13 +171,13 @@ def test_null_hook_matches_no_hook():
 def test_first_detection_marks_roles_and_passes():
     config = small_config(seed=8)
     rng = np.random.default_rng(np.random.SeedSequence(8))
-    photons = prepare_sequence(10)
-    transcript = Transcript()
-    ledger = encryption_phase(photons, config, rng, NullAdversary(), transcript)
-    verdict = first_detection(photons, ledger, config, rng, NullAdversary(), transcript)
+    photons, ledger = encryption_phase(prepare_sequence(10), config, rng, NullAdversary())
+    verdict, announced = first_detection(photons, ledger, config, rng, NullAdversary())
     assert verdict.passed
-    checked = [p for p in photons if p.role is not None]
+    checked = [j for j, _, _ in verdict.outcomes]
     assert len(checked) == int(np.ceil(0.5 * 10))
+    assert checked == sorted(set(checked))
+    assert announced.shape == (len(checked), config.num_agents)
     for _, outcome, prob in verdict.outcomes:
         assert outcome == 0 and prob >= 1 - 1e-12
 

@@ -14,6 +14,7 @@ from qsslab.quantum import (
     check_density_matrix,
     global_phase_equal,
     ket0,
+    measure_photons_z,
     measure_projective,
     measure_qubit_z,
     partial_trace,
@@ -280,6 +281,32 @@ def test_measure_entangler_subspace_probability():
             assert p == pytest.approx(alpha**2, abs=1e-12)
     sigma = np.sqrt(alpha**2 * beta**2 / 2000)
     assert abs(hits / 2000 - alpha**2) <= 4 * sigma
+
+
+class TopUniformRng:
+    """Stand-in generator whose uniform draw is the largest double below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def test_measure_fall_through_picks_last_possible_outcome():
+    # The norm may drift from 1 within the State tolerance, so the Born
+    # probabilities can sum to less than r. The outcome must then be the last
+    # one with positive probability, never a zero-probability one.
+    drift = 1.0 - 1e-11
+    state = State(np.sqrt(drift) * np.array([0.6, 0.8, 0.0, 0.0], dtype=complex))
+    projs = [np.diag(d).astype(complex) for d in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1])]
+    outcome, collapsed, p = measure_projective(state, projs, TopUniformRng())
+    assert outcome == 1
+    assert p == pytest.approx(0.64 * drift, abs=1e-15)
+    assert np.allclose(collapsed.amps, [0, 1, 0, 0], atol=1e-12)
+
+    edge = State(np.array([np.sqrt(drift), 0.0], dtype=complex))
+    outcome, collapsed, p = measure_qubit_z(edge, 0, TopUniformRng())
+    assert outcome == 0 and p == pytest.approx(drift, abs=1e-15)
+    outcomes, probs = measure_photons_z(edge.amps[None, :], np.array([1.0 - 2.0**-53]))
+    assert outcomes.tolist() == [0] and probs[0] == pytest.approx(drift, abs=1e-15)
 
 
 # --- partial trace ---
