@@ -50,26 +50,22 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def ancilla_trace_distances(
-    spec: EntanglerSpec, thetas, completion: str = "forward"
-) -> list[float]:
-    """Trace distance between the attacker's post-inverse ancilla states
-    conditioned on message bit 0 vs 1, computed exactly for each photon angle
-    in ``thetas`` (entangle -> encode(m) -> disentangle). The entangler is
-    built once for all angles."""
+def _attack_pipeline_states(
+    spec: EntanglerSpec, theta: float, completion: str = "forward"
+) -> dict[int, State]:
+    """Joint (ancilla, photon) states after entangle -> encode(m) -> disentangle."""
     entangler = build_entangler(spec, completion)
-    inverse = entangler.conj().T
-    ancilla = list(range(spec.ancilla_qubits))
-    out = []
-    for theta in thetas:
-        chi = State(rotation_operator(theta) @ ket0().amps)
-        joint = tensor(spec.epsilon, chi)
-        all_qubits = list(range(joint.num_qubits))
-        entangled = apply_unitary(joint, all_qubits, entangler)
-        encoded = apply_unitary(entangled, [joint.num_qubits - 1], MINUS_I_SIGMA_Y)
-        rho0 = partial_trace(apply_unitary(entangled, all_qubits, inverse), ancilla)
-        rho1 = partial_trace(apply_unitary(encoded, all_qubits, inverse), ancilla)
-        out.append(trace_distance(rho0, rho1))
+    chi = State(rotation_operator(theta) @ ket0().amps)
+    joint = tensor(spec.epsilon, chi)
+    all_qubits = list(range(joint.num_qubits))
+    photon_qubit = joint.num_qubits - 1
+    entangled = apply_unitary(joint, all_qubits, entangler)
+    out = {}
+    for m in (0, 1):
+        st = entangled
+        if m == 1:
+            st = apply_unitary(st, [photon_qubit], MINUS_I_SIGMA_Y)
+        out[m] = apply_unitary(st, all_qubits, entangler.conj().T)
     return out
 
 
@@ -78,7 +74,11 @@ def indistinguishability(
 ) -> tuple[float, float]:
     """Trace distance (and Helstrom bound) between the attacker's post-inverse
     ancilla states conditioned on message bit 0 vs 1, computed exactly."""
-    td = ancilla_trace_distances(spec, [theta], completion)[0]
+    states = _attack_pipeline_states(spec, theta, completion)
+    ancilla = list(range(spec.ancilla_qubits))
+    rho0 = partial_trace(states[0], ancilla)
+    rho1 = partial_trace(states[1], ancilla)
+    td = trace_distance(rho0, rho1)
     return td, helstrom_bound(td)
 
 
@@ -207,8 +207,10 @@ def monte_carlo(
 
     if attack is not None:
         td_rng = np.random.default_rng(np.random.SeedSequence([config.seed, trials]))
-        thetas = [float(td_rng.uniform(0.0, 2 * np.pi)) for _ in range(theta_samples)]
-        max_td = max(ancilla_trace_distances(attack, thetas))
+        max_td = max(
+            indistinguishability(attack, float(td_rng.uniform(0.0, 2 * np.pi)))[0]
+            for _ in range(theta_samples)
+        )
     else:
         max_td = 0.0
 
@@ -268,9 +270,10 @@ def sweep(grid: SweepGrid) -> list[SweepRow]:
     rows = []
     for tp in grid.theta_prime_values:
         for a2 in grid.alpha_sq_values:
-            tds = ancilla_trace_distances(grid_spec(grid, tp, a2), grid.theta_values)
-            for theta, td in zip(grid.theta_values, tds):
-                rows.append(SweepRow(tp, a2, theta, td, helstrom_bound(td)))
+            spec = grid_spec(grid, tp, a2)
+            for theta in grid.theta_values:
+                td, hb = indistinguishability(spec, theta)
+                rows.append(SweepRow(tp, a2, theta, td, hb))
     return rows
 
 

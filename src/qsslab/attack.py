@@ -124,9 +124,20 @@ def build_entangler(spec: EntanglerSpec, completion: str = "forward") -> np.ndar
     |eps>|1>; the rest is an arbitrary unitary completion. ``completion``
     selects between two distinct Gram-Schmidt completions so observational
     invariance across completions can be tested.
+
+    E is built and checked unitary once per (spec, completion) and returned
+    read-only: a campaign runs one adversary per trial and the exact analysis
+    evaluates one spec at many photon angles.
     """
     if completion not in ("forward", "reversed"):
         raise ValueError(f"unknown completion {completion!r}")
+    return _build_entangler(spec, completion)
+
+
+# The cache sits behind the public name so that ``build_entangler`` stays a
+# plain function, which qssbench's tracer wraps and counts.
+@lru_cache(maxsize=16)
+def _build_entangler(spec: EntanglerSpec, completion: str) -> np.ndarray:
     dim = 2 * spec.ancilla_dim
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
@@ -141,6 +152,7 @@ def build_entangler(spec: EntanglerSpec, completion: str = "forward") -> np.ndar
     img = _complete_basis(images, dim, reverse=(completion == "reversed"))
     entangler = img @ src.conj().T
     check_unitary(entangler)
+    entangler.flags.writeable = False
     return entangler
 
 
@@ -203,25 +215,6 @@ def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
     return State(u[:, 0]), State(s[0] * vh[0, :])
 
 
-@lru_cache(maxsize=16)
-def _attack_operators(
-    spec: EntanglerSpec, completion: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entangler and the joint and ancilla-only projector sets of an attack.
-
-    Built and validated once per (spec, completion): a campaign runs one
-    adversary per trial, and they all share these read-only arrays.
-    """
-    entangler = build_entangler(spec, completion)
-    joint = np.array(ancilla_projectors(spec, with_photon=True))
-    ancilla = np.array(ancilla_projectors(spec, with_photon=False))
-    check_projectors(list(joint), 2 * spec.ancilla_dim)
-    check_projectors(list(ancilla), spec.ancilla_dim)
-    for op in (entangler, joint, ancilla):
-        op.flags.writeable = False
-    return entangler, joint, ancilla
-
-
 class EntanglingAdversary:
     """Adversary hook running the entangling attack inside a protocol run.
 
@@ -243,9 +236,12 @@ class EntanglingAdversary:
         self.rng = rng
         self.rule = rule
         self.adaptive = adaptive
-        self.entangler, self._joint_projs, self._ancilla_projs = _attack_operators(
-            spec, completion
-        )
+        self.entangler = build_entangler(spec, completion)
+        # Fixed projector sets; validated once here, reused for every batch.
+        self._joint_projs = np.array(ancilla_projectors(spec, with_photon=True))
+        self._ancilla_projs = np.array(ancilla_projectors(spec, with_photon=False))
+        check_projectors(list(self._joint_projs), 2 * spec.ancilla_dim)
+        check_projectors(list(self._ancilla_projs), spec.ancilla_dim)
         self.check_outcomes: dict[int, int] = {}
         self.final_outcomes: dict[int, int] = {}
         # Ancilla factors split off returning photons: (photon ids, rows).

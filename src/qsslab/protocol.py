@@ -92,15 +92,22 @@ class ProtocolConfig:
             raise ConfigError("num_second_checks must be >= 0")
         if self.angle_distribution not in ("uniform", "discrete"):
             raise ConfigError(f"unknown angle_distribution {self.angle_distribution!r}")
-        pos = self.default_adversary_position()
-        if isinstance(pos, bool) or not isinstance(pos, (int, np.integer)):
+        pos = self.adversary_position
+        if pos is not None and (
+            isinstance(pos, bool)
+            or not isinstance(pos, (int, float, np.integer, np.floating))
+            or not float(pos).is_integer()
+        ):
             raise ConfigError(f"adversary_position must be an integer, got {pos!r}")
+        pos = self.default_adversary_position()
         if not 0 <= pos < self.num_agents:
             raise ConfigError(f"adversary_position {pos} out of range")
 
     def default_adversary_position(self) -> int:
+        # An integral float such as 1.0 from a scenario file names an agent;
+        # it is indexed as an int and echoed in reports as given.
         if self.adversary_position is not None:
-            return self.adversary_position
+            return int(self.adversary_position)
         return self.num_agents // 2
 
 

@@ -302,17 +302,14 @@ def measure_projective_rows(
 
 
 def measure_projective(
-    state: State, projectors: list[np.ndarray], rng: np.random.Generator, validate: bool = True
+    state: State, projectors: list[np.ndarray], rng: np.random.Generator
 ) -> tuple[int, State, float]:
     """Born-rule measurement against a complete orthogonal projector set.
 
     Returns (outcome index, collapsed state, outcome probability).
-    ``validate=False`` skips the completeness/orthogonality check for callers
-    that verified a fixed projector set up front.
     """
     projectors = np.array([np.asarray(p, dtype=complex) for p in projectors])
-    if validate:
-        check_projectors(list(projectors), state.dim)
+    check_projectors(list(projectors), state.dim)
     outcomes, collapsed, probs = measure_projective_rows(
         state.amps[None, :], projectors, np.array([rng.random()])
     )

@@ -43,6 +43,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(adversary_position=1.5).validate()
     small_config().validate()
+    # An integral float from a scenario file names the same agent.
+    small_config(adversary_position=1.0).validate()
+    assert small_config(adversary_position=1.0).default_adversary_position() == 1
 
 
 def test_required_sequence_length():
