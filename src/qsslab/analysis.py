@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +32,10 @@ REPORT_FIELDS = (
     "helstrom_bound",
     "seed",
 )
+
+# Random photon angles at which an attack campaign evaluates the exact
+# trace distance for its report's max_trace_distance.
+THETA_SAMPLES = 20
 
 
 def helstrom_bound(td: float) -> float:
@@ -148,7 +152,7 @@ class ScenarioReport:
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Deterministic child seed; independent of evaluation order or parallelism."""
+    """Deterministic child seed of trial ``index``; independent of evaluation order."""
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
@@ -165,30 +169,34 @@ def run_trial(
     return run_protocol(cfg, factory)
 
 
-def monte_carlo(
+def run_trials(
     config: ProtocolConfig,
-    attack: EntanglerSpec | None = None,
-    rule: GuessRule | None = None,
-    trials: int = 100,
-    workers: int = 1,
-    theta_samples: int = 20,
-    collect_transcripts: bool = False,
-) -> ScenarioReport | tuple[ScenarioReport, list[str]]:
-    """Aggregate ``trials`` independent protocol runs into a ScenarioReport."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rule = rule or GuessRule()
+    attack: EntanglerSpec | None,
+    rule: GuessRule,
+    trials: int,
+) -> Iterator[RunResult]:
+    """Yield ``run_trial(config, i, attack, rule)`` for i = 0 .. trials-1, in order."""
+    for i in range(trials):
+        yield run_trial(config, i, attack, rule)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: run_trial(config, i, attack, rule), range(trials)))
-    else:
-        results = [run_trial(config, i, attack, rule) for i in range(trials)]
 
-    first_passes = sum(1 for r in results if r.first_detection.passed)
+def summarize(
+    config: ProtocolConfig,
+    attack: EntanglerSpec | None,
+    results: Iterable[RunResult],
+) -> ScenarioReport:
+    """Fold a stream of protocol runs into a ScenarioReport in one pass.
+
+    No run is kept, so a campaign's memory does not grow with its length.
+    The report does not depend on the order of ``results``.
+    """
+    trials = first_passes = 0
     decoded_bits = correct_bits = 0
     guessed_bits = guessed_correct = 0
     for r in results:
+        trials += 1
+        if r.first_detection.passed:
+            first_passes += 1
         if r.decoded_message is None:
             continue
         decoded_bits += len(r.message)
@@ -198,6 +206,8 @@ def monte_carlo(
                 if pid in r.guesses:
                     guessed_bits += 1
                     guessed_correct += int(r.guesses[pid] == bit)
+    if trials == 0:
+        raise ValueError("trials must be >= 1")
 
     if attack is not None and guessed_bits > 0:
         accuracy = guessed_correct / guessed_bits
@@ -209,12 +219,12 @@ def monte_carlo(
         td_rng = np.random.default_rng(np.random.SeedSequence([config.seed, trials]))
         max_td = max(
             indistinguishability(attack, float(td_rng.uniform(0.0, 2 * np.pi)))[0]
-            for _ in range(theta_samples)
+            for _ in range(THETA_SAMPLES)
         )
     else:
         max_td = 0.0
 
-    report = ScenarioReport(
+    return ScenarioReport(
         trials=trials,
         attacker_accuracy=accuracy,
         ci_low=ci_low,
@@ -226,9 +236,16 @@ def monte_carlo(
         seed=config.seed,
         config=config_to_dict(config),
     )
-    if collect_transcripts:
-        return report, [r.transcript.serialize() for r in results]
-    return report
+
+
+def monte_carlo(
+    config: ProtocolConfig,
+    attack: EntanglerSpec | None = None,
+    rule: GuessRule | None = None,
+    trials: int = 100,
+) -> ScenarioReport:
+    """Aggregate ``trials`` independent protocol runs into a ScenarioReport."""
+    return summarize(config, attack, run_trials(config, attack, rule or GuessRule(), trials))
 
 
 @dataclass(frozen=True)
@@ -243,6 +260,8 @@ class SweepGrid:
             raise ValueError("sweep grid lists must be nonempty")
         if any(not 0.0 <= a <= 1.0 for a in self.alpha_sq_values):
             raise ValueError("alpha_sq values must lie in [0, 1]")
+        if self.ancilla_dim < 2 or self.ancilla_dim & (self.ancilla_dim - 1):
+            raise ValueError(f"ancilla_dim must be a power of 2 >= 2, got {self.ancilla_dim}")
 
 
 @dataclass(frozen=True)

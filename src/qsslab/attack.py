@@ -56,6 +56,9 @@ class EntanglerSpec:
     theta_prime: float
 
     def __post_init__(self):
+        # Each check is written so that a NaN fails it.
+        if not np.isfinite(self.theta_prime):
+            raise InvariantError(f"theta_prime must be finite, got {self.theta_prime}")
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "theta_prime", canonical_angle(self.theta_prime))
@@ -65,9 +68,11 @@ class EntanglerSpec:
             )
         if self.epsilon.dim < 2:
             raise InvariantError("ancilla dimension must be >= 2")
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > ATOL_STATE:
+        # a * a rather than a ** 2: a float power raises OverflowError on huge input.
+        a, b = abs(self.alpha), abs(self.beta)
+        if not abs(a * a + b * b - 1.0) <= ATOL_STATE:
             raise InvariantError("|alpha|^2 + |beta|^2 must equal 1")
-        if abs(overlap(self.epsilon, self.epsilon_perp)) > ATOL_STATE:
+        if not abs(overlap(self.epsilon, self.epsilon_perp)) <= ATOL_STATE:
             raise InvariantError("<eps|eps_perp> must vanish")
 
     @property

@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SweepGrid, indistinguishability, monte_carlo, sweep, sweep_table
+from .analysis import SweepGrid, indistinguishability, run_trials, summarize, sweep, sweep_table
 from .attack import (
     ENCODING_SHIFT,
     EntanglerSpec,
@@ -25,7 +26,7 @@ from .attack import (
     qgwz_spec,
     random_entangler_spec,
 )
-from .protocol import ConfigError, ProtocolConfig
+from .protocol import ConfigError, ProtocolConfig, RunResult, with_seed
 from .quantum import (
     MINUS_I_SIGMA_Y,
     InvariantError,
@@ -42,15 +43,52 @@ EXIT_DETECTION = 2
 EXIT_INVARIANT = 3
 
 
+def _section(doc: dict, key: str, default=None) -> dict:
+    value = doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} section must be an object, got {value!r}")
+    return value
+
+
+def _integer(value, key: str, minimum: int | None = None) -> int:
+    """A JSON integer, or a float with an integral value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number as a float."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # The comparison is exact for ints of any size and false for NaN.
+    if not (numeric and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    return tuple(_number(v, key) for v in _list(value, key))
+
+
 def _complex_from_pair(value, key: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{key}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_number(value[0], key), _number(value[1], key))
 
 
 def _state_from_pairs(value, key: str) -> State:
+    amps = np.array([_complex_from_pair(v, key) for v in _list(value, key)], dtype=complex)
     try:
-        amps = np.array([_complex_from_pair(v, key) for v in value])
         return State(amps)
     except (InvariantError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}")
@@ -74,13 +112,18 @@ class Scenario:
 
 
 def parse_scenario(doc: dict) -> Scenario:
+    """Check a scenario document and build its Scenario; ConfigError if malformed.
+
+    Every field is checked for its JSON type here: integers (an integral
+    float is accepted), finite numbers, lists and objects.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be an object")
     _check_keys(doc, {"protocol", "attack", "run"}, "top-level")
 
-    proto = doc.get("protocol")
-    if proto is None:
+    if "protocol" not in doc:
         raise ConfigError("missing required section 'protocol'")
+    proto = _section(doc, "protocol")
     _check_keys(
         proto,
         {"agents", "message_bits", "message_length", "check_fraction_first",
@@ -90,19 +133,24 @@ def parse_scenario(doc: dict) -> Scenario:
     if "agents" not in proto:
         raise ConfigError("protocol: missing required key 'agents'")
     bits = proto.get("message_bits")
+    if bits is not None:
+        key = "protocol.message_bits"
+        bits = tuple(_integer(b, key) for b in _list(bits, key))
     config = ProtocolConfig(
-        num_agents=int(proto["agents"]),
-        message_length=int(proto.get("message_length", 32)),
-        message_bits=tuple(bits) if bits is not None else None,
-        check_fraction_first=float(proto.get("check_fraction_first", 0.5)),
-        num_second_checks=int(proto.get("second_checks", 4)),
+        num_agents=_integer(proto["agents"], "protocol.agents"),
+        message_length=_integer(proto.get("message_length", 32), "protocol.message_length"),
+        message_bits=bits,
+        check_fraction_first=_number(
+            proto.get("check_fraction_first", 0.5), "protocol.check_fraction_first"
+        ),
+        num_second_checks=_integer(proto.get("second_checks", 4), "protocol.second_checks"),
         angle_distribution=proto.get("angle_distribution", "uniform"),
         adversary_position=proto.get("adversary_position"),
-        seed=int(proto.get("seed", 0)),
+        seed=_integer(proto.get("seed", 0), "protocol.seed", minimum=0),
     )
     config.validate()
 
-    attack = doc.get("attack", {"kind": "none"})
+    attack = _section(doc, "attack", {"kind": "none"})
     _check_keys(
         attack,
         {"kind", "ancilla_state", "epsilon", "epsilon_perp", "alpha", "beta",
@@ -127,7 +175,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 epsilon_perp=_state_from_pairs(attack["epsilon_perp"], "attack.epsilon_perp"),
                 alpha=_complex_from_pair(attack["alpha"], "attack.alpha"),
                 beta=_complex_from_pair(attack["beta"], "attack.beta"),
-                theta_prime=float(attack["theta_prime"]),
+                theta_prime=_number(attack["theta_prime"], "attack.theta_prime"),
             )
         else:
             entangler = None
@@ -137,23 +185,28 @@ def parse_scenario(doc: dict) -> Scenario:
     rule_doc = attack.get("guess_rule", [0, 1])
     if not (isinstance(rule_doc, (list, tuple)) and len(rule_doc) == 2):
         raise ConfigError("attack.guess_rule must be a [eps_bit, eps_perp_bit] pair")
-    rule = GuessRule(int(rule_doc[0]), int(rule_doc[1]))
+    try:
+        rule = GuessRule(*(_integer(b, "attack.guess_rule") for b in rule_doc))
+    except ValueError as exc:
+        raise ConfigError(f"attack.guess_rule: {exc}")
 
-    run = doc.get("run", {})
+    run = _section(doc, "run", {})
     _check_keys(run, {"trials", "sweep"}, "run")
-    trials = int(run.get("trials", 100))
-    if trials < 1:
-        raise ConfigError("run.trials must be >= 1")
+    trials = _integer(run.get("trials", 100), "run.trials", minimum=1)
     grid = None
     if "sweep" in run:
-        sw = run["sweep"]
+        sw = _section(run, "sweep")
         _check_keys(sw, {"theta_prime", "alpha_sq", "theta", "ancilla_dim"}, "run.sweep")
         grid = SweepGrid(
-            theta_prime_values=tuple(float(v) for v in sw.get("theta_prime", ())),
-            alpha_sq_values=tuple(float(v) for v in sw.get("alpha_sq", ())),
-            theta_values=tuple(float(v) for v in sw.get("theta", ())),
-            ancilla_dim=int(sw.get("ancilla_dim", 2)),
+            theta_prime_values=_numbers(sw.get("theta_prime", []), "run.sweep.theta_prime"),
+            alpha_sq_values=_numbers(sw.get("alpha_sq", []), "run.sweep.alpha_sq"),
+            theta_values=_numbers(sw.get("theta", []), "run.sweep.theta"),
+            ancilla_dim=_integer(sw.get("ancilla_dim", 2), "run.sweep.ancilla_dim"),
         )
+        try:
+            grid.validate()
+        except ValueError as exc:
+            raise ConfigError(f"run.sweep: {exc}")
     return Scenario(config, kind, entangler, rule, trials, grid, doc)
 
 
@@ -214,31 +267,28 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_transcripts(results: Iterable[RunResult], directory: str) -> Iterator[RunResult]:
+    """Pass runs through, writing each one's transcript to trial_{i:05d}.log."""
+    os.makedirs(directory, exist_ok=True)
+    for i, result in enumerate(results):
+        with open(os.path.join(directory, f"trial_{i:05d}.log"), "w") as fh:
+            fh.write(result.transcript.serialize())
+        yield result
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.config)
     config = scenario.protocol
     if args.seed is not None:
-        from .protocol import with_seed
+        config = with_seed(config, _integer(args.seed, "--seed", minimum=0))
+    trials = scenario.trials
+    if args.trials is not None:
+        trials = _integer(args.trials, "--trials", minimum=1)
 
-        config = with_seed(config, args.seed)
-    trials = args.trials if args.trials is not None else scenario.trials
-
-    result = monte_carlo(
-        config,
-        attack=scenario.entangler,
-        rule=scenario.rule,
-        trials=trials,
-        workers=args.workers,
-        collect_transcripts=args.transcripts is not None,
-    )
+    results = run_trials(config, scenario.entangler, scenario.rule, trials)
     if args.transcripts is not None:
-        report, transcripts = result
-        os.makedirs(args.transcripts, exist_ok=True)
-        for i, text in enumerate(transcripts):
-            with open(os.path.join(args.transcripts, f"trial_{i:05d}.log"), "w") as fh:
-                fh.write(text)
-    else:
-        report = result
+        results = _write_transcripts(results, args.transcripts)
+    report = summarize(config, scenario.entangler, results)
 
     if args.format == "json-lines":
         _write_output(report.to_json_line() + "\n", args.out)
@@ -263,11 +313,7 @@ DEFAULT_GRID = SweepGrid(
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
-    grid = scenario.grid or DEFAULT_GRID
-    try:
-        rows = sweep(grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    rows = sweep(scenario.grid or DEFAULT_GRID)
     _write_output(sweep_table(rows), args.out)
     return EXIT_OK
 
@@ -362,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json-lines", "csv", "text"), default="text",
         help="report output format",
     )
-    run.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     run.add_argument(
         "--transcripts", default=None, metavar="DIR",
         help="also write one transcript log per trial into DIR",

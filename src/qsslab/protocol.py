@@ -96,7 +96,7 @@ class ProtocolConfig:
         if pos is not None and (
             isinstance(pos, bool)
             or not isinstance(pos, (int, float, np.integer, np.floating))
-            or not float(pos).is_integer()
+            or (isinstance(pos, (float, np.floating)) and not float(pos).is_integer())
         ):
             raise ConfigError(f"adversary_position must be an integer, got {pos!r}")
         pos = self.default_adversary_position()

@@ -9,6 +9,9 @@ from qsslab.analysis import (
     helstrom_bound,
     indistinguishability,
     monte_carlo,
+    run_trial,
+    run_trials,
+    summarize,
     sweep,
     sweep_table,
     wilson_interval,
@@ -92,15 +95,22 @@ def test_monte_carlo_reproducible():
     assert a.to_json_line() == b.to_json_line()
 
 
-def test_monte_carlo_parallel_matches_serial():
-    serial = monte_carlo(honest_config(), attack=qgwz_spec(BELL), trials=16, workers=1)
-    parallel = monte_carlo(honest_config(), attack=qgwz_spec(BELL), trials=16, workers=4)
-    assert serial == parallel
+def test_summarize_order_independent():
+    # Trial i depends only on (config, i), so the report does not depend on
+    # the order in which trials run or are aggregated.
+    config, spec = honest_config(), qgwz_spec(BELL)
+    serial = monte_carlo(config, attack=spec, trials=16)
+    reordered = summarize(
+        config, spec, reversed([run_trial(config, i, spec, GuessRule()) for i in range(16)])
+    )
+    assert serial == reordered
+    assert serial.to_json_line() == reordered.to_json_line()
 
 
-def test_monte_carlo_transcripts_deterministic():
-    _, ta = monte_carlo(honest_config(), trials=5, collect_transcripts=True)
-    _, tb = monte_carlo(honest_config(), trials=5, collect_transcripts=True)
+def test_run_trials_transcripts_deterministic():
+    rule = GuessRule()
+    ta = [r.transcript.serialize() for r in run_trials(honest_config(), None, rule, 5)]
+    tb = [r.transcript.serialize() for r in run_trials(honest_config(), None, rule, 5)]
     assert ta == tb
     assert len(ta) == 5
 
@@ -108,6 +118,8 @@ def test_monte_carlo_transcripts_deterministic():
 def test_monte_carlo_rejects_zero_trials():
     with pytest.raises(ValueError):
         monte_carlo(honest_config(), trials=0)
+    with pytest.raises(ValueError):
+        summarize(honest_config(), None, iter(()))
 
 
 def test_report_serialization_roundtrip():

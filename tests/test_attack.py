@@ -55,6 +55,15 @@ def eq4_rhs(spec, chi):
 def test_spec_rejects_unnormalized_weights():
     with pytest.raises(InvariantError):
         EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 1.0, 1.0, 0.5)
+    for alpha in (complex(np.nan, 0.0), 1e200):
+        with pytest.raises(InvariantError):
+            EntanglerSpec(basis_state(1, 0), basis_state(1, 1), alpha, 0.0, 0.5)
+
+
+def test_spec_rejects_non_finite_theta_prime():
+    for theta_prime in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvariantError, match="theta_prime"):
+            EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.6, 0.8, theta_prime)
 
 
 def test_spec_rejects_nonorthogonal_ancillas():

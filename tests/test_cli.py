@@ -2,15 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsslab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    Scenario,
     load_scenario,
     main,
     parse_scenario,
     serialize_scenario,
 )
+from qsslab.protocol import ConfigError
 
 
 def honest_doc(**proto):
@@ -31,6 +35,26 @@ def qgwz_doc():
         "ancilla_state": [[2**-0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [2**-0.5, 0.0]],
         "guess_rule": [0, 1],
     }
+    return doc
+
+
+def general_doc():
+    doc = honest_doc()
+    doc["attack"] = {
+        "kind": "general",
+        "epsilon": [[1.0, 0.0], [0.0, 0.0]],
+        "epsilon_perp": [[0.0, 0.0], [1.0, 0.0]],
+        "alpha": [0.6, 0.0],
+        "beta": [0.0, 0.8],
+        "theta_prime": 1.3,
+    }
+    return doc
+
+
+def sweep_doc():
+    doc = qgwz_doc()
+    doc["run"]["sweep"] = {"theta_prime": [0.0, 1.0], "alpha_sq": [0.5], "theta": [0.3],
+                           "ancilla_dim": 4}
     return doc
 
 
@@ -55,16 +79,7 @@ def test_parse_qgwz_scenario():
 
 
 def test_parse_general_scenario():
-    doc = honest_doc()
-    doc["attack"] = {
-        "kind": "general",
-        "epsilon": [[1.0, 0.0], [0.0, 0.0]],
-        "epsilon_perp": [[0.0, 0.0], [1.0, 0.0]],
-        "alpha": [0.6, 0.0],
-        "beta": [0.0, 0.8],
-        "theta_prime": 1.3,
-    }
-    s = parse_scenario(doc)
+    s = parse_scenario(general_doc())
     assert s.entangler.theta_prime == pytest.approx(1.3)
     assert s.entangler.beta == pytest.approx(0.8j)
 
@@ -180,3 +195,91 @@ def test_cmd_verify_passes(capsys):
     assert "HT-overlap" in out
     assert "encode-angle" in out
     assert "FAIL" not in out
+
+
+# (scenario, path of the replaced value, value, qsslab command and options).
+# Each case must exit 1 with a config error: no traceback, and no run with a
+# value other than the one given.
+MALFORMED = [
+    pytest.param(honest_doc, ("protocol", "agents"), "x", ["run"], id="agents-str"),
+    pytest.param(honest_doc, ("protocol", "agents"), None, ["run"], id="agents-null"),
+    pytest.param(honest_doc, ("run", "trials"), "many", ["run"], id="trials-str"),
+    pytest.param(qgwz_doc, ("attack",), [], ["run"], id="attack-list"),
+    pytest.param(honest_doc, ("run",), [], ["run"], id="run-list"),
+    pytest.param(sweep_doc, ("run", "sweep"), [], ["sweep"], id="sweep-list"),
+    pytest.param(qgwz_doc, ("attack", "guess_rule"), [2, 0], ["run"], id="guess-rule-2"),
+    pytest.param(sweep_doc, ("run", "sweep", "theta_prime"), 0.1, ["sweep"], id="sweep-scalar"),
+    pytest.param(sweep_doc, ("run", "sweep", "ancilla_dim"), 1, ["sweep"], id="ancilla-dim-1"),
+    pytest.param(honest_doc, ("protocol", "seed"), -1, ["run"], id="seed-negative"),
+    pytest.param(honest_doc, ("protocol", "message_length"), 2.7, ["run"], id="length-float"),
+    pytest.param(honest_doc, ("run", "trials"), 2.9, ["run"], id="trials-float"),
+    pytest.param(qgwz_doc, ("attack", "guess_rule"), [0.5, 1], ["run"], id="guess-rule-float"),
+    pytest.param(sweep_doc, ("run", "sweep", "ancilla_dim"), 3, ["sweep"], id="ancilla-dim-3"),
+    pytest.param(general_doc, ("attack", "theta_prime"), "inf", ["run"], id="theta-prime-inf"),
+    pytest.param(general_doc, ("attack", "theta_prime"), "nan", ["run"], id="theta-prime-nan"),
+    pytest.param(general_doc, ("attack", "theta_prime"), float("inf"), ["run"],
+                 id="theta-prime-infinity"),
+    pytest.param(general_doc, ("attack", "alpha"), ["nan", 0], ["run"], id="alpha-nan"),
+    pytest.param(sweep_doc, ("run", "sweep", "theta"), ["nan"], ["sweep"], id="sweep-theta-nan"),
+    pytest.param(honest_doc, (), None, ["run", "--trials", "0"], id="override-trials-0"),
+    pytest.param(honest_doc, (), None, ["run", "--trials", "-2"], id="override-trials-neg"),
+    pytest.param(honest_doc, (), None, ["run", "--seed", "-1"], id="override-seed-neg"),
+]
+
+
+def locate(doc, path):
+    """The object or list holding the value at ``path``, and its key there."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    return doc, last
+
+
+@pytest.mark.parametrize("make_doc, path, value, argv", MALFORMED)
+def test_malformed_input_exit1(tmp_path, capsys, make_doc, path, value, argv):
+    doc = make_doc()
+    if path:
+        node, key = locate(doc, path)
+        node[key] = value
+    code = main([argv[0], write(tmp_path, doc), *argv[1:]])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+
+
+def value_paths(node, prefix=()):
+    """Path of every value nested in ``node``, through objects and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from value_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid scenario with one value replaced by arbitrary JSON, or dropped."""
+    doc = draw(st.sampled_from([honest_doc, qgwz_doc, general_doc, sweep_doc]))()
+    node, key = locate(doc, draw(st.sampled_from(list(value_paths(doc)))))
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_docs())
+def test_parse_scenario_returns_scenario_or_config_error(doc):
+    try:
+        scenario = parse_scenario(doc)
+    except ConfigError:
+        return
+    assert isinstance(scenario, Scenario)
