@@ -48,6 +48,10 @@ PHASES = (
 
 DISCRETE_ANGLES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
+# Upper bound on photons x agents in one run: every agent draws one angle per
+# photon, and a run holds all its photons (up to 16 amplitudes each) at once.
+MAX_RUN_SIZE = 100_000
+
 
 class ConfigError(Exception):
     """Invalid protocol or scenario configuration."""
@@ -90,6 +94,14 @@ class ProtocolConfig:
             raise ConfigError("check_fraction_first must lie in (0, 1)")
         if self.num_second_checks < 0:
             raise ConfigError("num_second_checks must be >= 0")
+        # A run has at most (payload + 1) / (1 - f) photons (see
+        # required_sequence_length), so this bounds it before any allocation.
+        n_payload = self.payload_length()
+        if (n_payload + 1) * self.num_agents > MAX_RUN_SIZE * (1.0 - self.check_fraction_first):
+            raise ConfigError(
+                f"a run of {self.num_agents} agents, {n_payload} payload photons and check "
+                f"fraction {self.check_fraction_first} exceeds {MAX_RUN_SIZE} photons x agents"
+            )
         if self.angle_distribution not in ("uniform", "discrete"):
             raise ConfigError(f"unknown angle_distribution {self.angle_distribution!r}")
         pos = self.adversary_position
@@ -102,6 +114,11 @@ class ProtocolConfig:
         pos = self.default_adversary_position()
         if not 0 <= pos < self.num_agents:
             raise ConfigError(f"adversary_position {pos} out of range")
+
+    def payload_length(self) -> int:
+        """Photons left after the first detection: message bits plus second checks."""
+        n_bits = self.message_length if self.message_bits is None else len(self.message_bits)
+        return n_bits + self.num_second_checks
 
     def default_adversary_position(self) -> int:
         # An integral float such as 1.0 from a scenario file names an agent;
@@ -445,7 +462,7 @@ def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
         message = tuple(int(b) for b in config.message_bits)
     else:
         message = tuple(int(b) for b in rng.integers(0, 2, size=config.message_length))
-    n_payload = len(message) + config.num_second_checks
+    n_payload = config.payload_length()
     n_total = required_sequence_length(n_payload, config.check_fraction_first)
 
     photons, ledger = encryption_phase(prepare_sequence(n_total), config, rng, adversary)

@@ -10,8 +10,12 @@ Conventions (fixed and tested):
 Besides the scalar ``State`` API, the module has batched kernels that act on
 a whole sequence of photons at once: an array of shape (n_photons, D) whose
 rows are joint states with the photon as the last (least significant) qubit.
-Operators are checked for unitarity once, when they are built, and the norm
-invariant is checked row-wise on a batch (``check_norms``).
+Each operator is checked unitary once, where it is built: ``MINUS_I_SIGMA_Y``
+at import, a batch of rotations in ``rotate_photons`` and the entangler in
+``attack.build_entangler``. ``apply_unitary``, ``apply_controlled`` and
+``apply_photon_op`` take their operator as already checked. The norm
+invariant is checked on every ``State`` and row-wise on a batch
+(``check_norms``).
 """
 from __future__ import annotations
 
@@ -110,32 +114,16 @@ def tensor(a: State, b: State) -> State:
     return State((a.amps[:, None] * b.amps[None, :]).reshape(-1))
 
 
-_UNITARY_CACHE: dict[bytes, None] = {}
+def check_unitary(op: np.ndarray) -> None:
+    """Raise ``InvariantError`` unless ``op`` is unitary within ``ATOL_STATE``.
 
-
-def check_unitary(op: np.ndarray, atol: float = ATOL_STATE) -> None:
+    Run once where an operator is built, never per application.
+    """
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"operator shape {op.shape} is not square")
-    if op.shape == (2, 2):
-        # Scalar fast path; 2x2 ops dominate the protocol hot loop.
-        a, b = complex(op[0, 0]), complex(op[0, 1])
-        c, d = complex(op[1, 0]), complex(op[1, 1])
-        err = max(
-            abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
-            abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
-            abs(a.conjugate() * b + c.conjugate() * d),
-        )
-    else:
-        key = op.tobytes()
-        if key in _UNITARY_CACHE:
-            return
-        err = np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0])))
-        if err <= atol:
-            if len(_UNITARY_CACHE) > 256:
-                _UNITARY_CACHE.clear()
-            _UNITARY_CACHE[key] = None
-    if err > atol:
+    err = np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0])))
+    if not err <= ATOL_STATE:
         raise InvariantError(f"operator is not unitary (max deviation {err:.3e})")
 
 
@@ -144,7 +132,11 @@ MINUS_I_SIGMA_Y.flags.writeable = False
 
 
 def apply_unitary(state: State, targets: list[int], op: np.ndarray) -> State:
-    """Apply ``op`` to the ordered tensor factor ``targets`` of ``state``."""
+    """Apply ``op`` to the ordered tensor factor ``targets`` of ``state``.
+
+    ``op`` must already be unitary: it is checked where it is built
+    (``check_unitary``), not here.
+    """
     n = state.num_qubits
     targets = list(targets)
     if len(set(targets)) != len(targets):
@@ -155,7 +147,6 @@ def apply_unitary(state: State, targets: list[int], op: np.ndarray) -> State:
     k = len(targets)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} target qubit(s)")
-    check_unitary(op)
 
     if k == n and targets == list(range(n)):
         return State(op @ state.amps)
@@ -171,7 +162,8 @@ def apply_unitary(state: State, targets: list[int], op: np.ndarray) -> State:
 
 
 def apply_controlled(state: State, controls: list[int], target: int, op: np.ndarray) -> State:
-    """Apply a 2x2 ``op`` to ``target`` on components where every control bit is 1."""
+    """Apply a 2x2 ``op``, already unitary, to ``target`` on components where
+    every control bit is 1."""
     n = state.num_qubits
     controls = list(controls)
     if not controls:
@@ -184,7 +176,6 @@ def apply_controlled(state: State, controls: list[int], target: int, op: np.ndar
     op = np.asarray(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError(f"controlled op must be 2x2, got {op.shape}")
-    check_unitary(op)
 
     idx = np.arange(2**n)
     active = np.ones(2**n, dtype=bool)
@@ -328,20 +319,6 @@ def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.n
     kept = np.take_along_axis(m, outcomes[:, None, None], axis=2)[:, :, 0]
     check_norms(kept / np.sqrt(probs)[:, None])
     return outcomes, probs
-
-
-def measure_qubit_z(state: State, qubit: int, rng: np.random.Generator) -> tuple[int, State, float]:
-    """Z measurement of one qubit (Born-rule equivalent to
-    ``measure_projective`` with the z_projectors of that qubit)."""
-    n = state.num_qubits
-    t = np.moveaxis(state.amps.reshape([2] * n), qubit, 0).reshape(2, -1)
-    weights = np.sum(np.abs(t) ** 2, axis=1)
-    outcome = int(sample_outcomes(weights[None, :], np.array([rng.random()]))[0])
-    prob = float(weights[0] if outcome == 0 else 1.0 - weights[0])
-    collapsed = np.zeros_like(t)
-    collapsed[outcome] = t[outcome] / np.sqrt(prob)
-    collapsed = np.moveaxis(collapsed.reshape([2] * n), 0, qubit).reshape(-1)
-    return outcome, State(collapsed), prob
 
 
 def partial_trace(state: State, keep: list[int]) -> np.ndarray:

@@ -2,41 +2,25 @@
 
 Each test prints a single ``[PASS]``/``[FAIL]`` line directly to the terminal
 (bypassing pytest capture) so the acceptance verdicts are visible in any run.
-Tolerances are asserted exactly as stated per criterion.
+Tolerances are asserted exactly as stated per criterion. Criteria 2, 3 and 6
+assert their group of the fixture table in ``qsslab.cli``, which ``qsslab
+verify`` runs too.
 """
 import numpy as np
 import pytest
 
-from qsslab.analysis import (
-    helstrom_bound,
-    indistinguishability,
-    monte_carlo,
-    run_trial,
-    run_trials,
-    summarize,
-)
+from qsslab.analysis import monte_carlo, run_trial, run_trials, summarize
 from qsslab.attack import (
-    ENCODING_SHIFT,
     EntanglerSpec,
     EntanglingAdversary,
     GuessRule,
     apply_ccy,
     build_entangler,
-    qgwz_fixture,
     qgwz_spec,
-    random_entangler_spec,
-    split_product,
 )
+from qsslab.cli import FIXTURES
 from qsslab.protocol import ProtocolConfig, run_protocol
-from qsslab.quantum import (
-    MINUS_I_SIGMA_Y,
-    State,
-    basis_state,
-    ket0,
-    overlap,
-    rotation_operator,
-    tensor,
-)
+from qsslab.quantum import State, basis_state, tensor
 
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -80,42 +64,38 @@ def test_criterion_1_honest_protocol_correctness(capsys):
     )
 
 
+def fixture_group(criterion: int) -> tuple[dict, bool, str]:
+    """The fixture-table group of ``criterion``: entries by name, whether all
+    passed, and the names of any that failed."""
+    group = FIXTURES[criterion]()
+    failed = [fx.name for fx in group if not fx.passed]
+    detail = f"; FAILED: {', '.join(failed)}" if failed else ""
+    return {fx.name: fx for fx in group}, not failed, detail
+
+
 def test_criterion_2_indistinguishability_theorem(capsys):
     """100 random entangler specs (ancilla dim 2/4/8) x 20 random angles:
     bit-conditioned ancilla states after the inverse entangler coincide."""
-    rng = np.random.default_rng(20260823)
-    max_td = 0.0
-    max_hb = 0.0
-    for i in range(100):
-        spec = random_entangler_spec(rng, ancilla_dim=(2, 4, 8)[i % 3])
-        for _ in range(20):
-            td, hb = indistinguishability(spec, float(rng.uniform(0.0, 2 * np.pi)))
-            max_td = max(max_td, td)
-            max_hb = max(max_hb, hb)
-    ok = max_td <= 1e-10 and max_hb <= 0.5 + 5e-11
+    fx, ok, failed = fixture_group(2)
     verdict(
         capsys, "criterion-2 indistinguishability theorem", ok,
-        f"100 specs x 20 angles: max trace distance = {max_td:.3g} (<= 1e-10), "
-        f"max Helstrom bound = {max_hb:.12g} (<= 0.5 + 5e-11)",
+        f"100 specs x 20 angles: max trace distance = "
+        f"{fx['ancilla-indistinguishability'].value:.3g} (<= 1e-10), "
+        f"max Helstrom bound = {fx['helstrom-bound'].value:.12g} (<= 0.5 + 5e-11), "
+        f"max |E^dagger E - I| = {fx['entangler-inverse'].value:.3g} (<= 1e-10){failed}",
     )
 
 
 def test_criterion_3_identical_attacker_factors(capsys):
     """The attacker-held two-qubit factors for bit 0 and bit 1 are identical
     (overlap of modulus 1), not orthogonal."""
-    rng = np.random.default_rng(3)
-    worst = 1.0
-    for theta in [0.0, np.pi / 4, np.pi / 2, np.pi] + list(rng.uniform(0, 2 * np.pi, 25)):
-        joint0, joint1, _, _ = qgwz_fixture(float(theta))
-        # Factor independently: photon is the leading qubit of these fixtures.
-        _, factor0 = split_product(joint0, 1)
-        _, factor1 = split_product(joint1, 1)
-        worst = min(worst, abs(overlap(factor0, factor1)))
-    ok = abs(worst - 1.0) <= 1e-12
+    fx, ok, failed = fixture_group(3)
     verdict(
         capsys, "criterion-3 attacker factors identical", ok,
-        f"min |<factor_0|factor_1>| = {worst:.15g} over 29 angles "
-        f"(= 1 within 1e-12; identical, not orthogonal)",
+        f"min |<factor_0|factor_1>| = {1.0 - fx['attacker-factor-overlap'].value:.15g} "
+        f"over 29 angles (= 1 within 1e-12; identical, not orthogonal); "
+        f"HT pair: max |norm - 1| = {fx['HT-norm'].value:.3g}, "
+        f"max ||<ht_0|ht_1>| - 1| = {fx['HT-overlap'].value:.3g} (<= 1e-12){failed}",
     )
 
 
@@ -189,30 +169,14 @@ def test_criterion_5_zero_information_extraction(capsys):
 def test_criterion_6_operator_identities(capsys):
     """Rotation additivity/commutation at 1e-12; the encoding operator equals
     the -i*sigma_y matrix entrywise at 1e-15 and shifts angles by -3*pi/2."""
-    rng = np.random.default_rng(6)
-    max_add = max_comm = 0.0
-    for _ in range(1000):
-        a, b = rng.uniform(0.0, 2 * np.pi, size=2)
-        ua, ub = rotation_operator(a), rotation_operator(b)
-        max_add = max(max_add, np.max(np.abs(ua @ ub - rotation_operator(a + b))))
-        max_comm = max(max_comm, np.linalg.norm(ua @ ub - ub @ ua))
-    entrywise = np.max(np.abs(rotation_operator(-3 * np.pi / 2) - MINUS_I_SIGMA_Y))
-    min_shift_overlap = 1.0
-    for theta in rng.uniform(0.0, 2 * np.pi, size=100):
-        encoded = State(MINUS_I_SIGMA_Y @ rotation_operator(theta) @ ket0().amps)
-        shifted = State(rotation_operator(theta + ENCODING_SHIFT) @ ket0().amps)
-        min_shift_overlap = min(min_shift_overlap, abs(overlap(encoded, shifted)))
-    ok = (
-        max_add <= 1e-12
-        and max_comm <= 1e-12
-        and entrywise <= 1e-15
-        and min_shift_overlap >= 1.0 - 1e-12
-    )
+    fx, ok, failed = fixture_group(6)
     verdict(
         capsys, "criterion-6 operator identities", ok,
-        f"1000 pairs: max |U(a)U(b)-U(a+b)| = {max_add:.3g}, max ||[U(a),U(b)]|| = "
-        f"{max_comm:.3g} (<= 1e-12); encoding matrix entrywise dev = {entrywise:.3g} "
-        f"(<= 1e-15); 100 angles: min shift overlap = {min_shift_overlap:.15g}",
+        f"1000 pairs: max |U(a)U(b)-U(a+b)| = {fx['rotation-additivity'].value:.3g}, "
+        f"max ||[U(a),U(b)]|| = {fx['rotation-commutation'].value:.3g} (<= 1e-12); "
+        f"encoding matrix entrywise dev = {fx['encoding-matrix'].value:.3g} (<= 1e-15); "
+        f"100 angles: min shift overlap = {1.0 - fx['encode-angle'].value:.15g}; "
+        f"qgwz theta' dev = {fx['qgwz-theta-prime'].value:.3g} (<= 1e-12){failed}",
     )
 
 

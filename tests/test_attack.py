@@ -22,9 +22,10 @@ from qsslab.quantum import (
     apply_unitary,
     basis_state,
     canonical_angle,
+    check_projectors,
     global_phase_equal,
     ket0,
-    measure_projective,
+    measure_projective_rows,
     overlap,
     partial_trace,
     rotation_operator,
@@ -267,13 +268,13 @@ def test_respond_frequency_matches_alpha_squared():
     ent = build_entangler(spec)
     rng = np.random.default_rng(1234)
     n = 100_000
-    hits = 0
     base = entangled_joint(spec, 0.8, ent)
-    projs = ancilla_projectors(spec, with_photon=True)
-    for _ in range(n):
-        outcome, _, _ = measure_projective(base, projs, rng)
-        assert outcome != 2
-        hits += outcome == 0
+    projs = np.array(ancilla_projectors(spec, with_photon=True), dtype=complex)
+    check_projectors(list(projs), base.dim)
+    # rng.random(n) is the stream of n scalar draws, one per measurement.
+    outcomes, _, _ = measure_projective_rows(np.tile(base.amps, (n, 1)), projs, rng.random(n))
+    assert not np.any(outcomes == 2)
+    hits = int(np.count_nonzero(outcomes == 0))
     p = alpha**2
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 4 * sigma

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qsslab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    FIXTURES,
     Scenario,
     load_scenario,
     main,
@@ -191,10 +192,18 @@ def test_cmd_sweep_empty_grid_exit1(tmp_path):
 
 def test_cmd_verify_passes(capsys):
     assert main(["verify"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "HT-overlap" in out
-    assert "encode-angle" in out
-    assert "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    expected = [
+        f"PASS {fx.name} (criterion {criterion}):"
+        for criterion, group in FIXTURES.items() for fx in group()
+    ]
+    # One line per table entry, in table order, then the summary.
+    assert [line.split(" value=")[0] for line in lines[:-1]] == expected
+    assert lines[-1] == "all fixtures passed"
+    names = {line.split()[1] for line in lines[:-1]}
+    # Every identity that `qsslab verify` has checked stays in the table.
+    assert {"rotation-additivity", "encoding-matrix", "encode-angle", "HT-norm", "HT-overlap",
+            "entangler-inverse", "ancilla-indistinguishability", "qgwz-theta-prime"} <= names
 
 
 # (scenario, path of the replaced value, value, qsslab command and options).
@@ -224,6 +233,11 @@ MALFORMED = [
     pytest.param(honest_doc, (), None, ["run", "--trials", "0"], id="override-trials-0"),
     pytest.param(honest_doc, (), None, ["run", "--trials", "-2"], id="override-trials-neg"),
     pytest.param(honest_doc, (), None, ["run", "--seed", "-1"], id="override-seed-neg"),
+    pytest.param(honest_doc, ("protocol", "message_length"), 1.3816254274368204e+16, ["run"],
+                 id="length-huge"),
+    pytest.param(honest_doc, ("protocol", "check_fraction_first"), 0.999999999, ["run"],
+                 id="check-fraction-near-1"),
+    pytest.param(honest_doc, ("protocol", "agents"), 10**12, ["run"], id="agents-huge"),
 ]
 
 

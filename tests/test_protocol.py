@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsslab.protocol import (
+    MAX_RUN_SIZE,
     ConfigError,
     MissingAngleError,
     NullAdversary,
@@ -43,6 +44,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(adversary_position=1.5).validate()
     small_config().validate()
+    # Photons x agents of a run is capped before anything is allocated; the
+    # acceptance runs (at most 1000 photons x 3 agents) stay inside the cap.
+    with pytest.raises(ConfigError):
+        small_config(message_length=MAX_RUN_SIZE).validate()
+    small_config(num_agents=3, message_length=500, num_second_checks=0).validate()
     # An integral float from a scenario file names the same agent.
     small_config(adversary_position=1.0).validate()
     assert small_config(adversary_position=1.0).default_adversary_position() == 1
@@ -53,6 +59,8 @@ def test_required_sequence_length():
         for f in (0.1, 0.5, 0.9):
             n = required_sequence_length(payload, f)
             assert n - int(np.ceil(f * n)) == payload
+            # The bound ProtocolConfig.validate puts on the size of a run.
+            assert n <= (payload + 1) / (1 - f)
 
 
 def test_prepare_sequence():

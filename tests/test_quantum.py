@@ -12,11 +12,11 @@ from qsslab.quantum import (
     basis_state,
     canonical_angle,
     check_density_matrix,
+    check_unitary,
     global_phase_equal,
     ket0,
     measure_photons_z,
     measure_projective,
-    measure_qubit_z,
     partial_trace,
     projector,
     rotation_operator,
@@ -101,6 +101,16 @@ def test_tensor_pins_msb_convention():
 
 
 # --- apply_unitary ---
+
+def test_check_unitary_rejects_non_unitary():
+    check_unitary(random_unitary(np.random.default_rng(1), 8))
+    with pytest.raises(InvariantError):
+        check_unitary(np.diag([1.0, 1.0 + 1e-9]))
+    with pytest.raises(InvariantError):
+        check_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        check_unitary(np.eye(2)[:1])
+
 
 def test_apply_identity_leaves_state():
     st_ = random_state(np.random.default_rng(0), 3)
@@ -220,9 +230,11 @@ def test_controlled_matches_brute_force_matrix(rng):
 # --- measurement ---
 
 def test_measure_ket0_z():
-    outcome, collapsed, p = measure_qubit_z(ket0(), 0, np.random.default_rng(0))
+    outcome, collapsed, p = measure_projective(ket0(), z_projectors(1, 0), np.random.default_rng(0))
     assert outcome == 0 and p == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(collapsed.amps, ket0().amps)
+    outcomes, probs = measure_photons_z(ket0().amps[None, :], np.array([0.999]))
+    assert outcomes.tolist() == [0] and probs[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_measure_rotated_state_probability():
@@ -256,7 +268,9 @@ def test_measure_frequencies_match_born_rule():
     st_ = State(rotation_operator(theta) @ ket0().amps)
     rng = np.random.default_rng(99)
     n = 100_000
-    ones = sum(measure_qubit_z(st_, 0, rng)[0] for _ in range(n))
+    # rng.random(n) is the stream of n scalar draws, one per measurement.
+    outcomes, _ = measure_photons_z(np.tile(st_.amps, (n, 1)), rng.random(n))
+    ones = int(np.sum(outcomes))
     p1 = np.sin(theta) ** 2
     sigma = np.sqrt(p1 * (1 - p1) / n)
     assert abs(ones / n - p1) <= 4 * sigma
@@ -303,7 +317,7 @@ def test_measure_fall_through_picks_last_possible_outcome():
     assert np.allclose(collapsed.amps, [0, 1, 0, 0], atol=1e-12)
 
     edge = State(np.array([np.sqrt(drift), 0.0], dtype=complex))
-    outcome, collapsed, p = measure_qubit_z(edge, 0, TopUniformRng())
+    outcome, collapsed, p = measure_projective(edge, z_projectors(1, 0), TopUniformRng())
     assert outcome == 0 and p == pytest.approx(drift, abs=1e-15)
     outcomes, probs = measure_photons_z(edge.amps[None, :], np.array([1.0 - 2.0**-53]))
     assert outcomes.tolist() == [0] and probs[0] == pytest.approx(drift, abs=1e-15)
