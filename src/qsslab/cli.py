@@ -418,7 +418,8 @@ def cmd_verify(args) -> int:
             failures += not fx.passed
             print(
                 f"{status} {fx.name} (criterion {criterion}): "
-                f"value={fx.value:.3e} tolerance={fx.tolerance:.12g}"
+                f"value={fx.value:.17g} tolerance={fx.tolerance:.12g} "
+                f"margin={fx.tolerance - fx.value:.3e}"
             )
     if failures:
         print(f"{failures} fixture(s) failed")

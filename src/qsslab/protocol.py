@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,55 +127,31 @@ class ProtocolConfig:
         return self.num_agents // 2
 
 
-class Event(NamedTuple):
-    phase: str
-    kind: str
-    party: str = ""
-    photon: int | None = None
-    data: tuple[tuple[str, object], ...] = ()
-
-
-def format_event(e: Event) -> str:
-    parts = [f"phase={e.phase}", f"kind={e.kind}"]
-    if e.party:
-        parts.append(f"party={e.party}")
-    if e.photon is not None:
-        parts.append(f"photon={e.photon}")
-    for key, value in e.data:
-        if isinstance(value, float):
-            parts.append(f"{key}={value:.17g}")
-        else:
-            parts.append(f"{key}={value}")
-    return " ".join(parts)
-
-
 class Transcript:
-    """Ordered event log of one protocol run."""
+    """The rendered key=value lines of one protocol run, one event per line."""
 
-    def __init__(self):
-        self.events: list[Event] = []
-
-    def log(self, phase: str, kind: str, party: str = "", photon: int | None = None, **data):
-        self.events.append(Event(phase, kind, party, photon, tuple(data.items())))
+    def __init__(self, text: str):
+        self.text = text
 
     def to_lines(self) -> list[str]:
-        return [format_event(e) for e in self.events]
+        return self.text.splitlines()
 
     def serialize(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
+        return self.text
 
     def check_phase_order(self) -> None:
         last = 0
-        for e in self.events:
-            idx = PHASES.index(e.phase)
+        for line in self.to_lines():
+            phase = line.partition(" ")[0].removeprefix("phase=")
+            idx = PHASES.index(phase)
             if idx < last:
                 raise InvariantPhaseError(
-                    f"event in phase {e.phase!r} after phase {PHASES[last]!r}"
+                    f"event in phase {phase!r} after phase {PHASES[last]!r}"
                 )
             last = idx
 
     def __eq__(self, other):
-        return isinstance(other, Transcript) and self.events == other.events
+        return isinstance(other, Transcript) and self.text == other.text
 
 
 class InvariantPhaseError(Exception):
@@ -277,50 +252,57 @@ class RunResult:
 
 
 def render_transcript(r: RunResult) -> Transcript:
-    """The run's event log, in protocol order, from its recorded outcomes."""
-    t = Transcript()
-    k_agents = r.config.num_agents
-    names = [agent_name(k, k_agents) for k in range(k_agents)]
-    next_hop = names[1:] + ["Alice"]
-    for j in range(r.num_photons):
-        t.log("preparation", "Prepared", party="Alice", photon=j)
-    for j in range(r.num_photons):
-        t.log("encryption", "Sent", party="Alice", photon=j, to=names[0])
-        for name, dest in zip(names, next_hop):
-            # The angle is committed to the ledger but never logged in clear.
-            t.log("encryption", "Rotated", party=name, photon=j)
-            t.log("encryption", "Sent", party=name, photon=j, to=dest)
-    first = r.first_detection
-    for (j, outcome, prob), angles in zip(first.outcomes, r.announcements):
-        t.log("first-detection", "AnnouncementRequested", party="Alice", photon=j)
-        for name, angle in zip(names, angles):
-            t.log("first-detection", "Announced", party=name, photon=j, angle=angle)
-        t.log(
-            "first-detection", "Measured",
-            party="Alice", photon=j, basis="Z", outcome=outcome, probability=prob,
-        )
-    _log_verdict(t, first)
-    if r.second_detection is None:
-        return t
-    for j in r.payload_ids:
-        t.log("encoding", "Encoded", party="Alice", photon=j)
+    """The run's key=value lines, in protocol order, from its recorded outcomes.
+
+    Each phase has line templates with the party names filled in: one
+    ``str.format`` or f-string per photon, floats written as ``.17g``.
+    """
+    names = [agent_name(k, r.config.num_agents) for k in range(r.config.num_agents)]
     receiver = names[-1]
-    for j, outcome, prob in zip(r.payload_ids, r.decoded_payload, r.recovery_probabilities):
-        t.log("recovery", "Sent", party="Alice", photon=j, to=receiver)
-        t.log(
-            "recovery", "Measured",
-            party=receiver, photon=j, basis="Z", outcome=outcome, probability=prob,
-        )
-    _log_verdict(t, r.second_detection)
-    return t
-
-
-def _log_verdict(t: Transcript, verdict: DetectionVerdict) -> None:
-    t.log(
-        verdict.phase, "Verdict", party="Alice",
-        result="pass" if verdict.passed else "fail",
-        failed=",".join(str(j) for j in verdict.failed_photons) or "-",
+    # Alice sends each photon to the first agent, and each agent rotates it and
+    # passes it on. The angle is committed to the ledger but never logged in clear.
+    encryption = "\n".join(
+        [f"phase=encryption kind=Sent party=Alice photon={{0}} to={names[0]}"] + [
+            f"phase=encryption kind=Rotated party={name} photon={{0}}\n"
+            f"phase=encryption kind=Sent party={name} photon={{0}} to={dest}"
+            for name, dest in zip(names, names[1:] + ["Alice"])
+        ]
     )
+    # Fields: photon, one announced angle per agent, outcome, probability.
+    check = "\n".join(
+        ["phase=first-detection kind=AnnouncementRequested party=Alice photon={0}"] + [
+            f"phase=first-detection kind=Announced party={name} photon={{0}} angle={{{i}:.17g}}"
+            for i, name in enumerate(names, 1)
+        ] + [
+            "phase=first-detection kind=Measured party=Alice photon={0} basis=Z "
+            f"outcome={{{len(names) + 1}}} probability={{{len(names) + 2}:.17g}}"
+        ]
+    )
+    photons = range(r.num_photons)
+    lines = [f"phase=preparation kind=Prepared party=Alice photon={j}" for j in photons]
+    lines += map(encryption.format, photons)
+    first = r.first_detection
+    lines += [
+        check.format(j, *angles, outcome, prob)
+        for (j, outcome, prob), angles in zip(first.outcomes, r.announcements)
+    ]
+    lines.append(_verdict_line(first))
+    if r.second_detection is not None:
+        lines += [f"phase=encoding kind=Encoded party=Alice photon={j}" for j in r.payload_ids]
+        lines += [
+            f"phase=recovery kind=Sent party=Alice photon={j} to={receiver}\n"
+            f"phase=recovery kind=Measured party={receiver} photon={j} basis=Z "
+            f"outcome={outcome} probability={prob:.17g}"
+            for j, outcome, prob in zip(r.payload_ids, r.decoded_payload, r.recovery_probabilities)
+        ]
+        lines.append(_verdict_line(r.second_detection))
+    return Transcript("\n".join(lines) + "\n")
+
+
+def _verdict_line(verdict: DetectionVerdict) -> str:
+    result = "pass" if verdict.passed else "fail"
+    failed = ",".join(map(str, verdict.failed_photons)) or "-"
+    return f"phase={verdict.phase} kind=Verdict party=Alice result={result} failed={failed}"
 
 
 def required_sequence_length(n_payload: int, check_fraction: float) -> int:

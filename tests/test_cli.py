@@ -193,13 +193,16 @@ def test_cmd_sweep_empty_grid_exit1(tmp_path):
 def test_cmd_verify_passes(capsys):
     assert main(["verify"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    expected = [
-        f"PASS {fx.name} (criterion {criterion}):"
-        for criterion, group in FIXTURES.items() for fx in group()
-    ]
+    fixtures = [(criterion, fx) for criterion, group in FIXTURES.items() for fx in group()]
+    expected = [f"PASS {fx.name} (criterion {criterion}):" for criterion, fx in fixtures]
     # One line per table entry, in table order, then the summary.
     assert [line.split(" value=")[0] for line in lines[:-1]] == expected
     assert lines[-1] == "all fixtures passed"
+    for line, (_, fx) in zip(lines, fixtures):
+        fields = dict(token.split("=") for token in line.split(": ", 1)[1].split(" "))
+        # The value reads back exactly, and the margin to the tolerance is shown.
+        assert float(fields["value"]) == fx.value
+        assert float(fields["margin"]) >= 0
     names = {line.split()[1] for line in lines[:-1]}
     # Every identity that `qsslab verify` has checked stays in the table.
     assert {"rotation-additivity", "encoding-matrix", "encode-angle", "HT-norm", "HT-overlap",

@@ -5,13 +5,19 @@ the per-photon reference engine (one ``State`` per photon and operation, as
 of commit 0c7f2ae). The current engine must reproduce every discrete
 outcome exactly (message, decoded bits, check ids and outcomes, check
 positions, guesses, final ancilla outcomes), every Born probability within
-1e-12, the transcript lines of the recorded runs (floats within 1e-12), and
-byte-identical ``qsslab run --format json-lines`` reports and ``qsslab
-sweep`` tables for the shipped configs.
+1e-12, the transcript lines of the recorded runs (exactly for honest runs,
+floats within 1e-12 under attack), and byte-identical ``qsslab run --format
+json-lines`` reports and ``qsslab sweep`` tables for the shipped configs.
+
+``transcripts_sha256`` holds the digests of ``qsslab run --transcripts``
+directories for the shipped configs, recorded at commit e27fedc, before
+transcripts were rendered from line templates; they pin every
+transcript byte, floats included.
 
 Re-record only against a trusted engine:
 
     PYTHONPATH=src python tests/test_engine_equivalence.py --record
+    PYTHONPATH=src python tests/test_engine_equivalence.py --record-transcripts
 """
 import hashlib
 import json
@@ -37,6 +43,7 @@ GOLDEN = ROOT / "tests" / "data" / "engine_golden.json"
 PROB_TOL = 1e-12
 FLOAT_KEYS = ("probability",)
 REPORT_CONFIGS = ("configs/honest.json", "configs/qgwz.json")
+TRANSCRIPT_TRIALS = {"configs/honest.json": 20, "configs/qgwz.json": 5}
 
 BELL = [[2**-0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [2**-0.5, 0.0]]
 SKEWED = [[0.3, 0.1], [-0.4, 0.2], [0.1, -0.5], [0.6, 0.3]]  # normalized on use
@@ -178,6 +185,17 @@ def cli_sweep_digest(config_path, tmp_dir):
     return code, hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def cli_transcripts_digest(config_path, tmp_dir):
+    """sha256 over the name and bytes of every file ``--transcripts`` writes."""
+    tdir = pathlib.Path(tmp_dir) / "transcripts"
+    code = main(["run", str(ROOT / config_path), "--trials", str(TRANSCRIPT_TRIALS[config_path]),
+                 "--transcripts", str(tdir), "--out", str(pathlib.Path(tmp_dir) / "report.txt")])
+    digest = hashlib.sha256()
+    for path in sorted(tdir.iterdir()):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    return code, digest.hexdigest()
+
+
 def _load():
     return json.loads(GOLDEN.read_text())
 
@@ -195,6 +213,9 @@ def test_engine_matches_reference(index):
         if key in ("check_probabilities", "recovery_probabilities"):
             assert len(got[key]) == len(want[key]), key
             assert np.max(np.abs(np.subtract(got[key], want[key])), initial=0.0) <= PROB_TOL
+        elif key == "transcript" and entry["case"]["attack"] is None:
+            # Honest runs match the reference engine byte for byte.
+            assert got[key] == want[key]
         elif key == "transcript":
             assert len(got[key]) == len(want[key])
             for line_got, line_want in zip(got[key], want[key]):
@@ -236,23 +257,54 @@ def test_cli_sweep_tables_byte_identical(config_path, tmp_path):
     assert digest == _load()["sweep_sha256"][config_path]
 
 
+@pytest.mark.parametrize("config_path", REPORT_CONFIGS)
+def test_cli_transcripts_byte_identical(config_path, tmp_path):
+    code, digest = cli_transcripts_digest(config_path, tmp_path)
+    assert code == 0
+    assert digest == _load()["transcripts_sha256"][config_path]
+
+
+def _transcript_digests():
+    import tempfile
+
+    digests = {}
+    for path in REPORT_CONFIGS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[path] = cli_transcripts_digest(path, tmp)[1]
+    return digests
+
+
+def _write_golden(golden):
+    GOLDEN.parent.mkdir(exist_ok=True)
+    # One run per line keeps diffs of a re-recording readable.
+    head = [f'"{key}": {json.dumps(value)}' for key, value in golden.items() if key != "runs"]
+    runs = [json.dumps(run) for run in golden["runs"]]
+    GOLDEN.write_text("{" + ",\n".join(head) + ',\n"runs": [\n' + ",\n".join(runs) + "\n]}\n")
+
+
 def record():
     import tempfile
 
     runs = []
     for case in CASES:
         case = dict(case, attack=_resolve_attack(case["attack"]))
-        runs.append(json.dumps({"case": case, "expected": run_case(case)}))
+        runs.append({"case": case, "expected": run_case(case)})
     with tempfile.TemporaryDirectory() as tmp:
         reports = {path: cli_report(path, tmp)[1] for path in REPORT_CONFIGS}
         sweeps = {path: cli_sweep_digest(path, tmp)[1] for path in REPORT_CONFIGS}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    # One run per line keeps diffs of a re-recording readable.
-    GOLDEN.write_text('{"reports": ' + json.dumps(reports) + ',\n"sweep_sha256": '
-                      + json.dumps(sweeps) + ',\n"runs": [\n' + ",\n".join(runs) + "\n]}\n")
+    _write_golden({"reports": reports, "sweep_sha256": sweeps,
+                   "transcripts_sha256": _transcript_digests(), "runs": runs})
+
+
+def record_transcripts():
+    """Re-record only the transcript digests, keeping the recorded runs."""
+    golden = _load()
+    runs = golden.pop("runs")
+    _write_golden({**golden, "transcripts_sha256": _transcript_digests(), "runs": runs})
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    modes = {"--record": record, "--record-transcripts": record_transcripts}
+    if len(sys.argv) != 2 or sys.argv[1] not in modes:
         sys.exit(__doc__)
-    record()
+    modes[sys.argv[1]]()

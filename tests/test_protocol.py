@@ -1,12 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qsslab.attack import EntanglingAdversary, GuessRule, qgwz_spec
 from qsslab.protocol import (
     MAX_RUN_SIZE,
     ConfigError,
+    InvariantPhaseError,
     MissingAngleError,
     NullAdversary,
     ProtocolConfig,
+    Transcript,
     encode_message,
     encryption_phase,
     first_detection,
@@ -164,6 +169,55 @@ def test_second_detection_verdicts():
 def test_transcript_phase_ordering():
     result = run_protocol(small_config(seed=5))
     result.transcript.check_phase_order()
+
+
+def test_check_phase_order_rejects_encryption_after_recovery():
+    transcript = Transcript(
+        "phase=recovery kind=Sent party=Alice photon=0 to=Zach\n"
+        "phase=encryption kind=Rotated party=Bob photon=0\n"
+    )
+    with pytest.raises(InvariantPhaseError):
+        transcript.check_phase_order()
+
+
+def _bell_attack(adaptive):
+    spec = qgwz_spec(State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)))
+    return lambda rng: EntanglingAdversary(spec, rng, GuessRule(), adaptive=adaptive)
+
+
+# (config, adversary factory, whether the first detection passes)
+TRANSCRIPT_RUNS = {
+    "honest": (small_config(seed=11), None, True),
+    "qgwz-adaptive": (small_config(seed=12), _bell_attack(adaptive=True), True),
+    "naive-fails-first": (small_config(message_length=6, num_second_checks=0, seed=300),
+                          _bell_attack(adaptive=False), False),
+}
+
+
+@pytest.mark.parametrize("name", TRANSCRIPT_RUNS)
+def test_transcript_lines_match_run(name):
+    config, factory, passes = TRANSCRIPT_RUNS[name]
+    r = run_protocol(config, factory)
+    assert r.first_detection.passed == passes
+    lines = r.transcript.to_lines()
+    for line in lines:
+        for token in line.split(" "):
+            key, sep, value = token.partition("=")
+            assert key and sep and value, line
+    fields = [dict(token.split("=", 1) for token in line.split(" ")) for line in lines]
+    n, k = r.num_photons, config.num_agents
+    checks, payload = len(r.first_detection.outcomes), config.payload_length()
+    expected = {"preparation": n, "encryption": n * (2 * k + 1),
+                "first-detection": checks * (k + 2) + 1}
+    if passes:
+        expected.update({"encoding": payload, "recovery": 2 * payload, "second-detection": 1})
+    assert Counter(f["phase"] for f in fields) == expected
+    assert [float(f["angle"]) for f in fields if "angle" in f] == [
+        angle for row in r.announcements for angle in row
+    ]
+    assert [float(f["probability"]) for f in fields if "probability" in f] == [
+        p for _, _, p in r.first_detection.outcomes
+    ] + list(r.recovery_probabilities)
 
 
 def test_transcript_determinism():
