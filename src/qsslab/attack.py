@@ -207,6 +207,18 @@ def ancilla_projectors(spec: EntanglerSpec, with_photon: bool) -> list[np.ndarra
     return [p_eps, p_perp, rest]
 
 
+@lru_cache(maxsize=16)
+def _projector_sets(spec: EntanglerSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The adversary's (joint, ancilla-only) projector sets for ``spec``, each
+    built and checked once and returned read-only, like the entangler."""
+    joint = np.array(ancilla_projectors(spec, with_photon=True))
+    ancilla = np.array(ancilla_projectors(spec, with_photon=False))
+    check_projectors(list(joint), 2 * spec.ancilla_dim)
+    check_projectors(list(ancilla), spec.ancilla_dim)
+    joint.flags.writeable = ancilla.flags.writeable = False
+    return joint, ancilla
+
+
 def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
     """Factor a product state into (ancilla factor, photon factor).
 
@@ -242,11 +254,7 @@ class EntanglingAdversary:
         self.rule = rule
         self.adaptive = adaptive
         self.entangler = build_entangler(spec, completion)
-        # Fixed projector sets; validated once here, reused for every batch.
-        self._joint_projs = np.array(ancilla_projectors(spec, with_photon=True))
-        self._ancilla_projs = np.array(ancilla_projectors(spec, with_photon=False))
-        check_projectors(list(self._joint_projs), 2 * spec.ancilla_dim)
-        check_projectors(list(self._ancilla_projs), spec.ancilla_dim)
+        self._joint_projs, self._ancilla_projs = _projector_sets(spec)
         self.check_outcomes: dict[int, int] = {}
         self.final_outcomes: dict[int, int] = {}
         # Ancilla factors split off returning photons: (photon ids, rows).

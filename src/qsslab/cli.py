@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SweepGrid, indistinguishability, run_trials, summarize, sweep, sweep_table
+from .analysis import (
+    SweepGrid,
+    helstrom_bound,
+    indistinguishability,
+    run_trials,
+    summarize,
+    sweep,
+    sweep_table,
+)
 from .attack import (
     ENCODING_SHIFT,
     EntanglerSpec,
@@ -109,7 +117,6 @@ class Scenario:
     rule: GuessRule
     trials: int
     grid: SweepGrid | None
-    raw: dict
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -208,45 +215,7 @@ def parse_scenario(doc: dict) -> Scenario:
             grid.validate()
         except ValueError as exc:
             raise ConfigError(f"run.sweep: {exc}")
-    return Scenario(config, kind, entangler, rule, trials, grid, doc)
-
-
-def serialize_scenario(s: Scenario) -> dict:
-    proto = {
-        "agents": s.protocol.num_agents,
-        "check_fraction_first": s.protocol.check_fraction_first,
-        "second_checks": s.protocol.num_second_checks,
-        "angle_distribution": s.protocol.angle_distribution,
-        "seed": s.protocol.seed,
-    }
-    if s.protocol.message_bits is not None:
-        proto["message_bits"] = list(s.protocol.message_bits)
-    else:
-        proto["message_length"] = s.protocol.message_length
-    if s.protocol.adversary_position is not None:
-        proto["adversary_position"] = s.protocol.adversary_position
-
-    attack: dict = {"kind": s.attack_kind, "guess_rule": [s.rule.eps_bit, s.rule.eps_perp_bit]}
-    if s.attack_kind == "qgwz":
-        attack["ancilla_state"] = s.raw["attack"]["ancilla_state"]
-    elif s.attack_kind == "general":
-        spec = s.entangler
-        attack.update(
-            epsilon=[[a.real, a.imag] for a in spec.epsilon.amps],
-            epsilon_perp=[[a.real, a.imag] for a in spec.epsilon_perp.amps],
-            alpha=[spec.alpha.real, spec.alpha.imag],
-            beta=[spec.beta.real, spec.beta.imag],
-            theta_prime=spec.theta_prime,
-        )
-    run: dict = {"trials": s.trials}
-    if s.grid is not None:
-        run["sweep"] = {
-            "theta_prime": list(s.grid.theta_prime_values),
-            "alpha_sq": list(s.grid.alpha_sq_values),
-            "theta": list(s.grid.theta_values),
-            "ancilla_dim": s.grid.ancilla_dim,
-        }
-    return {"protocol": proto, "attack": attack, "run": run}
+    return Scenario(config, kind, entangler, rule, trials, grid)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -266,6 +235,7 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _write_transcripts(results: Iterable[RunResult], directory: str) -> Iterator[RunResult]:
@@ -277,7 +247,7 @@ def _write_transcripts(results: Iterable[RunResult], directory: str) -> Iterator
         yield result
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple[int, str]:
     scenario = load_scenario(args.config)
     config = scenario.protocol
     if args.seed is not None:
@@ -292,17 +262,17 @@ def cmd_run(args) -> int:
     report = summarize(config, scenario.entangler, results)
 
     if args.format == "json-lines":
-        _write_output(report.to_json_line() + "\n", args.out)
+        text = report.to_json_line() + "\n"
     elif args.format == "csv":
-        _write_output(report.to_csv(), args.out)
+        text = report.to_csv()
     else:
-        _write_output(report.to_text(), args.out)
+        text = report.to_text()
 
     if report.first_detection_pass_rate < 1.0:
         # Every supported attack kind escapes detection; a failure here means
         # the honest expectation was violated.
-        return EXIT_DETECTION
-    return EXIT_OK
+        return EXIT_DETECTION, text
+    return EXIT_OK, text
 
 
 DEFAULT_GRID = SweepGrid(
@@ -312,11 +282,9 @@ DEFAULT_GRID = SweepGrid(
 )
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, str]:
     scenario = load_scenario(args.config)
-    rows = sweep(scenario.grid or DEFAULT_GRID)
-    _write_output(sweep_table(rows), args.out)
-    return EXIT_OK
+    return EXIT_OK, sweep_table(sweep(scenario.grid or DEFAULT_GRID))
 
 
 @dataclass(frozen=True)
@@ -335,18 +303,17 @@ class Fixture:
 def _criterion_2() -> list[Fixture]:
     """100 random entanglers (ancilla dim 2/4/8) x 20 random photon angles."""
     rng = np.random.default_rng(20260823)
-    max_td = max_hb = inv_err = 0.0
+    max_td = inv_err = 0.0
     for i in range(100):
         spec = random_entangler_spec(rng, ancilla_dim=(2, 4, 8)[i % 3])
         ent = build_entangler(spec)
         inv_err = max(inv_err, float(np.max(np.abs(ent.conj().T @ ent - np.eye(ent.shape[0])))))
-        for _ in range(20):
-            td, hb = indistinguishability(spec, float(rng.uniform(0.0, 2 * np.pi)))
-            max_td = max(max_td, td)
-            max_hb = max(max_hb, hb)
+        tds = indistinguishability(spec, rng.uniform(0.0, 2 * np.pi, 20))
+        max_td = max(max_td, float(tds.max()))
     return [
         Fixture("ancilla-indistinguishability", max_td, 1e-10),
-        Fixture("helstrom-bound", max_hb, 0.5 + 5e-11),
+        # The bound is monotone in the trace distance, rounding included.
+        Fixture("helstrom-bound", helstrom_bound(max_td), 0.5 + 5e-11),
         Fixture("entangler-inverse", inv_err, 1e-10),
     ]
 
@@ -410,22 +377,21 @@ def _criterion_6() -> list[Fixture]:
 FIXTURES = {2: _criterion_2, 3: _criterion_3, 6: _criterion_6}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
+    lines = []
     failures = 0
     for criterion, group in FIXTURES.items():
         for fx in group():
             status = "PASS" if fx.passed else "FAIL"
             failures += not fx.passed
-            print(
+            lines.append(
                 f"{status} {fx.name} (criterion {criterion}): "
                 f"value={fx.value:.17g} tolerance={fx.tolerance:.12g} "
-                f"margin={fx.tolerance - fx.value:.3e}"
+                f"margin={fx.tolerance - fx.value:.3e}\n"
             )
     if failures:
-        print(f"{failures} fixture(s) failed")
-        return EXIT_INVARIANT
-    print("all fixtures passed")
-    return EXIT_OK
+        return EXIT_INVARIANT, "".join(lines) + f"{failures} fixture(s) failed\n"
+    return EXIT_OK, "".join(lines) + "all fixtures passed\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,16 +427,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, write its output, and return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    try:
+        _write_output(text, getattr(args, "out", None))
+    except BrokenPipeError:
+        # The reader of stdout has exited (`qsslab sweep ... | head -n 1`).
+        # Send the rest of stdout, the interpreter's final flush included,
+        # to devnull, so that nothing reaches stderr.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

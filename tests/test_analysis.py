@@ -26,24 +26,38 @@ BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 def test_indistinguishability_below_tolerance(rng):
     for _ in range(30):
         spec = random_entangler_spec(rng)
-        theta = float(rng.uniform(0, 2 * np.pi))
-        td, hb = indistinguishability(spec, theta)
-        assert td <= 1e-10
-        assert hb <= 0.5 + 5e-11
+        tds = indistinguishability(spec, rng.uniform(0, 2 * np.pi, 5))
+        assert tds.shape == (5,)
+        assert np.all(tds <= 1e-10)
+        assert np.all(helstrom_bound(tds) <= 0.5 + 5e-11)
 
 
 def test_indistinguishability_beta_zero_exact():
     spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 1.0, 0.0, 0.7)
-    td, hb = indistinguishability(spec, 0.9)
+    (td,) = indistinguishability(spec, [0.9])
     assert td == pytest.approx(0.0, abs=1e-14)
-    assert hb == pytest.approx(0.5, abs=1e-14)
+    assert helstrom_bound(td) == pytest.approx(0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("completion", ["forward", "reversed"])
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_indistinguishability_batch_size_independent(rng, dim, completion):
+    # Each angle's value is the same bits whether it is evaluated alone or
+    # in a batch: sweep tables and reports pin these values byte for byte.
+    for _ in range(5):
+        spec = random_entangler_spec(rng, ancilla_dim=dim)
+        thetas = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0, 2 * np.pi, 17)])
+        batch = indistinguishability(spec, thetas, completion)
+        singles = [indistinguishability(spec, [t], completion)[0] for t in thetas]
+        assert batch.tolist() == singles
+        assert indistinguishability(spec, thetas[::-1], completion).tolist() == singles[::-1]
 
 
 def test_counterfactual_pipeline_is_sensitive(rng):
     # Keeping the photon (no inverse entangler) the bit is visible: this
     # confirms the indistinguishability test could detect a broken pipeline.
     spec = qgwz_spec(BELL)
-    assert counterfactual_joint_distance(spec, 0.7) > 0.1
+    assert counterfactual_joint_distance(spec, [0.7])[0] > 0.1
 
 
 def test_helstrom_relation():
@@ -157,7 +171,7 @@ def test_sweep_order_independent():
     rows = {(r.theta_prime, r.alpha_sq, r.theta): r.trace_distance for r in sweep(grid)}
     for (tp, a2, th), td in rows.items():
         spec = grid_spec(grid, tp, a2)
-        assert indistinguishability(spec, th)[0] == td
+        assert indistinguishability(spec, [th])[0] == td
 
 
 def test_sweep_rejects_empty_grid():

@@ -238,6 +238,21 @@ def test_entangler_built_once_per_spec(rng):
     assert build_entangler(twin) is a.entangler
 
 
+def test_projector_sets_built_once_per_spec(rng):
+    # Like the entangler, both projector sets are built and checked once per
+    # spec, not once per trial's adversary, and shared read-only.
+    spec = random_entangler_spec(rng, ancilla_dim=4)
+    a = EntanglingAdversary(spec, rng)
+    b = EntanglingAdversary(spec, rng, adaptive=False, completion="reversed")
+    twin = EntanglerSpec(spec.epsilon, spec.epsilon_perp, spec.alpha, spec.beta, spec.theta_prime)
+    c = EntanglingAdversary(twin, rng)
+    for name in ("_joint_projs", "_ancilla_projs"):
+        assert getattr(a, name) is getattr(b, name) is getattr(c, name)
+        assert not getattr(a, name).flags.writeable
+    assert a._joint_projs.shape == (3, 8, 8)
+    assert a._ancilla_projs.shape == (3, 4, 4)
+
+
 def test_announcement_refuses_residual_outcome():
     # For the Bell ancilla, eps = |00> and eps_perp = |11>: an ancilla in |01>
     # lies outside their span and can only give the residual outcome.

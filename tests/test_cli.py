@@ -1,19 +1,25 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsslab import cli
 from qsslab.cli import (
     EXIT_CONFIG,
+    EXIT_INVARIANT,
     EXIT_OK,
     FIXTURES,
+    Fixture,
     Scenario,
     load_scenario,
     main,
     parse_scenario,
-    serialize_scenario,
 )
 from qsslab.protocol import ConfigError
 
@@ -97,14 +103,6 @@ def test_missing_agents_rejected():
     del doc["protocol"]["agents"]
     with pytest.raises(Exception, match="agents"):
         parse_scenario(doc)
-
-
-def test_config_roundtrip_idempotent():
-    for doc in (honest_doc(), qgwz_doc()):
-        s1 = parse_scenario(doc)
-        ser1 = serialize_scenario(s1)
-        s2 = parse_scenario(ser1)
-        assert serialize_scenario(s2) == ser1
 
 
 def test_cmd_run_honest(tmp_path):
@@ -207,6 +205,51 @@ def test_cmd_verify_passes(capsys):
     # Every identity that `qsslab verify` has checked stays in the table.
     assert {"rotation-additivity", "encoding-matrix", "encode-angle", "HT-norm", "HT-overlap",
             "entangler-inverse", "ancilla-indistinguishability", "qgwz-theta-prime"} <= names
+
+
+class ClosedPipe:
+    """A stdout whose reader has exited: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_returns_command_exit_code(tmp_path, capsys, monkeypatch):
+    # A failing fixture table makes verify exit 3; a closed pipe must not
+    # change that code, print anything on stderr, or raise.
+    monkeypatch.setattr(cli, "FIXTURES", {0: lambda: [Fixture("broken", 1.0, 0.0)]})
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+        assert main(["verify"]) == EXIT_INVARIANT
+        # The rest of stdout, the interpreter's final flush included, goes to devnull.
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_into_closed_pipe_exits_quietly():
+    # `qsslab sweep ... | head -n 1` in a real interpreter: the pipe has no
+    # reader when the table is written.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsslab.cli", "sweep", str(root / "configs" / "qgwz.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
 # (scenario, path of the replaced value, value, qsslab command and options).
