@@ -8,7 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import EntanglerSpec, EntanglingAdversary, GuessRule, build_entangler
-from .protocol import ProtocolConfig, RunResult, config_to_dict, run_protocol, with_seed
+from .protocol import (
+    MAX_RUN_SIZE,
+    ProtocolConfig,
+    RunResult,
+    config_to_dict,
+    run_protocol_batch,
+)
 from .quantum import (
     MINUS_I_SIGMA_Y,
     apply_photon_op,
@@ -145,17 +151,31 @@ def derive_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
+def run_batch(
+    config: ProtocolConfig,
+    trial_indices: Iterable[int],
+    attack: EntanglerSpec | None,
+    rule: GuessRule,
+) -> list[RunResult]:
+    """Run the trials ``trial_indices`` of a campaign as one batch.
+
+    Trial i runs with seed ``derive_seed(config.seed, i)``; its result is the
+    same alone or in any batch (``protocol.run_protocol_batch``).
+    """
+    factory = None
+    if attack is not None:
+        factory = lambda rngs: EntanglingAdversary(attack, rngs, rule)
+    seeds = [derive_seed(config.seed, i) for i in trial_indices]
+    return run_protocol_batch(config, seeds, factory)
+
+
 def run_trial(
     config: ProtocolConfig,
     trial_index: int,
     attack: EntanglerSpec | None,
     rule: GuessRule,
 ) -> RunResult:
-    cfg = with_seed(config, derive_seed(config.seed, trial_index))
-    factory = None
-    if attack is not None:
-        factory = lambda rng: EntanglingAdversary(attack, rng, rule)
-    return run_protocol(cfg, factory)
+    return run_batch(config, [trial_index], attack, rule)[0]
 
 
 def run_trials(
@@ -164,9 +184,21 @@ def run_trials(
     rule: GuessRule,
     trials: int,
 ) -> Iterator[RunResult]:
-    """Yield ``run_trial(config, i, attack, rule)`` for i = 0 .. trials-1, in order."""
-    for i in range(trials):
-        yield run_trial(config, i, attack, rule)
+    """Yield the runs of trials 0 .. trials-1, in order.
+
+    Trials run in batches (``run_batch``) of as many trials as fit in
+    ``MAX_RUN_SIZE`` photons x agents, and at least one, so a campaign
+    streams one batch at a time.
+    """
+    config.validate()
+    per_batch = max(1, MAX_RUN_SIZE // (config.sequence_length() * config.num_agents))
+    for start in range(0, trials, per_batch):
+        batch = run_batch(config, range(start, min(start + per_batch, trials)), attack, rule)
+        # Let go of each run as it is handed over, so that a consumer which
+        # renders transcripts holds one run's transcript, not a batch's.
+        batch.reverse()
+        while batch:
+            yield batch.pop()
 
 
 def summarize(

@@ -85,7 +85,7 @@ class EntanglerSpec:
 
 
 class GuessRule:
-    """Maps the final ancilla outcome (eps vs eps_perp) to a bit guess."""
+    """Maps final ancilla outcomes (eps vs eps_perp) to bit guesses."""
 
     def __init__(self, eps_bit: int = 0, eps_perp_bit: int = 1):
         if eps_bit not in (0, 1) or eps_perp_bit not in (0, 1):
@@ -93,8 +93,9 @@ class GuessRule:
         self.eps_bit = eps_bit
         self.eps_perp_bit = eps_perp_bit
 
-    def __call__(self, outcome: int) -> int:
-        return self.eps_bit if outcome == 0 else self.eps_perp_bit
+    def __call__(self, outcomes) -> np.ndarray:
+        """The guess for each outcome (0 for eps) of ``outcomes``, elementwise."""
+        return np.where(np.asarray(outcomes) == 0, self.eps_bit, self.eps_perp_bit)
 
     def __repr__(self):
         return f"GuessRule(eps_bit={self.eps_bit}, eps_perp_bit={self.eps_perp_bit})"
@@ -131,8 +132,8 @@ def build_entangler(spec: EntanglerSpec, completion: str = "forward") -> np.ndar
     invariance across completions can be tested.
 
     E is built and checked unitary once per (spec, completion) and returned
-    read-only: a campaign runs one adversary per trial and the exact analysis
-    evaluates one spec at many photon angles.
+    read-only: a campaign runs one adversary per batch of trials and the
+    exact analysis evaluates one spec at many photon angles.
     """
     if completion not in ("forward", "reversed"):
         raise ValueError(f"unknown completion {completion!r}")
@@ -233,38 +234,41 @@ def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
 
 
 class EntanglingAdversary:
-    """Adversary hook running the entangling attack inside a protocol run.
+    """Adversary hook running the entangling attack inside a batch of
+    protocol runs, with one generator per run in ``rngs``.
 
-    Hooks act on batches of photons, one row per photon (see
-    ``protocol.NullAdversary``). ``adaptive=False`` gives the naive control
-    variant that always announces its honest angle without measuring the
-    ancilla (and so gets caught at the per-photon rate |beta|^2 sin^2(theta')).
+    Hooks take the batch's trial axis (see ``protocol.NullAdversary``); each
+    trial draws from its own generator, in trial order. ``adaptive=False``
+    gives the naive control variant that always announces its honest angle
+    without measuring the ancilla (and so gets caught at the per-photon rate
+    |beta|^2 sin^2(theta')).
     """
 
     def __init__(
         self,
         spec: EntanglerSpec,
-        rng: np.random.Generator,
+        rngs: list[np.random.Generator],
         rule: GuessRule = DEFAULT_GUESS_RULE,
         adaptive: bool = True,
         completion: str = "forward",
     ):
         self.spec = spec
-        self.rng = rng
+        self.rngs = list(rngs)
         self.rule = rule
         self.adaptive = adaptive
         self.entangler = build_entangler(spec, completion)
         self._joint_projs, self._ancilla_projs = _projector_sets(spec)
-        self.check_outcomes: dict[int, int] = {}
-        self.final_outcomes: dict[int, int] = {}
-        # Ancilla factors split off returning photons: (photon ids, rows).
-        self._returned: list[tuple[np.ndarray, np.ndarray]] = []
+        # Per trial: final ancilla outcome by photon id.
+        self.final_outcomes: list[dict[int, int]] = [{} for _ in self.rngs]
+        # Ancilla factors split off returning photons: (trials, photon ids, rows).
+        self._returned: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        if amps.shape[1] != 2:
+        if amps.shape[-1] != 2:
             raise InvariantError("attack expects a bare single-photon state on the channel")
-        joint = (self.spec.epsilon.amps[None, :, None] * amps[:, None, :]).reshape(len(amps), -1)
-        return joint @ self.entangler.T
+        joint = self.spec.epsilon.amps[:, None] * amps[..., None, :]
+        rows = joint.reshape(-1, 2 * self.spec.ancilla_dim)
+        return (rows @ self.entangler.T).reshape(*amps.shape[:-1], -1)
 
     def on_check_announcement(
         self, photon_ids: np.ndarray, honest_angles: np.ndarray, amps: np.ndarray
@@ -272,7 +276,9 @@ class EntanglingAdversary:
         if not self.adaptive:
             return honest_angles, amps
         outcomes, collapsed, probs = measure_projective_rows(
-            amps, self._joint_projs, self.rng.random(len(amps))
+            amps.reshape(-1, amps.shape[-1]),
+            self._joint_projs,
+            np.concatenate([rng.random(amps.shape[1]) for rng in self.rngs]),
         )
         residual = np.flatnonzero(outcomes == 2)
         if residual.size:
@@ -280,14 +286,16 @@ class EntanglingAdversary:
                 "residual outcome outside span(eps, eps_perp) with probability "
                 f"{probs[residual[0]]}"
             )
-        self.check_outcomes.update(zip(np.asarray(photon_ids).tolist(), outcomes.tolist()))
         shifted = canonical_angles(honest_angles + self.spec.theta_prime)
-        return np.where(outcomes == 0, honest_angles, shifted), collapsed
+        announced = np.where(outcomes.reshape(honest_angles.shape) == 0, honest_angles, shifted)
+        return announced, collapsed.reshape(amps.shape)
 
-    def on_photon_return(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        separated = (amps @ self.entangler.conj()).reshape(
-            len(amps), self.spec.ancilla_dim, 2
-        )
+    def on_photon_return(
+        self, trials: np.ndarray, photon_ids: np.ndarray, amps: np.ndarray
+    ) -> np.ndarray:
+        d = self.spec.ancilla_dim
+        rows = amps.reshape(-1, amps.shape[-1])
+        separated = (rows @ self.entangler.conj()).reshape(len(rows), d, 2)
         # By the attack's construction E^-1 returns the ancilla to |eps>, so
         # <eps| (x) I splits the photon off; its norm is the Schmidt weight
         # on |eps>, and anything short of 1 is residual entanglement.
@@ -300,26 +308,32 @@ class EntanglingAdversary:
         ancilla = np.einsum("nab,nb->na", separated, photon.conj())
         ancilla /= np.linalg.norm(ancilla, axis=1, keepdims=True)
         check_norms(photon)
-        self._returned.append((np.asarray(photon_ids), ancilla))
-        return photon
+        self._returned = (np.asarray(trials), np.asarray(photon_ids), ancilla)
+        return photon.reshape(*amps.shape[:-1], 2)
 
-    def on_finish(self) -> dict[int, int]:
-        if not self._returned:
-            return {}
-        ids = np.concatenate([ids for ids, _ in self._returned])
-        ancillas = np.concatenate([rows for _, rows in self._returned])
-        order = np.argsort(ids, kind="stable")
-        outcomes, _, probs = measure_projective_rows(
-            ancillas[order], self._ancilla_projs, self.rng.random(len(ids))
-        )
-        residual = np.flatnonzero(outcomes == 2)
-        if residual.size:
-            raise InvariantError(
-                "final ancilla outcome outside span(eps, eps_perp), probability "
-                f"{probs[residual[0]]}"
+    def on_finish(self) -> list[dict[int, int]]:
+        """Measure the kept ancillas; one dict of bit guesses per trial, empty
+        for a trial whose photons never returned."""
+        guesses: list[dict[int, int]] = [{} for _ in self.rngs]
+        if self._returned is not None:
+            trials, photon_ids, ancillas = self._returned
+            outcomes, _, probs = measure_projective_rows(
+                ancillas,
+                self._ancilla_projs,
+                np.concatenate([self.rngs[t].random(photon_ids.shape[1]) for t in trials]),
             )
-        self.final_outcomes.update(zip(ids[order].tolist(), outcomes.tolist()))
-        return {pid: self.rule(o) for pid, o in self.final_outcomes.items()}
+            residual = np.flatnonzero(outcomes == 2)
+            if residual.size:
+                raise InvariantError(
+                    "final ancilla outcome outside span(eps, eps_perp), probability "
+                    f"{probs[residual[0]]}"
+                )
+            outcomes = outcomes.reshape(photon_ids.shape)
+            for t, ids, outs, bits in zip(trials.tolist(), photon_ids.tolist(),
+                                          outcomes.tolist(), self.rule(outcomes).tolist()):
+                self.final_outcomes[t] = dict(zip(ids, outs))
+                guesses[t] = dict(zip(ids, bits))
+        return guesses
 
 
 def random_entangler_spec(rng: np.random.Generator, ancilla_dim: int | None = None) -> EntanglerSpec:

@@ -229,6 +229,17 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an ``--out`` path that cannot take the output, before any work."""
+    if path is None:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--out {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -240,7 +251,6 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _write_transcripts(results: Iterable[RunResult], directory: str) -> Iterator[RunResult]:
     """Pass runs through, writing each one's transcript to trial_{i:05d}.log."""
-    os.makedirs(directory, exist_ok=True)
     for i, result in enumerate(results):
         with open(os.path.join(directory, f"trial_{i:05d}.log"), "w") as fh:
             fh.write(result.transcript.serialize())
@@ -255,6 +265,12 @@ def cmd_run(args) -> tuple[int, str]:
     trials = scenario.trials
     if args.trials is not None:
         trials = _integer(args.trials, "--trials", minimum=1)
+    _check_out(args.out)
+    if args.transcripts is not None:
+        try:
+            os.makedirs(args.transcripts, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--transcripts {args.transcripts}: {exc}")
 
     results = run_trials(config, scenario.entangler, scenario.rule, trials)
     if args.transcripts is not None:
@@ -284,6 +300,7 @@ DEFAULT_GRID = SweepGrid(
 
 def cmd_sweep(args) -> tuple[int, str]:
     scenario = load_scenario(args.config)
+    _check_out(args.out)
     return EXIT_OK, sweep_table(sweep(scenario.grid or DEFAULT_GRID))
 
 

@@ -10,11 +10,14 @@ A dishonest agent is modeled by an adversary hook that may entangle ancilla
 qubits with photons in transit. By convention the photon is always the LAST
 (least significant) qubit of whatever joint state travels on the channel.
 
-One run holds all its photons in one array of shape (n_photons, D), one row
-per photon: D is 2 on an honest channel and 2*d once an adversary has
-attached a d-dimensional ancilla. Every phase is a few array operations on
-that array, and adversary hooks take and return batches of photons. The
-transcript is rendered from the run's recorded outcomes when it is first read.
+Runs of one config that differ only in their seeds execute as a batch: all
+their photons are one array of shape (trials, n_photons, D), one row per
+photon: D is 2 on an honest channel and 2*d once an adversary has attached
+a d-dimensional ancilla. Every phase is a few array operations on that
+array, and adversary hooks take and return batches with the same trial
+axis. Each run still draws from its own generators, exactly what it draws
+alone. A transcript is rendered from its run's recorded outcomes when it is
+first read.
 """
 from __future__ import annotations
 
@@ -119,6 +122,11 @@ class ProtocolConfig:
         n_bits = self.message_length if self.message_bits is None else len(self.message_bits)
         return n_bits + self.num_second_checks
 
+    def sequence_length(self) -> int:
+        """Photons Alice prepares for one run: the payload plus the first
+        detection's checks. Call only on a validated config."""
+        return required_sequence_length(self.payload_length(), self.check_fraction_first)
+
     def default_adversary_position(self) -> int:
         # An integral float such as 1.0 from a scenario file names an agent;
         # it is indexed as an int and echoed in reports as given.
@@ -159,7 +167,7 @@ class InvariantPhaseError(Exception):
 
 
 class AngleLedger:
-    """Committed rotation angles: row ``agent``, column ``photon``.
+    """Committed rotation angles of a batch of runs, indexed (trial, agent, photon).
 
     Angles are stored canonicalized; NaN marks an angle its agent withheld.
     """
@@ -169,24 +177,29 @@ class AngleLedger:
 
     @property
     def num_agents(self) -> int:
-        return self.angles.shape[0]
+        return self.angles.shape[1]
 
-    def get(self, agent: int, photon_ids: np.ndarray) -> np.ndarray:
-        """Angles ``agent`` disclosed for ``photon_ids``; refuses if any is missing."""
-        out = self.angles[agent, photon_ids]
-        missing = np.flatnonzero(np.isnan(out))
+    def get(self, agent: int, trials: np.ndarray, photon_ids: np.ndarray) -> np.ndarray:
+        """Angles ``agent`` disclosed for ``photon_ids`` (one row per trial of
+        ``trials``); refuses if any is missing."""
+        trials = np.asarray(trials)
+        out = self.angles[trials[:, None], agent, photon_ids]
+        missing = np.argwhere(np.isnan(out))
         if missing.size:
-            photon = np.asarray(photon_ids)[missing[0]]
-            raise MissingAngleError(f"agent {agent} disclosed no angle for photon {photon}")
+            row, col = missing[0]
+            raise MissingAngleError(
+                f"agent {agent} disclosed no angle for photon {photon_ids[row][col]} "
+                f"of trial {trials[row]}"
+            )
         return out
 
-    def totals(self, photon_ids: np.ndarray) -> np.ndarray:
+    def totals(self, trials: np.ndarray, photon_ids: np.ndarray) -> np.ndarray:
         """Canonical sum over all agents of the angles of ``photon_ids``."""
-        return sum_angles(self.get(agent, photon_ids) for agent in range(self.num_agents))
+        return sum_angles(self.get(k, trials, photon_ids) for k in range(self.num_agents))
 
     def without_agent(self, agent: int) -> "AngleLedger":
         out = AngleLedger(self.angles)
-        out.angles[agent] = np.nan
+        out.angles[:, agent] = np.nan
         return out
 
 
@@ -201,9 +214,16 @@ def sum_angles(angles) -> np.ndarray:
 class NullAdversary:
     """Identity hook: reproduces the honest protocol exactly.
 
-    Every hook takes the ids of a batch of photons and their joint states,
-    one row per photon with the photon as the last qubit.
+    Hooks act on a batch of runs (trials) of one config. ``photon_ids`` has
+    shape (trials, photons) and ``amps`` (trials, photons, D): per trial, a
+    row of joint states with the photon as the last qubit. Trials that fail
+    the first detection take no further part, so ``on_photon_return`` also
+    gets the positions in the batch of the trials it sees. ``on_finish``
+    returns one dict of bit guesses per trial.
     """
+
+    def __init__(self, trials: int = 1):
+        self.trials = trials
 
     def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
         return amps
@@ -213,11 +233,13 @@ class NullAdversary:
     ) -> tuple[np.ndarray, np.ndarray]:
         return honest_angles, amps
 
-    def on_photon_return(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    def on_photon_return(
+        self, trials: np.ndarray, photon_ids: np.ndarray, amps: np.ndarray
+    ) -> np.ndarray:
         return amps
 
-    def on_finish(self) -> dict[int, int]:
-        return {}
+    def on_finish(self) -> list[dict[int, int]]:
+        return [{} for _ in range(self.trials)]
 
 
 @dataclass(frozen=True)
@@ -332,66 +354,82 @@ def prepare_sequence(n: int) -> np.ndarray:
 def encryption_phase(
     photons: np.ndarray,
     config: ProtocolConfig,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     adversary: NullAdversary,
 ) -> tuple[np.ndarray, AngleLedger]:
     """Every agent in turn rotates every photon by a fresh secret angle; the
     adversary's forward hook runs right after its own rotation.
 
-    Returns the encrypted photons and the ledger of committed angles.
+    ``photons`` holds one row of photons per trial, shape (trials, n, 2), and
+    ``rngs`` one generator per trial. Returns the encrypted photons and the
+    ledger of committed angles.
     """
-    n = len(photons)
-    # Drawn photon-major, agent-minor: the order of the sequential protocol.
-    angles = sample_angles(rng, config.angle_distribution, (n, config.num_agents))
+    trials, n = photons.shape[:2]
+    # Each trial draws photon-major, agent-minor: the order of the sequential protocol.
+    angles = np.stack(
+        [sample_angles(rng, config.angle_distribution, (n, config.num_agents)) for rng in rngs]
+    )
     adv_pos = config.default_adversary_position()
     for k in range(config.num_agents):
-        photons = rotate_photons(photons, angles[:, k])
+        photons = rotate_photons(photons, angles[..., k])
         if k == adv_pos:
-            photons = adversary.on_photon_forward(np.arange(n), photons)
+            photons = adversary.on_photon_forward(
+                np.broadcast_to(np.arange(n), (trials, n)), photons
+            )
     check_norms(photons)
-    return photons, AngleLedger(angles.T)
+    return photons, AngleLedger(angles.transpose(0, 2, 1))
 
 
 def first_detection(
     photons: np.ndarray,
     ledger: AngleLedger,
     config: ProtocolConfig,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     adversary: NullAdversary,
-) -> tuple[DetectionVerdict, np.ndarray]:
-    """Alice checks a random sample: every agent announces its angle for each
-    sampled photon, Alice undoes the announced sum and measures Z.
+) -> tuple[list[DetectionVerdict], np.ndarray]:
+    """Alice checks a random sample of each trial's photons: every agent
+    announces its angle for each sampled photon, Alice undoes the announced
+    sum and measures Z.
 
-    Returns the verdict and the announced angles, shape (n_checks, n_agents).
+    Returns one verdict per trial and the announced angles, shape
+    (trials, n_checks, n_agents).
     """
-    n = len(photons)
+    trials, n = photons.shape[:2]
     n_checks = math.ceil(config.check_fraction_first * n)
-    check_ids = np.sort(rng.choice(n, size=n_checks, replace=False))
-    announced = np.array([ledger.get(k, check_ids) for k in range(config.num_agents)])
+    check_ids = np.stack([np.sort(rng.choice(n, size=n_checks, replace=False)) for rng in rngs])
+    batch = np.arange(trials)
+    announced = np.array([ledger.get(k, batch, check_ids) for k in range(config.num_agents)])
     adv_pos = config.default_adversary_position()
     announced[adv_pos], checked = adversary.on_check_announcement(
-        check_ids, announced[adv_pos], photons[check_ids]
+        check_ids, announced[adv_pos], photons[batch[:, None], check_ids]
     )
-    total = sum_angles(announced)
-    checked = rotate_photons(checked, -total)
+    checked = rotate_photons(checked, -sum_angles(announced))
     check_norms(checked)
-    outcomes, probs = measure_photons_z(checked, rng.random(n_checks))
-    ids = check_ids.tolist()
-    failed = tuple(j for j, o in zip(ids, outcomes.tolist()) if o != 0)
-    verdict = DetectionVerdict(
-        "first-detection", not failed, failed,
-        tuple(zip(ids, outcomes.tolist(), probs.tolist())),
-    )
-    return verdict, announced.T
-
-
-def encode_message(photons: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
-    """Alice encodes bit 1 with -i*sigma_y and leaves bit 0 alone."""
-    if len(photons) != len(bits):
-        raise ConfigError(
-            f"message length {len(bits)} does not match {len(photons)} message photons"
+    # Each trial draws its uniforms after its check ids, as a run alone does.
+    uniforms = np.concatenate([rng.random(n_checks) for rng in rngs])
+    outcomes, probs = measure_photons_z(checked.reshape(len(uniforms), -1), uniforms)
+    verdicts = []
+    for ids, outs, ps in zip(
+        check_ids.tolist(),
+        outcomes.reshape(trials, n_checks).tolist(),
+        probs.reshape(trials, n_checks).tolist(),
+    ):
+        failed = tuple(j for j, o in zip(ids, outs) if o != 0)
+        verdicts.append(
+            DetectionVerdict("first-detection", not failed, failed, tuple(zip(ids, outs, ps)))
         )
-    ones = np.asarray(bits, dtype=int) == 1
+    return verdicts, announced.transpose(1, 2, 0)
+
+
+def encode_message(photons: np.ndarray, bits) -> np.ndarray:
+    """Alice encodes bit 1 with -i*sigma_y and leaves bit 0 alone; ``bits``
+    has one entry per photon row of ``photons``."""
+    bits = np.asarray(bits, dtype=int)
+    if bits.shape != photons.shape[:-1]:
+        raise ConfigError(
+            f"message of shape {bits.shape} does not match {photons.shape[:-1]} message photons"
+        )
+    ones = bits == 1
     out = photons.copy()
     out[ones] = apply_photon_op(photons[ones], MINUS_I_SIGMA_Y)
     return out
@@ -400,21 +438,25 @@ def encode_message(photons: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
 def recovery_phase(
     photons: np.ndarray,
     photon_ids: np.ndarray,
+    trials: np.ndarray,
     ledger: AngleLedger,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     adversary: NullAdversary,
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The receiver undoes every agent's rotation and reads each bit in Z.
 
-    Returns the decoded bits and their Born probabilities.
+    ``photons`` (t, p, D) and ``photon_ids`` (t, p) are the payload of the
+    batch's trials ``trials``; ``ledger`` and ``rngs`` are the whole batch's.
+    Returns the decoded bits and their Born probabilities, each (t, p).
     """
     # All agents must disclose before any photon is decoded.
-    totals = ledger.totals(photon_ids)
-    photons = adversary.on_photon_return(photon_ids, photons)
+    totals = ledger.totals(trials, photon_ids)
+    photons = adversary.on_photon_return(trials, photon_ids, photons)
     photons = rotate_photons(photons, -totals)
     check_norms(photons)
-    outcomes, probs = measure_photons_z(photons, rng.random(len(photon_ids)))
-    return tuple(outcomes.tolist()), tuple(probs.tolist())
+    uniforms = np.concatenate([rngs[t].random(photon_ids.shape[1]) for t in trials])
+    outcomes, probs = measure_photons_z(photons.reshape(len(uniforms), -1), uniforms)
+    return outcomes.reshape(photon_ids.shape), probs.reshape(photon_ids.shape)
 
 
 def second_detection(
@@ -431,57 +473,112 @@ def second_detection(
 def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
     """Execute one full protocol run; deterministic given ``config.seed``.
 
-    ``adversary_factory`` takes a dedicated RNG and returns an adversary hook.
+    A batch of one (``run_protocol_batch``).
+    """
+    return run_protocol_batch(config, [config.seed], adversary_factory)[0]
+
+
+def run_protocol_batch(
+    config: ProtocolConfig, seeds, adversary_factory=None
+) -> list[RunResult]:
+    """Execute one protocol run of ``config`` per seed, all as one batch.
+
+    The runs differ only in their seeds, so they share every shape: each
+    phase is one set of array operations on the stacked photons of all
+    runs. Each run draws from its own ``SeedSequence(seed).spawn(2)``
+    generators exactly what it draws alone, in the same order, so its
+    result does not depend on the batch. A run that fails the first
+    detection leaves the batch and draws nothing more.
+
+    ``adversary_factory`` takes the runs' dedicated adversary generators,
+    one per run, and returns an adversary hook for the whole batch.
     """
     config.validate()
-    proto_ss, adv_ss = np.random.SeedSequence(config.seed).spawn(2)
-    rng = np.random.default_rng(proto_ss)
-    adversary = (
-        adversary_factory(np.random.default_rng(adv_ss)) if adversary_factory else NullAdversary()
-    )
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
+    rngs = [np.random.default_rng(proto_ss) for proto_ss, _ in streams]
+    if adversary_factory:
+        adversary = adversary_factory([np.random.default_rng(adv_ss) for _, adv_ss in streams])
+    else:
+        adversary = NullAdversary(len(seeds))
 
     if config.message_bits is not None:
-        message = tuple(int(b) for b in config.message_bits)
+        messages = [tuple(int(b) for b in config.message_bits)] * len(seeds)
     else:
-        message = tuple(int(b) for b in rng.integers(0, 2, size=config.message_length))
-    n_payload = config.payload_length()
-    n_total = required_sequence_length(n_payload, config.check_fraction_first)
+        messages = [tuple(rng.integers(0, 2, size=config.message_length).tolist()) for rng in rngs]
+    n_total = config.sequence_length()
+    photons = prepare_sequence(len(seeds) * n_total).reshape(len(seeds), n_total, 2)
+    photons, ledger = encryption_phase(photons, config, rngs, adversary)
+    firsts, announced = first_detection(photons, ledger, config, rngs, adversary)
+    live = np.array([t for t, first in enumerate(firsts) if first.passed], dtype=int)
+    second = _second_phase(photons, live, firsts, messages, ledger, rngs, adversary, config)
 
-    photons, ledger = encryption_phase(prepare_sequence(n_total), config, rng, adversary)
-    first, announced = first_detection(photons, ledger, config, rng, adversary)
-    record = dict(num_photons=n_total, announcements=tuple(map(tuple, announced.tolist())))
-    if not first.passed:
-        return RunResult(
-            config, message, None, first, None, adversary.on_finish(), (), (), **record,
+    return [
+        RunResult(
+            with_seed(config, seed), message, first_detection=first, guesses=guesses,
+            num_photons=n_total, announcements=tuple(map(tuple, announcements)),
+            **second.get(t, _FAILED_FIRST_DETECTION),
         )
+        for t, (seed, message, first, guesses, announcements) in enumerate(zip(
+            seeds, messages, firsts, adversary.on_finish(), announced.tolist(), strict=True
+        ))
+    ]
 
-    payload_ids = np.delete(np.arange(n_total), [j for j, _, _ in first.outcomes])
-    assert len(payload_ids) == n_payload
-    if config.num_second_checks > 0:
-        check_positions = tuple(
-            sorted(int(i) for i in rng.choice(n_payload, config.num_second_checks, replace=False))
+
+# The RunResult fields of a run that stops at the first detection.
+_FAILED_FIRST_DETECTION = dict(
+    decoded_message=None, second_detection=None, message_photon_ids=(), check_positions=()
+)
+
+
+def _second_phase(photons, live, firsts, messages, ledger, rngs, adversary, config) -> dict:
+    """Encoding, recovery and second detection for the trials ``live`` that
+    passed the first detection: the remaining RunResult fields of each, by
+    trial position."""
+    if not live.size:
+        return {}
+    n_payload, n_second = config.payload_length(), config.num_second_checks
+    is_payload = np.ones((len(live), photons.shape[1]), dtype=bool)
+    check_ids = np.array([[j for j, _, _ in firsts[t].outcomes] for t in live])
+    is_payload[np.arange(len(live))[:, None], check_ids] = False
+    payload_ids = np.nonzero(is_payload)[1].reshape(len(live), n_payload)
+
+    is_check = np.zeros((len(live), n_payload), dtype=bool)
+    payload_bits = np.zeros((len(live), n_payload), dtype=int)
+    positions, check_bits = [], []
+    for i, t in enumerate(live):
+        # Each trial draws its second-detection positions, then their bits.
+        pos, bits = (), ()
+        if n_second > 0:
+            pos = tuple(sorted(rngs[t].choice(n_payload, n_second, replace=False).tolist()))
+            bits = tuple(rngs[t].integers(0, 2, size=n_second).tolist())
+        positions.append(pos)
+        check_bits.append(bits)
+        is_check[i, list(pos)] = True
+        payload_bits[i, list(pos)] = bits
+    payload_bits[~is_check] = np.ravel([messages[t] for t in live])
+
+    encoded = encode_message(photons[live[:, None], payload_ids], payload_bits)
+    decoded, probs = recovery_phase(encoded, payload_ids, live, ledger, rngs, adversary)
+    n_message = n_payload - n_second
+    decoded_message = decoded[~is_check].reshape(len(live), n_message).tolist()
+    message_ids = payload_ids[~is_check].reshape(len(live), n_message).tolist()
+    return {
+        t: dict(
+            decoded_message=tuple(decoded_message[i]),
+            second_detection=second_detection(decoded_payload, positions[i], check_bits[i]),
+            message_photon_ids=tuple(message_ids[i]),
+            check_positions=positions[i],
+            recovery_probabilities=tuple(probs[i].tolist()),
+            payload_ids=tuple(payload),
+            decoded_payload=tuple(decoded_payload),
         )
-        check_bits = tuple(int(b) for b in rng.integers(0, 2, size=config.num_second_checks))
-    else:
-        check_positions, check_bits = (), ()
-    is_check = np.zeros(n_payload, dtype=bool)
-    is_check[list(check_positions)] = True
-    payload_bits = np.zeros(n_payload, dtype=int)
-    payload_bits[is_check] = check_bits
-    payload_bits[~is_check] = message
-
-    encoded = encode_message(photons[payload_ids], payload_bits)
-    decoded_payload, probs = recovery_phase(encoded, payload_ids, ledger, rng, adversary)
-    second = second_detection(decoded_payload, check_positions, check_bits)
-    decoded_message = tuple(np.asarray(decoded_payload)[~is_check].tolist())
-    message_photon_ids = tuple(payload_ids[~is_check].tolist())
-    guesses = adversary.on_finish()
-
-    return RunResult(
-        config, message, decoded_message, first, second,
-        guesses, message_photon_ids, check_positions, probs,
-        payload_ids=tuple(payload_ids.tolist()), decoded_payload=decoded_payload, **record,
-    )
+        for i, (t, payload, decoded_payload) in enumerate(
+            zip(live.tolist(), payload_ids.tolist(), decoded.tolist())
+        )
+    }
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:

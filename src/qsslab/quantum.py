@@ -8,8 +8,9 @@ Conventions (fixed and tested):
 - all angles are canonicalized to [0, 2*pi).
 
 Besides the scalar ``State`` API, the module has batched kernels that act on
-a whole sequence of photons at once: an array of shape (n_photons, D) whose
-rows are joint states with the photon as the last (least significant) qubit.
+many photons at once: an array of shape (..., D), such as (n_photons, D) or
+(trials, n_photons, D), whose rows are joint states with the photon as the
+last (least significant) qubit.
 Each operator is checked unitary once, where it is built: ``MINUS_I_SIGMA_Y``
 at import, a batch of rotations in ``rotate_photons`` and the entangler in
 ``attack.build_entangler``. ``apply_unitary``, ``apply_controlled`` and
@@ -191,13 +192,9 @@ def apply_controlled(state: State, controls: list[int], target: int, op: np.ndar
     return State(amps)
 
 
-def _photon_rows(amps: np.ndarray) -> np.ndarray:
-    """View a batch (n, D) as (n, D/2, 2): the last axis is the photon."""
-    return amps.reshape(len(amps), amps.shape[1] // 2, 2)
-
-
 def rotate_photons(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Rotate the photon (last qubit) of row i of ``amps`` by ``thetas[i]``.
+    """Rotate the photon (last qubit) of every row of ``amps`` (..., D) by the
+    matching angle of ``thetas`` (...).
 
     One batched y-rotation kernel; the rotations are checked unitary once,
     as a batch, when they are built.
@@ -207,8 +204,8 @@ def rotate_photons(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     err = np.max(np.abs(c * c + s * s - 1.0), initial=0.0)
     if not err <= ATOL_STATE:
         raise InvariantError(f"rotation is not unitary (max deviation {err:.3e})")
-    rows = _photon_rows(amps)
-    c, s = c[:, None], s[:, None]
+    rows = amps.reshape(*amps.shape[:-1], -1, 2)
+    c, s = c[..., None], s[..., None]
     out = np.empty_like(rows)
     out[..., 0] = c * rows[..., 0] - s * rows[..., 1]
     out[..., 1] = s * rows[..., 0] + c * rows[..., 1]
@@ -222,11 +219,12 @@ def apply_photon_op(amps: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 
 def check_norms(amps: np.ndarray) -> None:
-    """The ``State`` norm invariant, checked on every row of a batch at once."""
-    drift = np.abs(np.sum(amps.real**2 + amps.imag**2, axis=1) - 1.0)
+    """The ``State`` norm invariant, checked on every row of a batch (..., D) at once."""
+    rows = amps.reshape(-1, amps.shape[-1])
+    drift = np.abs(np.sum(rows.real**2 + rows.imag**2, axis=1) - 1.0)
     if len(drift) and not drift.max() <= 2 * ATOL_STATE:
         # argmax lands on the first NaN, if any, else on the worst drift.
-        worst = amps[np.argmax(drift)]
+        worst = rows[np.argmax(drift)]
         _check_norm_sq(float(np.vdot(worst, worst).real))
 
 
@@ -311,7 +309,7 @@ def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.n
     """Z measurement of the photon (last qubit) of every row of ``amps``,
     with uniforms ``r``. Returns (outcomes, outcome probabilities); the
     collapsed rows are norm-checked and dropped."""
-    m = _photon_rows(amps)
+    m = amps.reshape(len(amps), -1, 2)
     weights = np.sum(np.abs(m) ** 2, axis=1)
     outcomes = sample_outcomes(weights, r)
     p0 = weights[:, 0]
@@ -338,15 +336,6 @@ def partial_trace(state: State, keep: list[int]) -> np.ndarray:
     k = len(keep)
     rho = rho.transpose(order + [k + o for o in order])
     return rho.reshape(2**k, 2**k)
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = ATOL_STATE) -> None:
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        raise InvariantError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise InvariantError(f"density matrix trace {np.trace(rho)} deviates from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -atol:
-        raise InvariantError("density matrix has a negative eigenvalue")
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

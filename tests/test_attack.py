@@ -187,50 +187,51 @@ THETAS = np.array([0.4, 0.9, 2.2, 3.7, 5.5])
 
 
 def chi_rows(thetas):
-    return np.array([chi_state(t).amps for t in thetas])
+    """One trial's photons in the states chi(theta): shape (1, len(thetas), 2)."""
+    return np.array([[chi_state(t).amps for t in thetas]])
 
 
 def test_respond_announces_honest_when_beta_zero(rng):
     spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 1.0, 0.0, 0.7)
-    adv = EntanglingAdversary(spec, rng)
-    ids = np.arange(len(THETAS))
+    adv = EntanglingAdversary(spec, [rng])
+    ids = np.arange(len(THETAS))[None]
     state = adv.on_photon_forward(ids, chi_rows(THETAS))
-    announced, _ = adv.on_check_announcement(ids, np.full(len(ids), 1.0), state)
+    announced, _ = adv.on_check_announcement(ids, np.full(ids.shape, 1.0), state)
     assert announced == pytest.approx(1.0)
 
 
 def test_respond_announces_shifted_when_alpha_zero(rng):
     spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.0, 1.0, 0.7)
-    adv = EntanglingAdversary(spec, rng)
-    ids = np.arange(len(THETAS))
+    adv = EntanglingAdversary(spec, [rng])
+    ids = np.arange(len(THETAS))[None]
     state = adv.on_photon_forward(ids, chi_rows(THETAS))
-    announced, _ = adv.on_check_announcement(ids, np.full(len(ids), 1.0), state)
+    announced, _ = adv.on_check_announcement(ids, np.full(ids.shape, 1.0), state)
     assert announced == pytest.approx(canonical_angle(1.0 + 0.7))
 
 
 def test_respond_collapses_to_definite_angle(rng):
     spec = random_entangler_spec(rng, ancilla_dim=4)
-    adv = EntanglingAdversary(spec, rng)
-    ids = np.arange(len(THETAS))
+    adv = EntanglingAdversary(spec, [rng])
+    ids = np.arange(len(THETAS))[None]
     state = adv.on_photon_forward(ids, chi_rows(THETAS))
-    announced, collapsed = adv.on_check_announcement(ids, THETAS, state)
+    announced, collapsed = adv.on_check_announcement(ids, THETAS[None], state)
     # Un-rotating by the announced sum must return the photon to |0> exactly.
     undone = rotate_photons(collapsed, -announced)
-    for row in undone:
+    for row in undone[0]:
         joint = State(row)
         rho = partial_trace(joint, [joint.num_qubits - 1])
         assert rho[0, 0].real >= 1 - 1e-10
 
 
 def test_entangler_built_once_per_spec(rng):
-    # A campaign builds one adversary per trial and the exact analysis visits
-    # one spec at many angles; the entangler is built once per (spec,
-    # completion) and shared read-only.
+    # A campaign builds one adversary per batch of trials and the exact
+    # analysis visits one spec at many angles; the entangler is built once
+    # per (spec, completion) and shared read-only.
     spec = random_entangler_spec(rng, ancilla_dim=4)
-    a, b = EntanglingAdversary(spec, rng), EntanglingAdversary(spec, rng)
+    a, b = EntanglingAdversary(spec, [rng]), EntanglingAdversary(spec, [rng])
     assert a.entangler is b.entangler is build_entangler(spec)
     assert not a.entangler.flags.writeable
-    rev = EntanglingAdversary(spec, rng, completion="reversed")
+    rev = EntanglingAdversary(spec, [rng], completion="reversed")
     assert rev.entangler is build_entangler(spec, "reversed")
     assert rev.entangler is not a.entangler
     # An equal spec built separately maps to the same cached operator.
@@ -240,12 +241,12 @@ def test_entangler_built_once_per_spec(rng):
 
 def test_projector_sets_built_once_per_spec(rng):
     # Like the entangler, both projector sets are built and checked once per
-    # spec, not once per trial's adversary, and shared read-only.
+    # spec, not once per adversary, and shared read-only.
     spec = random_entangler_spec(rng, ancilla_dim=4)
-    a = EntanglingAdversary(spec, rng)
-    b = EntanglingAdversary(spec, rng, adaptive=False, completion="reversed")
+    a = EntanglingAdversary(spec, [rng])
+    b = EntanglingAdversary(spec, [rng], adaptive=False, completion="reversed")
     twin = EntanglerSpec(spec.epsilon, spec.epsilon_perp, spec.alpha, spec.beta, spec.theta_prime)
-    c = EntanglingAdversary(twin, rng)
+    c = EntanglingAdversary(twin, [rng])
     for name in ("_joint_projs", "_ancilla_projs"):
         assert getattr(a, name) is getattr(b, name) is getattr(c, name)
         assert not getattr(a, name).flags.writeable
@@ -256,24 +257,43 @@ def test_projector_sets_built_once_per_spec(rng):
 def test_announcement_refuses_residual_outcome():
     # For the Bell ancilla, eps = |00> and eps_perp = |11>: an ancilla in |01>
     # lies outside their span and can only give the residual outcome.
-    adv = EntanglingAdversary(qgwz_spec(BELL), np.random.default_rng(0))
+    adv = EntanglingAdversary(qgwz_spec(BELL), [np.random.default_rng(0)])
     outside = tensor(basis_state(2, 1), chi_state(0.3)).amps
     with pytest.raises(InvariantError, match="residual outcome"):
-        adv.on_check_announcement(np.array([0]), np.array([0.2]), outside[None, :])
+        adv.on_check_announcement(np.array([[0]]), np.array([[0.2]]), outside[None, None, :])
 
 
 def test_return_refuses_photon_still_entangled(rng):
     spec = random_entangler_spec(rng, ancilla_dim=4)
-    adv = EntanglingAdversary(spec, rng)
-    ids = np.arange(len(THETAS))
+    adv = EntanglingAdversary(spec, [rng])
+    ids = np.arange(len(THETAS))[None]
     state = adv.on_photon_forward(ids, chi_rows(THETAS))
-    photons = adv.on_photon_return(ids, state)
-    for row, theta in zip(photons, THETAS):
+    photons = adv.on_photon_return(np.array([0]), ids, state)
+    for row, theta in zip(photons[0], THETAS):
         assert global_phase_equal(State(row), chi_state(theta), tol=1e-12)
     # The same photons re-entangled with eps_perp do not split off |eps>.
     wrong = np.array([tensor(spec.epsilon_perp, chi_state(t)).amps for t in THETAS])
     with pytest.raises(InvariantError, match="Schmidt weight"):
-        adv.on_photon_return(ids, wrong @ adv.entangler.T)
+        adv.on_photon_return(np.array([0]), ids, (wrong @ adv.entangler.T)[None])
+
+
+def test_checks_run_on_every_trial_of_a_batch(rng):
+    # Three trials stacked: a bad row in the middle trial alone trips the
+    # residual-outcome check and the Schmidt-weight check.
+    spec = qgwz_spec(BELL)
+    adv = EntanglingAdversary(spec, [np.random.default_rng(s) for s in range(3)])
+    ids = np.tile(np.arange(len(THETAS)), (3, 1))
+    state = adv.on_photon_forward(ids, np.repeat(chi_rows(THETAS), 3, axis=0))
+    outside = state.copy()
+    outside[1, 2] = tensor(basis_state(2, 1), chi_state(0.3)).amps
+    with pytest.raises(InvariantError, match="residual outcome"):
+        adv.on_check_announcement(ids, np.zeros(ids.shape), outside)
+    entangled = state.copy()
+    entangled[1, 2] = tensor(spec.epsilon_perp, chi_state(0.3)).amps @ adv.entangler.T
+    with pytest.raises(InvariantError, match="Schmidt weight"):
+        adv.on_photon_return(np.arange(3), ids, entangled)
+    photons = adv.on_photon_return(np.arange(3), ids, state)
+    assert photons.shape == (3, len(THETAS), 2)
 
 
 def test_respond_frequency_matches_alpha_squared():
@@ -332,8 +352,8 @@ def test_guess_outcome_always_epsilon(rng):
     result = run_protocol(config, factory)
     assert result.decoded_message == result.message
     adv = adversaries[0]
-    assert adv.final_outcomes  # attack ran
-    assert all(o == 0 for o in adv.final_outcomes.values())
+    assert adv.final_outcomes[0]  # attack ran
+    assert all(o == 0 for o in adv.final_outcomes[0].values())
     # Default rule therefore guesses all zeros.
     assert all(g == 0 for g in result.guesses.values())
 

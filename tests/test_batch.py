@@ -1,0 +1,102 @@
+"""A batch of trials gives each trial exactly the run it gets alone.
+
+``run_batch`` stacks the photons of many trials into one array; each trial
+still draws from its own generators. Every ``RunResult`` field, compared
+with ``==``, and every transcript byte must match the trial run as a batch
+of one, including trials that fail the first detection mid-batch.
+"""
+import numpy as np
+import pytest
+
+from qsslab import analysis
+from qsslab.analysis import derive_seed, run_batch, run_trial, run_trials, summarize
+from qsslab.attack import EntanglerSpec, EntanglingAdversary, GuessRule, qgwz_spec
+from qsslab.protocol import ProtocolConfig, run_protocol_batch
+from qsslab.quantum import State, basis_state
+
+BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+
+
+def assert_same_runs(batch, singles):
+    assert len(batch) == len(singles)
+    for got, want in zip(batch, singles):
+        assert got == want
+        assert got.transcript.serialize() == want.transcript.serialize()
+
+
+def d8_spec():
+    rng = np.random.default_rng(808)
+    eps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    eps /= np.linalg.norm(eps)
+    perp = rng.normal(size=8) + 1j * rng.normal(size=8)
+    perp -= np.vdot(eps, perp) * eps
+    perp /= np.linalg.norm(perp)
+    return EntanglerSpec(State(eps), State(perp), 0.6 + 0.0j, 0.8j, 2.1)
+
+
+CAMPAIGNS = {
+    "honest": (ProtocolConfig(num_agents=3, message_length=20, num_second_checks=3, seed=1),
+               None, GuessRule()),
+    "qgwz-adaptive": (ProtocolConfig(num_agents=4, message_length=16, check_fraction_first=0.25,
+                                     num_second_checks=2, adversary_position=0, seed=2),
+                      qgwz_spec(BELL), GuessRule(1, 0)),
+    "general-d8": (ProtocolConfig(num_agents=2, message_length=12, num_second_checks=1,
+                                  angle_distribution="discrete", seed=3),
+                   d8_spec(), GuessRule()),
+}
+
+
+@pytest.mark.parametrize("name", CAMPAIGNS)
+def test_batch_matches_batches_of_one(name):
+    config, spec, rule = CAMPAIGNS[name]
+    batch = run_batch(config, range(13), spec, rule)
+    assert_same_runs(batch, [run_batch(config, [i], spec, rule)[0] for i in range(13)])
+    assert all(r.first_detection.passed for r in batch)
+    if spec is not None:
+        assert all(r.guesses for r in batch)
+    # Any subset of trial indices, in any order.
+    picked = [11, 2, 7]
+    assert_same_runs(run_batch(config, picked, spec, rule), [batch[i] for i in picked])
+
+
+def test_naive_batch_with_failed_first_detections():
+    # The non-adaptive control gets caught in some trials: those leave the
+    # batch after the first detection and draw nothing more.
+    naive = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.8, 0.6, 1.1)
+    config = ProtocolConfig(num_agents=3, message_length=4, check_fraction_first=0.3,
+                            num_second_checks=1, seed=4)
+    seeds = [derive_seed(config.seed, i) for i in range(16)]
+
+    def factory(rngs):
+        return EntanglingAdversary(naive, rngs, adaptive=False)
+
+    batch = run_protocol_batch(config, seeds, factory)
+    assert_same_runs(batch, [run_protocol_batch(config, [s], factory)[0] for s in seeds])
+    passed = [r.first_detection.passed for r in batch]
+    # Both verdicts occur, and a failed trial sits between passing ones.
+    assert any(not p and True in passed[:i] and True in passed[i + 1:]
+               for i, p in enumerate(passed))
+    for r in batch:
+        if not r.first_detection.passed:
+            assert r.decoded_message is None and r.guesses == {}
+
+
+def test_campaign_over_several_batches_matches_single_trials(monkeypatch):
+    # Criterion 5's config: 1000 photons x 3 agents a trial, so a batch
+    # holds 100 000 // 3000 = 33 trials and 70 trials take three batches.
+    config = ProtocolConfig(num_agents=3, message_length=500, check_fraction_first=0.5,
+                            num_second_checks=0, seed=55)
+    spec, rule = qgwz_spec(BELL), GuessRule()
+    sizes = []
+
+    def counting_run_batch(config, trial_indices, attack, rule):
+        sizes.append(len(trial_indices))
+        return run_batch(config, trial_indices, attack, rule)
+
+    monkeypatch.setattr(analysis, "run_batch", counting_run_batch)
+    batched = list(run_trials(config, spec, rule, 70))
+    assert sizes == [33, 33, 4]
+    singles = [run_trial(config, i, spec, rule) for i in range(70)]
+    assert_same_runs(batched, singles)
+    report = summarize(config, spec, batched).to_json_line()
+    assert report == summarize(config, spec, singles).to_json_line()

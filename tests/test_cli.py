@@ -306,6 +306,36 @@ def test_malformed_input_exit1(tmp_path, capsys, make_doc, path, value, argv):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+# (command, options, given tmp_path): output paths that cannot take the
+# output. Each must be refused before any trial or sweep runs.
+UNUSABLE_OUTPUTS = [
+    pytest.param("run", lambda tmp: ["--out", str(tmp / "missing" / "r.txt")], id="run-out-dir"),
+    pytest.param("sweep", lambda tmp: ["--out", str(tmp / "missing" / "s.csv")],
+                 id="sweep-out-dir"),
+    pytest.param("run", lambda tmp: ["--out", str(tmp)], id="run-out-is-dir"),
+    pytest.param("run", lambda tmp: ["--transcripts", write(tmp, {}, "taken.json"),
+                                     "--out", str(tmp / "r.txt")], id="transcripts-is-file"),
+]
+
+
+@pytest.mark.parametrize("command, options", UNUSABLE_OUTPUTS)
+def test_unusable_output_path_exit1(tmp_path, capsys, monkeypatch, command, options):
+    def refuse(*args):
+        raise AssertionError("the campaign started before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_trials", refuse)
+    monkeypatch.setattr(cli, "sweep", refuse)
+    argv = [command, write(tmp_path, sweep_doc() if command == "sweep" else honest_doc()),
+            *options(tmp_path)]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    # No report, no directory: the tree is as it was.
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,

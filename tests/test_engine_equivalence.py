@@ -143,9 +143,9 @@ def run_case(case):
     if case["attack"] is not None:
         spec = _spec(case["attack"])
 
-        def factory(rng):
+        def factory(rngs):
             adversaries.append(EntanglingAdversary(
-                spec, rng, GuessRule(*case["rule"]), adaptive=case["adaptive"]))
+                spec, rngs, GuessRule(*case["rule"]), adaptive=case["adaptive"]))
             return adversaries[-1]
 
     r = run_protocol(config, factory)
@@ -165,7 +165,7 @@ def run_case(case):
             r.second_detection.passed, list(r.second_detection.failed_photons)],
         "guesses": sorted([int(k), int(v)] for k, v in r.guesses.items()),
         "final_outcomes": sorted(
-            [int(k), int(v)] for k, v in adversaries[0].final_outcomes.items()
+            [int(k), int(v)] for k, v in adversaries[0].final_outcomes[0].items()
         ) if adversaries else [],
     }
     if case["transcript"]:

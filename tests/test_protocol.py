@@ -88,18 +88,18 @@ def test_encryption_two_agents_quarter_turns():
     config = ProtocolConfig(num_agents=2, message_bits=(0,), num_second_checks=0,
                             check_fraction_first=0.5, seed=0)
     # Drive the rotations with fixed angles through the encryption phase.
-    photons, ledger = encryption_phase(prepare_sequence(1), config, QuarterTurnRng(),
+    photons, ledger = encryption_phase(prepare_sequence(1)[None], config, [QuarterTurnRng()],
                                        NullAdversary())
-    assert ledger.totals(np.array([0]))[0] == pytest.approx(np.pi / 2, abs=1e-12)
-    assert np.allclose(photons[0], [0, 1], atol=1e-12)  # cos(pi/2)=0
+    assert ledger.totals([0], [[0]])[0, 0] == pytest.approx(np.pi / 2, abs=1e-12)
+    assert np.allclose(photons[0, 0], [0, 1], atol=1e-12)  # cos(pi/2)=0
 
 
 def test_ledger_sum_property():
     config = small_config(seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(3))
-    photons, ledger = encryption_phase(prepare_sequence(6), config, rng, NullAdversary())
-    totals = ledger.totals(np.arange(6))
-    for j, row in enumerate(photons):
+    photons, ledger = encryption_phase(prepare_sequence(6)[None], config, [rng], NullAdversary())
+    totals = ledger.totals([0], np.arange(6)[None])[0]
+    for j, row in enumerate(photons[0]):
         expected = State(rotation_operator(totals[j]) @ ket0().amps)
         assert np.max(np.abs(row - expected.amps)) <= 1e-12
 
@@ -151,11 +151,11 @@ def test_encode_length_mismatch():
 def test_recovery_refuses_with_missing_agent():
     config = small_config(seed=9)
     rng = np.random.default_rng(np.random.SeedSequence(9))
-    photons, ledger = encryption_phase(prepare_sequence(4), config, rng, NullAdversary())
+    photons, ledger = encryption_phase(prepare_sequence(4)[None], config, [rng], NullAdversary())
     for withheld in range(config.num_agents):
         partial = ledger.without_agent(withheld)
         with pytest.raises(MissingAngleError):
-            recovery_phase(photons, np.arange(4), partial, rng, NullAdversary())
+            recovery_phase(photons, np.arange(4)[None], [0], partial, [rng], NullAdversary())
 
 
 def test_second_detection_verdicts():
@@ -236,8 +236,8 @@ def test_null_hook_matches_no_hook():
 def test_first_detection_marks_roles_and_passes():
     config = small_config(seed=8)
     rng = np.random.default_rng(np.random.SeedSequence(8))
-    photons, ledger = encryption_phase(prepare_sequence(10), config, rng, NullAdversary())
-    verdict, announced = first_detection(photons, ledger, config, rng, NullAdversary())
+    photons, ledger = encryption_phase(prepare_sequence(10)[None], config, [rng], NullAdversary())
+    (verdict,), (announced,) = first_detection(photons, ledger, config, [rng], NullAdversary())
     assert verdict.passed
     checked = [j for j, _, _ in verdict.outcomes]
     assert len(checked) == int(np.ceil(0.5 * 10))

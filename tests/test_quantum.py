@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsslab.quantum import (
+    ATOL_STATE,
     MINUS_I_SIGMA_Y,
     InvariantError,
     State,
@@ -11,7 +12,7 @@ from qsslab.quantum import (
     apply_unitary,
     basis_state,
     canonical_angle,
-    check_density_matrix,
+    check_norms,
     check_unitary,
     global_phase_equal,
     ket0,
@@ -19,6 +20,7 @@ from qsslab.quantum import (
     measure_projective,
     partial_trace,
     projector,
+    rotate_photons,
     rotation_operator,
     tensor,
     trace_distance,
@@ -351,6 +353,15 @@ def test_partial_trace_entangler_state_diagonal():
     assert np.max(np.abs(rho - expected)) <= 1e-12
 
 
+def check_density_matrix(rho: np.ndarray, atol: float = ATOL_STATE) -> None:
+    if np.max(np.abs(rho - rho.conj().T)) > atol:
+        raise InvariantError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > atol:
+        raise InvariantError(f"density matrix trace {np.trace(rho)} deviates from 1")
+    if np.min(np.linalg.eigvalsh(rho)) < -atol:
+        raise InvariantError("density matrix has a negative eigenvalue")
+
+
 def test_partial_trace_output_is_density_matrix(rng):
     for _ in range(30):
         n = int(rng.integers(2, 5))
@@ -395,3 +406,24 @@ def test_global_phase_equal_cases(rng):
     assert global_phase_equal(psi, State(-psi.amps))
     assert global_phase_equal(psi, State(1j * psi.amps))
     assert not global_phase_equal(basis_state(1, 0), basis_state(1, 1))
+
+
+def test_row_checks_cover_every_row_of_a_trial_batch(rng):
+    # Rows of shape (trials, photons, D): one bad entry anywhere is caught.
+    amps = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    thetas = rng.uniform(0, 2 * np.pi, size=(2, 3))
+    rotated = rotate_photons(amps, thetas)
+    check_norms(rotated)
+    for t in range(2):
+        for j in range(3):
+            alone = rotate_photons(amps[t, j][None], thetas[t, j][None])[0]
+            assert np.array_equal(rotated[t, j], alone)
+    bad_angle = thetas.copy()
+    bad_angle[1, 2] = np.nan
+    with pytest.raises(InvariantError, match="rotation is not unitary"):
+        rotate_photons(amps, bad_angle)
+    bad_row = rotated.copy()
+    bad_row[1, 0] *= 1.001
+    with pytest.raises(InvariantError, match="norm"):
+        check_norms(bad_row)
