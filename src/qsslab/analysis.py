@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import EntanglerSpec, EntanglingAdversary, GuessRule, build_entangler
+from .attack import (
+    MAX_ANCILLA_DIM,
+    EntanglerSpec,
+    EntanglingAdversary,
+    GuessRule,
+    build_entangler,
+)
 from .protocol import (
     MAX_RUN_SIZE,
     ProtocolConfig,
@@ -58,10 +64,10 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _encoded_rows(spec: EntanglerSpec, thetas, completion: str = "forward"):
+def _encoded_rows(spec: EntanglerSpec, thetas):
     """The entangler E, and the joint (ancilla, photon) rows E(|eps> (x) U(theta)|0>)
     with message bit 0 and bit 1 encoded on the photon, shape (2, len(thetas), 2d)."""
-    entangler = build_entangler(spec, completion)
+    entangler = build_entangler(spec)
     thetas = np.asarray(thetas, dtype=float)
     chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     joint = (spec.epsilon.amps[None, :, None] * chi[:, None, :]).reshape(len(chi), -1)
@@ -77,11 +83,11 @@ def _trace_distances(rho: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho[0] - rho[1])), axis=1)
 
 
-def indistinguishability(spec: EntanglerSpec, thetas, completion: str = "forward") -> np.ndarray:
+def indistinguishability(spec: EntanglerSpec, thetas) -> np.ndarray:
     """Trace distance between the attacker's post-inverse ancilla states
     conditioned on message bit 0 vs 1, computed exactly at each photon angle
     in ``thetas``; ``helstrom_bound`` of it is the best guessing probability."""
-    entangler, rows = _encoded_rows(spec, thetas, completion)
+    entangler, rows = _encoded_rows(spec, thetas)
     # E^-1 in the same matrix-vector form. Read as a d x 2 (ancilla, photon)
     # matrix M, each row gives the ancilla's reduced state M M^dagger.
     m = (entangler.conj().T @ rows[..., None]).reshape(*rows.shape[:2], -1, 2)
@@ -279,8 +285,11 @@ class SweepGrid:
             raise ValueError("sweep grid lists must be nonempty")
         if any(not 0.0 <= a <= 1.0 for a in self.alpha_sq_values):
             raise ValueError("alpha_sq values must lie in [0, 1]")
-        if self.ancilla_dim < 2 or self.ancilla_dim & (self.ancilla_dim - 1):
-            raise ValueError(f"ancilla_dim must be a power of 2 >= 2, got {self.ancilla_dim}")
+        d = self.ancilla_dim
+        if not 2 <= d <= MAX_ANCILLA_DIM or d & (d - 1):
+            raise ValueError(
+                f"ancilla_dim must be a power of 2 in [2, {MAX_ANCILLA_DIM}], got {d}"
+            )
 
 
 @dataclass(frozen=True)

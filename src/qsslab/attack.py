@@ -40,6 +40,11 @@ from .quantum import (
     tensor,
 )
 
+# Largest ancilla dimension d of an attack or a sweep. An attacked photon's
+# row holds 2d amplitudes (protocol.MAX_RUN_SIZE counts on at most 16), and
+# the Gram-Schmidt build of the 2d x 2d entangler grows fast with d.
+MAX_ANCILLA_DIM = 8
+
 # Angle by which the receiver's message-encoding rotation shifts the photon:
 # encoding with -i*sigma_y sends angle theta to theta - 3*pi/2.
 ENCODING_SHIFT = -3 * np.pi / 2
@@ -68,6 +73,10 @@ class EntanglerSpec:
             )
         if self.epsilon.dim < 2:
             raise InvariantError("ancilla dimension must be >= 2")
+        if self.epsilon.dim > MAX_ANCILLA_DIM:
+            raise InvariantError(
+                f"ancilla dimension {self.epsilon.dim} exceeds MAX_ANCILLA_DIM = {MAX_ANCILLA_DIM}"
+            )
         # a * a rather than a ** 2: a float power raises OverflowError on huge input.
         a, b = abs(self.alpha), abs(self.beta)
         if not abs(a * a + b * b - 1.0) <= ATOL_STATE:
@@ -250,13 +259,12 @@ class EntanglingAdversary:
         rngs: list[np.random.Generator],
         rule: GuessRule = DEFAULT_GUESS_RULE,
         adaptive: bool = True,
-        completion: str = "forward",
     ):
         self.spec = spec
         self.rngs = list(rngs)
         self.rule = rule
         self.adaptive = adaptive
-        self.entangler = build_entangler(spec, completion)
+        self.entangler = build_entangler(spec)
         self._joint_projs, self._ancilla_projs = _projector_sets(spec)
         # Per trial: final ancilla outcome by photon id.
         self.final_outcomes: list[dict[int, int]] = [{} for _ in self.rngs]

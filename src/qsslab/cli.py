@@ -230,14 +230,21 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _check_out(path: str | None) -> None:
-    """Refuse an ``--out`` path that cannot take the output, before any work."""
+    """Refuse an ``--out`` path that cannot take the output, before any work.
+
+    The path is opened for appending, which writes nothing, and removed again
+    if that created it.
+    """
     if path is None:
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise ConfigError(f"--out {path}: directory {directory} does not exist")
-    if os.path.isdir(path):
-        raise ConfigError(f"--out {path} is a directory")
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc.strerror}")
+    if not existed:
+        os.remove(path)
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -51,7 +51,8 @@ PHASES = (
 DISCRETE_ANGLES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 # Upper bound on photons x agents in one run: every agent draws one angle per
-# photon, and a run holds all its photons (up to 16 amplitudes each) at once.
+# photon, and a run holds all its photons at once, each with up to
+# 2 * attack.MAX_ANCILLA_DIM = 16 amplitudes.
 MAX_RUN_SIZE = 100_000
 
 
@@ -166,41 +167,21 @@ class InvariantPhaseError(Exception):
     pass
 
 
-class AngleLedger:
-    """Committed rotation angles of a batch of runs, indexed (trial, agent, photon).
-
-    Angles are stored canonicalized; NaN marks an angle its agent withheld.
-    """
-
-    def __init__(self, angles: np.ndarray):
-        self.angles = canonical_angles(np.asarray(angles, dtype=float))
-
-    @property
-    def num_agents(self) -> int:
-        return self.angles.shape[1]
-
-    def get(self, agent: int, trials: np.ndarray, photon_ids: np.ndarray) -> np.ndarray:
-        """Angles ``agent`` disclosed for ``photon_ids`` (one row per trial of
-        ``trials``); refuses if any is missing."""
-        trials = np.asarray(trials)
-        out = self.angles[trials[:, None], agent, photon_ids]
-        missing = np.argwhere(np.isnan(out))
-        if missing.size:
-            row, col = missing[0]
-            raise MissingAngleError(
-                f"agent {agent} disclosed no angle for photon {photon_ids[row][col]} "
-                f"of trial {trials[row]}"
-            )
-        return out
-
-    def totals(self, trials: np.ndarray, photon_ids: np.ndarray) -> np.ndarray:
-        """Canonical sum over all agents of the angles of ``photon_ids``."""
-        return sum_angles(self.get(k, trials, photon_ids) for k in range(self.num_agents))
-
-    def without_agent(self, agent: int) -> "AngleLedger":
-        out = AngleLedger(self.angles)
-        out.angles[:, agent] = np.nan
-        return out
+def disclosed_angles(ledger: np.ndarray, trials, photon_ids: np.ndarray) -> np.ndarray:
+    """Every agent's disclosed angles for ``photon_ids`` (one row per trial of
+    ``trials``), shape (agents, t, p), from a batch's canonical angle ledger
+    (trial, agent, photon). NaN in the ledger marks a withheld angle; any
+    withheld angle is refused."""
+    trials = np.asarray(trials)
+    out = ledger.transpose(1, 0, 2)[:, trials[:, None], photon_ids]
+    missing = np.argwhere(np.isnan(out))
+    if missing.size:
+        agent, row, col = missing[0]
+        raise MissingAngleError(
+            f"agent {agent} disclosed no angle for photon {photon_ids[row][col]} "
+            f"of trial {trials[row]}"
+        )
+    return out
 
 
 def sum_angles(angles) -> np.ndarray:
@@ -356,13 +337,13 @@ def encryption_phase(
     config: ProtocolConfig,
     rngs: list[np.random.Generator],
     adversary: NullAdversary,
-) -> tuple[np.ndarray, AngleLedger]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Every agent in turn rotates every photon by a fresh secret angle; the
     adversary's forward hook runs right after its own rotation.
 
     ``photons`` holds one row of photons per trial, shape (trials, n, 2), and
     ``rngs`` one generator per trial. Returns the encrypted photons and the
-    ledger of committed angles.
+    ledger of committed angles: canonical, indexed (trial, agent, photon).
     """
     trials, n = photons.shape[:2]
     # Each trial draws photon-major, agent-minor: the order of the sequential protocol.
@@ -377,12 +358,12 @@ def encryption_phase(
                 np.broadcast_to(np.arange(n), (trials, n)), photons
             )
     check_norms(photons)
-    return photons, AngleLedger(angles.transpose(0, 2, 1))
+    return photons, canonical_angles(angles.transpose(0, 2, 1))
 
 
 def first_detection(
     photons: np.ndarray,
-    ledger: AngleLedger,
+    ledger: np.ndarray,
     config: ProtocolConfig,
     rngs: list[np.random.Generator],
     adversary: NullAdversary,
@@ -398,7 +379,7 @@ def first_detection(
     n_checks = math.ceil(config.check_fraction_first * n)
     check_ids = np.stack([np.sort(rng.choice(n, size=n_checks, replace=False)) for rng in rngs])
     batch = np.arange(trials)
-    announced = np.array([ledger.get(k, batch, check_ids) for k in range(config.num_agents)])
+    announced = disclosed_angles(ledger, batch, check_ids)
     adv_pos = config.default_adversary_position()
     announced[adv_pos], checked = adversary.on_check_announcement(
         check_ids, announced[adv_pos], photons[batch[:, None], check_ids]
@@ -439,7 +420,7 @@ def recovery_phase(
     photons: np.ndarray,
     photon_ids: np.ndarray,
     trials: np.ndarray,
-    ledger: AngleLedger,
+    ledger: np.ndarray,
     rngs: list[np.random.Generator],
     adversary: NullAdversary,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -450,7 +431,7 @@ def recovery_phase(
     Returns the decoded bits and their Born probabilities, each (t, p).
     """
     # All agents must disclose before any photon is decoded.
-    totals = ledger.totals(trials, photon_ids)
+    totals = sum_angles(disclosed_angles(ledger, trials, photon_ids))
     photons = adversary.on_photon_return(trials, photon_ids, photons)
     photons = rotate_photons(photons, -totals)
     check_norms(photons)

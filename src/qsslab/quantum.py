@@ -26,9 +26,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Stored-invariant tolerance vs single-operation identity tolerance.
+# Tolerance of the stored invariants: norms, unitarity, projector sets.
 ATOL_STATE = 1e-10
-ATOL_OP = 1e-12
 
 MINUS_I_SIGMA_Y = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
@@ -132,34 +131,21 @@ check_unitary(MINUS_I_SIGMA_Y)
 MINUS_I_SIGMA_Y.flags.writeable = False
 
 
-def apply_unitary(state: State, targets: list[int], op: np.ndarray) -> State:
-    """Apply ``op`` to the ordered tensor factor ``targets`` of ``state``.
+def apply_unitary(state: State, op: np.ndarray) -> State:
+    """Apply ``op``, already checked unitary where it was built, to ``state``.
 
-    ``op`` must already be unitary: it is checked where it is built
-    (``check_unitary``), not here.
+    A (dim, dim) ``op`` acts on the whole register, a (2, 2) ``op`` on its
+    last qubit, the photon (``apply_photon_op``).
     """
-    n = state.num_qubits
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target in {targets}")
-    if any(q < 0 or q >= n for q in targets):
-        raise ValueError(f"target out of range for {n} qubits: {targets}")
     op = np.asarray(op, dtype=complex)
-    k = len(targets)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} target qubit(s)")
-
-    if k == n and targets == list(range(n)):
+    if op.shape == (state.dim, state.dim):
         return State(op @ state.amps)
-    if k == 1 and targets[0] == n - 1:
-        # Hot path: the photon rides as the last (least significant) qubit.
-        return State((state.amps.reshape(-1, 2) @ op.T).reshape(-1))
-    rest = [q for q in range(n) if q not in targets]
-    perm = targets + rest
-    t = state.amps.reshape([2] * n).transpose(perm).reshape(2**k, -1)
-    t = op @ t
-    t = t.reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)
-    return State(t)
+    if op.shape == (2, 2):
+        return State(apply_photon_op(state.amps, op))
+    raise ValueError(
+        f"operator shape {op.shape} acts neither on all {state.num_qubits} qubits "
+        "nor on the last one"
+    )
 
 
 def apply_controlled(state: State, controls: list[int], target: int, op: np.ndarray) -> State:
@@ -232,19 +218,6 @@ def projector(state: State) -> np.ndarray:
     return np.outer(state.amps, state.amps.conj())
 
 
-def z_projectors(num_qubits: int, qubit: int) -> list[np.ndarray]:
-    """Full-dimension projectors for a Z measurement of one qubit."""
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    out = []
-    for p in (p0, p1):
-        full = np.eye(1, dtype=complex)
-        for q in range(num_qubits):
-            full = np.kron(full, p if q == qubit else np.eye(2, dtype=complex))
-        out.append(full)
-    return out
-
-
 def check_projectors(projectors: list[np.ndarray], dim: int) -> None:
     total = sum(projectors)
     if np.max(np.abs(total - np.eye(dim))) > ATOL_STATE:
@@ -288,21 +261,6 @@ def measure_projective_rows(
     collapsed = projected[rows, outcomes] / np.sqrt(p)[:, None]
     check_norms(collapsed)
     return outcomes, collapsed, p
-
-
-def measure_projective(
-    state: State, projectors: list[np.ndarray], rng: np.random.Generator
-) -> tuple[int, State, float]:
-    """Born-rule measurement against a complete orthogonal projector set.
-
-    Returns (outcome index, collapsed state, outcome probability).
-    """
-    projectors = np.array([np.asarray(p, dtype=complex) for p in projectors])
-    check_projectors(list(projectors), state.dim)
-    outcomes, collapsed, probs = measure_projective_rows(
-        state.amps[None, :], projectors, np.array([rng.random()])
-    )
-    return int(outcomes[0]), State(collapsed[0]), float(probs[0])
 
 
 def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -135,11 +135,9 @@ def test_completions_agree_observationally(rng):
         for m in (0, 1):
             encoded = fwd @ src
             if m == 1:
-                n = spec.ancilla_qubits + 1
-                encoded = apply_unitary(State(encoded), [n - 1], MINUS_I_SIGMA_Y).amps
+                encoded = apply_unitary(State(encoded), MINUS_I_SIGMA_Y).amps
             assert np.max(np.abs(fwd.conj().T @ encoded - rev.conj().T @ (
-                rev @ src if m == 0 else apply_unitary(
-                    State(rev @ src), [spec.ancilla_qubits], MINUS_I_SIGMA_Y).amps
+                rev @ src if m == 0 else apply_unitary(State(rev @ src), MINUS_I_SIGMA_Y).amps
             ))) <= 1e-12
 
 
@@ -180,7 +178,7 @@ def test_qgwz_entangler_matches_direct_controlled_circuit(rng):
 def entangled_joint(spec, theta, entangler=None):
     ent = entangler if entangler is not None else build_entangler(spec)
     joint = tensor(spec.epsilon, chi_state(theta))
-    return apply_unitary(joint, list(range(joint.num_qubits)), ent)
+    return apply_unitary(joint, ent)
 
 
 THETAS = np.array([0.4, 0.9, 2.2, 3.7, 5.5])
@@ -231,9 +229,10 @@ def test_entangler_built_once_per_spec(rng):
     a, b = EntanglingAdversary(spec, [rng]), EntanglingAdversary(spec, [rng])
     assert a.entangler is b.entangler is build_entangler(spec)
     assert not a.entangler.flags.writeable
-    rev = EntanglingAdversary(spec, [rng], completion="reversed")
-    assert rev.entangler is build_entangler(spec, "reversed")
-    assert rev.entangler is not a.entangler
+    rev = build_entangler(spec, "reversed")
+    assert rev is build_entangler(spec, "reversed")
+    assert not rev.flags.writeable
+    assert rev is not a.entangler
     # An equal spec built separately maps to the same cached operator.
     twin = EntanglerSpec(spec.epsilon, spec.epsilon_perp, spec.alpha, spec.beta, spec.theta_prime)
     assert build_entangler(twin) is a.entangler
@@ -244,7 +243,7 @@ def test_projector_sets_built_once_per_spec(rng):
     # spec, not once per adversary, and shared read-only.
     spec = random_entangler_spec(rng, ancilla_dim=4)
     a = EntanglingAdversary(spec, [rng])
-    b = EntanglingAdversary(spec, [rng], adaptive=False, completion="reversed")
+    b = EntanglingAdversary(spec, [rng], adaptive=False)
     twin = EntanglerSpec(spec.epsilon, spec.epsilon_perp, spec.alpha, spec.beta, spec.theta_prime)
     c = EntanglingAdversary(twin, [rng])
     for name in ("_joint_projs", "_ancilla_projs"):
@@ -323,13 +322,12 @@ def test_disentangle_round_trip_both_bits(rng):
         ent = build_entangler(spec)
         theta = float(rng.uniform(0, 2 * np.pi))
         joint = entangled_joint(spec, theta, ent)
-        n = joint.num_qubits
         rhos = {}
         for m in (0, 1):
             st = joint
             if m == 1:
-                st = apply_unitary(st, [n - 1], MINUS_I_SIGMA_Y)
-            separated = apply_unitary(st, list(range(n)), ent.conj().T)
+                st = apply_unitary(st, MINUS_I_SIGMA_Y)
+            separated = apply_unitary(st, ent.conj().T)
             ancilla, photon = split_product(separated, spec.ancilla_qubits)
             assert abs(abs(overlap(ancilla, spec.epsilon)) - 1.0) <= 1e-8
             expected = chi_state(theta) if m == 0 else State(MINUS_I_SIGMA_Y @ chi_state(theta).amps)

@@ -45,12 +45,13 @@ def qgwz_doc():
     return doc
 
 
-def general_doc():
+def general_doc(dim=2):
     doc = honest_doc()
+    zeros = [[0.0, 0.0]] * (dim - 2)
     doc["attack"] = {
         "kind": "general",
-        "epsilon": [[1.0, 0.0], [0.0, 0.0]],
-        "epsilon_perp": [[0.0, 0.0], [1.0, 0.0]],
+        "epsilon": [[1.0, 0.0], [0.0, 0.0]] + zeros,
+        "epsilon_perp": [[0.0, 0.0], [1.0, 0.0]] + zeros,
         "alpha": [0.6, 0.0],
         "beta": [0.0, 0.8],
         "theta_prime": 1.3,
@@ -284,6 +285,11 @@ MALFORMED = [
     pytest.param(honest_doc, ("protocol", "check_fraction_first"), 0.999999999, ["run"],
                  id="check-fraction-near-1"),
     pytest.param(honest_doc, ("protocol", "agents"), 10**12, ["run"], id="agents-huge"),
+    # The ancilla dimension is capped at attack.MAX_ANCILLA_DIM = 8.
+    pytest.param(sweep_doc, ("run", "sweep", "ancilla_dim"), 16, ["sweep"], id="ancilla-dim-16"),
+    pytest.param(sweep_doc, ("run", "sweep", "ancilla_dim"), 2**40, ["sweep"],
+                 id="ancilla-dim-huge"),
+    pytest.param(lambda: general_doc(dim=16), (), None, ["run"], id="general-epsilon-16"),
 ]
 
 
@@ -313,6 +319,10 @@ UNUSABLE_OUTPUTS = [
     pytest.param("sweep", lambda tmp: ["--out", str(tmp / "missing" / "s.csv")],
                  id="sweep-out-dir"),
     pytest.param("run", lambda tmp: ["--out", str(tmp)], id="run-out-is-dir"),
+    pytest.param("run", lambda tmp: ["--out", str(tmp / ("x" * 300 + ".txt"))],
+                 id="run-out-name-too-long"),
+    pytest.param("sweep", lambda tmp: ["--out", str(tmp / ("x" * 300 + ".csv"))],
+                 id="sweep-out-name-too-long"),
     pytest.param("run", lambda tmp: ["--transcripts", write(tmp, {}, "taken.json"),
                                      "--out", str(tmp / "r.txt")], id="transcripts-is-file"),
 ]

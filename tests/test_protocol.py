@@ -12,6 +12,7 @@ from qsslab.protocol import (
     NullAdversary,
     ProtocolConfig,
     Transcript,
+    disclosed_angles,
     encode_message,
     encryption_phase,
     first_detection,
@@ -20,6 +21,7 @@ from qsslab.protocol import (
     required_sequence_length,
     run_protocol,
     second_detection,
+    sum_angles,
 )
 from qsslab.quantum import (
     State,
@@ -90,7 +92,9 @@ def test_encryption_two_agents_quarter_turns():
     # Drive the rotations with fixed angles through the encryption phase.
     photons, ledger = encryption_phase(prepare_sequence(1)[None], config, [QuarterTurnRng()],
                                        NullAdversary())
-    assert ledger.totals([0], [[0]])[0, 0] == pytest.approx(np.pi / 2, abs=1e-12)
+    assert ledger.shape == (1, 2, 1)
+    totals = sum_angles(disclosed_angles(ledger, [0], [[0]]))
+    assert totals[0, 0] == pytest.approx(np.pi / 2, abs=1e-12)
     assert np.allclose(photons[0, 0], [0, 1], atol=1e-12)  # cos(pi/2)=0
 
 
@@ -98,7 +102,7 @@ def test_ledger_sum_property():
     config = small_config(seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(3))
     photons, ledger = encryption_phase(prepare_sequence(6)[None], config, [rng], NullAdversary())
-    totals = ledger.totals([0], np.arange(6)[None])[0]
+    totals = sum_angles(disclosed_angles(ledger, [0], np.arange(6)[None]))[0]
     for j, row in enumerate(photons[0]):
         expected = State(rotation_operator(totals[j]) @ ket0().amps)
         assert np.max(np.abs(row - expected.amps)) <= 1e-12
@@ -153,9 +157,22 @@ def test_recovery_refuses_with_missing_agent():
     rng = np.random.default_rng(np.random.SeedSequence(9))
     photons, ledger = encryption_phase(prepare_sequence(4)[None], config, [rng], NullAdversary())
     for withheld in range(config.num_agents):
-        partial = ledger.without_agent(withheld)
+        partial = ledger.copy()
+        partial[:, withheld] = np.nan
         with pytest.raises(MissingAngleError):
             recovery_phase(photons, np.arange(4)[None], [0], partial, [rng], NullAdversary())
+
+
+def test_first_detection_refuses_with_missing_agent():
+    # A withheld angle is refused at the announcement, before Alice measures.
+    config = small_config(seed=9)
+    rng = np.random.default_rng(np.random.SeedSequence(9))
+    photons, ledger = encryption_phase(prepare_sequence(4)[None], config, [rng], NullAdversary())
+    for withheld in range(config.num_agents):
+        partial = ledger.copy()
+        partial[:, withheld] = np.nan
+        with pytest.raises(MissingAngleError, match=f"agent {withheld} disclosed no angle"):
+            first_detection(photons, partial, config, [rng], NullAdversary())
 
 
 def test_second_detection_verdicts():

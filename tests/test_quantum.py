@@ -13,18 +13,18 @@ from qsslab.quantum import (
     basis_state,
     canonical_angle,
     check_norms,
+    check_projectors,
     check_unitary,
     global_phase_equal,
     ket0,
     measure_photons_z,
-    measure_projective,
+    measure_projective_rows,
     partial_trace,
     projector,
     rotate_photons,
     rotation_operator,
     tensor,
     trace_distance,
-    z_projectors,
 )
 
 from conftest import random_state, random_unitary
@@ -116,44 +116,47 @@ def test_check_unitary_rejects_non_unitary():
 
 def test_apply_identity_leaves_state():
     st_ = random_state(np.random.default_rng(0), 3)
-    out = apply_unitary(st_, [1], np.eye(2))
-    assert np.allclose(out.amps, st_.amps, atol=1e-15)
+    for op in (np.eye(2), np.eye(8)):
+        out = apply_unitary(st_, op)
+        assert np.allclose(out.amps, st_.amps, atol=1e-15)
 
 
 def test_apply_rotation_on_single_qubit():
     theta = 1.1
-    out = apply_unitary(ket0(), [0], rotation_operator(theta))
+    out = apply_unitary(ket0(), rotation_operator(theta))
     assert np.allclose(out.amps, [np.cos(theta), np.sin(theta)], atol=1e-15)
 
 
 def test_rotation_on_other_qubit_is_local():
-    out = apply_unitary(ket0(2), [1], rotation_operator(0.9))
+    out = apply_unitary(ket0(2), rotation_operator(0.9))
     rho = partial_trace(out, [0])
     assert np.allclose(rho, [[1, 0], [0, 0]], atol=1e-12)
 
 
 def test_apply_unitary_rejects_bad_targets():
-    st_ = ket0(2)
+    # Only the whole register or its last qubit can be targeted: a two-qubit
+    # op on three qubits (a middle pair) and ops too large or not square fail.
+    st_ = ket0(3)
     with pytest.raises(ValueError):
-        apply_unitary(st_, [0, 0], np.eye(4))
+        apply_unitary(st_, np.eye(4))
     with pytest.raises(ValueError):
-        apply_unitary(st_, [2], np.eye(2))
+        apply_unitary(ket0(2), np.eye(8))
     with pytest.raises(ValueError):
-        apply_unitary(st_, [0], np.eye(4))
+        apply_unitary(st_, np.eye(2)[:1])
 
 
 def test_apply_unitary_preserves_norm(rng):
     for _ in range(50):
         n = int(rng.integers(1, 5))
         st_ = random_state(rng, n)
-        k = int(rng.integers(1, n + 1))
-        targets = list(rng.choice(n, size=k, replace=False))
-        out = apply_unitary(st_, targets, random_unitary(rng, 2**k))
+        k = 1 if rng.integers(0, 2) else n
+        out = apply_unitary(st_, random_unitary(rng, 2**k))
         assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
 
 
 def test_apply_unitary_matches_kron_oracle(rng):
-    # Oracle: explicit full matrix I (x) U (x) I for adjacent targets.
+    # Oracle: explicit full matrix I (x) U (x) I. A 2x2 U acts on the last
+    # qubit; on any other qubit it is applied as the full matrix.
     for n in (2, 3):
         for target in range(n):
             st_ = random_state(rng, n)
@@ -162,7 +165,7 @@ def test_apply_unitary_matches_kron_oracle(rng):
             for q in range(n):
                 full = np.kron(full, u if q == target else np.eye(2))
             expected = full @ st_.amps
-            out = apply_unitary(st_, [target], u)
+            out = apply_unitary(st_, u if target == n - 1 else full)
             assert np.max(np.abs(out.amps - expected)) <= 1e-12
 
 
@@ -231,38 +234,38 @@ def test_controlled_matches_brute_force_matrix(rng):
 
 # --- measurement ---
 
+# Z-measurement projectors of one qubit, as one (2, 2, 2) set.
+Z_PROJECTORS = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+
+
 def test_measure_ket0_z():
-    outcome, collapsed, p = measure_projective(ket0(), z_projectors(1, 0), np.random.default_rng(0))
-    assert outcome == 0 and p == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(collapsed.amps, ket0().amps)
+    outcomes, collapsed, probs = measure_projective_rows(
+        ket0().amps[None, :], Z_PROJECTORS, np.random.default_rng(0).random(1)
+    )
+    assert outcomes.tolist() == [0] and probs[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(collapsed[0], ket0().amps)
     outcomes, probs = measure_photons_z(ket0().amps[None, :], np.array([0.999]))
     assert outcomes.tolist() == [0] and probs[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_measure_rotated_state_probability():
     st_ = State(rotation_operator(np.pi / 4) @ ket0().amps)
-    _, _, probs = _measurement_probs(st_)
+    outcomes, probs = measure_photons_z(st_.amps[None, :], np.array([0.0]))
+    assert outcomes.tolist() == [0]
     assert probs[0] == pytest.approx(0.5, abs=1e-12)
 
 
-def _measurement_probs(state):
-    projs = z_projectors(state.num_qubits, 0)
-    p = [float(np.real(np.vdot(state.amps, pr @ state.amps))) for pr in projs]
-    return projs, state, p
-
-
 def test_measure_rejects_incomplete_projectors():
-    p0, _ = z_projectors(1, 0)
+    p0, _ = Z_PROJECTORS
     with pytest.raises(InvariantError):
-        measure_projective(ket0(), [p0, p0], np.random.default_rng(0))
+        check_projectors([p0, p0], 2)
 
 
 def test_measure_rejects_nonorthogonal_projectors():
-    p0, p1 = z_projectors(1, 0)
+    p0, p1 = Z_PROJECTORS
     plus = State(np.array([1, 1]) / np.sqrt(2))
     with pytest.raises(InvariantError):
-        measure_projective(ket0(), [projector(plus), np.eye(2) - projector(plus) + 0.5 * p0, 0.5 * p1],
-                           np.random.default_rng(0))
+        check_projectors([projector(plus), np.eye(2) - projector(plus) + 0.5 * p0, 0.5 * p1], 2)
 
 
 def test_measure_frequencies_match_born_rule():
@@ -286,24 +289,19 @@ def test_measure_entangler_subspace_probability():
     chi = State(rotation_operator(0.3) @ ket0().amps)
     rotated = State(rotation_operator(0.3 + 1.2) @ ket0().amps)
     joint = State(alpha * tensor(eps, chi).amps + beta * tensor(perp, rotated).amps)
-    p_eps = np.kron(projector(eps), np.eye(2))
-    p_perp = np.kron(projector(perp), np.eye(2))
-    hits = 0
+    projs = np.array([np.kron(projector(eps), np.eye(2)), np.kron(projector(perp), np.eye(2))])
+    check_projectors(list(projs), joint.dim)
     rng = np.random.default_rng(5)
-    for _ in range(2000):
-        outcome, _, p = measure_projective(joint, [p_eps, p_perp], rng)
-        if outcome == 0:
-            hits += 1
-            assert p == pytest.approx(alpha**2, abs=1e-12)
+    outcomes, _, probs = measure_projective_rows(np.tile(joint.amps, (2000, 1)), projs,
+                                                 rng.random(2000))
+    hits = int(np.count_nonzero(outcomes == 0))
+    assert probs[outcomes == 0] == pytest.approx(alpha**2, abs=1e-12)
     sigma = np.sqrt(alpha**2 * beta**2 / 2000)
     assert abs(hits / 2000 - alpha**2) <= 4 * sigma
 
 
-class TopUniformRng:
-    """Stand-in generator whose uniform draw is the largest double below 1."""
-
-    def random(self):
-        return 1.0 - 2.0**-53
+# The largest double below 1: the highest uniform a generator can draw.
+TOP_UNIFORM = np.array([1.0 - 2.0**-53])
 
 
 def test_measure_fall_through_picks_last_possible_outcome():
@@ -312,16 +310,18 @@ def test_measure_fall_through_picks_last_possible_outcome():
     # one with positive probability, never a zero-probability one.
     drift = 1.0 - 1e-11
     state = State(np.sqrt(drift) * np.array([0.6, 0.8, 0.0, 0.0], dtype=complex))
-    projs = [np.diag(d).astype(complex) for d in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1])]
-    outcome, collapsed, p = measure_projective(state, projs, TopUniformRng())
-    assert outcome == 1
-    assert p == pytest.approx(0.64 * drift, abs=1e-15)
-    assert np.allclose(collapsed.amps, [0, 1, 0, 0], atol=1e-12)
+    projs = np.array([np.diag(d).astype(complex)
+                      for d in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1])])
+    check_projectors(list(projs), state.dim)
+    outcomes, collapsed, probs = measure_projective_rows(state.amps[None, :], projs, TOP_UNIFORM)
+    assert outcomes.tolist() == [1]
+    assert probs[0] == pytest.approx(0.64 * drift, abs=1e-15)
+    assert np.allclose(collapsed[0], [0, 1, 0, 0], atol=1e-12)
 
     edge = State(np.array([np.sqrt(drift), 0.0], dtype=complex))
-    outcome, collapsed, p = measure_projective(edge, z_projectors(1, 0), TopUniformRng())
-    assert outcome == 0 and p == pytest.approx(drift, abs=1e-15)
-    outcomes, probs = measure_photons_z(edge.amps[None, :], np.array([1.0 - 2.0**-53]))
+    outcomes, _, probs = measure_projective_rows(edge.amps[None, :], Z_PROJECTORS, TOP_UNIFORM)
+    assert outcomes.tolist() == [0] and probs[0] == pytest.approx(drift, abs=1e-15)
+    outcomes, probs = measure_photons_z(edge.amps[None, :], TOP_UNIFORM)
     assert outcomes.tolist() == [0] and probs[0] == pytest.approx(drift, abs=1e-15)
 
 
