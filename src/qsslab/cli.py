@@ -249,8 +249,11 @@ def _check_out(path: str | None) -> None:
 
 def _write_output(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -259,8 +262,12 @@ def _write_output(text: str, out: str | None) -> None:
 def _write_transcripts(results: Iterable[RunResult], directory: str) -> Iterator[RunResult]:
     """Pass runs through, writing each one's transcript to trial_{i:05d}.log."""
     for i, result in enumerate(results):
-        with open(os.path.join(directory, f"trial_{i:05d}.log"), "w") as fh:
-            fh.write(result.transcript.serialize())
+        path = os.path.join(directory, f"trial_{i:05d}.log")
+        try:
+            with open(path, "w") as fh:
+                fh.write(result.transcript.serialize())
+        except OSError as exc:
+            raise ConfigError(f"--transcripts {path}: {exc.strerror}")
         yield result
 
 
@@ -277,7 +284,7 @@ def cmd_run(args) -> tuple[int, str]:
         try:
             os.makedirs(args.transcripts, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"--transcripts {args.transcripts}: {exc}")
+            raise ConfigError(f"--transcripts {args.transcripts}: {exc.strerror}")
 
     results = run_trials(config, scenario.entangler, scenario.rule, trials)
     if args.transcripts is not None:
@@ -471,6 +478,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    except ConfigError as exc:
+        # The --out file opened before the run but took no output (a full disk).
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

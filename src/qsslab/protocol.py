@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,6 +139,9 @@ class ProtocolConfig:
 class Transcript:
     """The rendered key=value lines of one protocol run, one event per line."""
 
+    # The fields that records() parses, and their types.
+    _FIELD_TYPES = {"photon": int, "outcome": int, "angle": float, "probability": float}
+
     def __init__(self, text: str):
         self.text = text
 
@@ -147,6 +150,18 @@ class Transcript:
 
     def serialize(self) -> str:
         return self.text
+
+    def records(self) -> list[dict]:
+        """Each line as a dict of its fields: ``photon`` and ``outcome`` as
+        int, ``angle`` and ``probability`` as float (exact, since they are
+        written as ``.17g``), every other value as its string."""
+        records = []
+        for line in self.to_lines():
+            record = dict(field.split("=", 1) for field in line.split(" "))
+            for key in self._FIELD_TYPES.keys() & record.keys():
+                record[key] = self._FIELD_TYPES[key](record[key])
+            records.append(record)
+        return records
 
     def check_phase_order(self) -> None:
         last = 0
@@ -257,55 +272,93 @@ class RunResult:
 def render_transcript(r: RunResult) -> Transcript:
     """The run's key=value lines, in protocol order, from its recorded outcomes.
 
-    Each phase has line templates with the party names filled in: one
-    ``str.format`` or f-string per photon, floats written as ``.17g``.
+    The preparation and encryption lines depend only on the config's agents
+    and photons, and come from a one-entry cache. Every later phase is one
+    ``%`` format: its per-photon template, repeated, applied to one flat
+    tuple of the run's values. Floats are written as ``%.17g``, which gives
+    the digits of ``{:.17g}``; every ``%d`` gets a Python int.
     """
-    names = [agent_name(k, r.config.num_agents) for k in range(r.config.num_agents)]
-    receiver = names[-1]
+    names = _agent_names(r.config.num_agents)
+    first = r.first_detection
+    ids, outcomes, probs = zip(*first.outcomes)
+    # Fields per photon: photon; photon and angle per agent; photon, outcome
+    # and probability.
+    columns = [ids]
+    for angles in zip(*r.announcements):
+        columns += [ids, angles]
+    columns += [ids, outcomes, probs]
+    check = "".join(
+        ["phase=first-detection kind=AnnouncementRequested party=Alice photon=%d\n"] + [
+            f"phase=first-detection kind=Announced party={name} photon=%d angle=%.17g\n"
+            for name in names
+        ] + [
+            "phase=first-detection kind=Measured party=Alice photon=%d basis=Z "
+            "outcome=%d probability=%.17g\n"
+        ]
+    )
+    parts = [
+        _prefix(r.config.num_agents, r.num_photons),
+        check * len(ids) % _interleave(*columns),
+        _verdict_line(first),
+    ]
+    if r.second_detection is not None:
+        receiver = names[-1]
+        recovery = (
+            f"phase=recovery kind=Sent party=Alice photon=%d to={receiver}\n"
+            f"phase=recovery kind=Measured party={receiver} photon=%d basis=Z "
+            "outcome=%d probability=%.17g\n"
+        )
+        parts += [
+            "phase=encoding kind=Encoded party=Alice photon=%d\n" * len(r.payload_ids)
+            % r.payload_ids,
+            recovery * len(r.payload_ids) % _interleave(
+                r.payload_ids, r.payload_ids, r.decoded_payload, r.recovery_probabilities
+            ),
+            _verdict_line(r.second_detection),
+        ]
+    return Transcript("".join(parts))
+
+
+def _agent_names(num_agents: int) -> list[str]:
+    return [agent_name(k, num_agents) for k in range(num_agents)]
+
+
+def _interleave(*columns) -> tuple:
+    """One flat tuple of equal-length columns, row by row."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return tuple(flat)
+
+
+@lru_cache(maxsize=1)
+def _prefix(num_agents: int, num_photons: int) -> str:
+    """The preparation and encryption lines of every run of this size.
+
+    A campaign renders runs of one config, so one entry serves it all; a
+    run of the largest size has a prefix of about 17 MB.
+    """
+    names = _agent_names(num_agents)
     # Alice sends each photon to the first agent, and each agent rotates it and
     # passes it on. The angle is committed to the ledger but never logged in clear.
-    encryption = "\n".join(
-        [f"phase=encryption kind=Sent party=Alice photon={{0}} to={names[0]}"] + [
+    encryption = "".join(
+        [f"phase=encryption kind=Sent party=Alice photon={{0}} to={names[0]}\n"] + [
             f"phase=encryption kind=Rotated party={name} photon={{0}}\n"
-            f"phase=encryption kind=Sent party={name} photon={{0}} to={dest}"
+            f"phase=encryption kind=Sent party={name} photon={{0}} to={dest}\n"
             for name, dest in zip(names, names[1:] + ["Alice"])
         ]
     )
-    # Fields: photon, one announced angle per agent, outcome, probability.
-    check = "\n".join(
-        ["phase=first-detection kind=AnnouncementRequested party=Alice photon={0}"] + [
-            f"phase=first-detection kind=Announced party={name} photon={{0}} angle={{{i}:.17g}}"
-            for i, name in enumerate(names, 1)
-        ] + [
-            "phase=first-detection kind=Measured party=Alice photon={0} basis=Z "
-            f"outcome={{{len(names) + 1}}} probability={{{len(names) + 2}:.17g}}"
-        ]
+    photons = range(num_photons)
+    return "".join(
+        [f"phase=preparation kind=Prepared party=Alice photon={j}\n" for j in photons]
+        + [encryption.format(j) for j in photons]
     )
-    photons = range(r.num_photons)
-    lines = [f"phase=preparation kind=Prepared party=Alice photon={j}" for j in photons]
-    lines += map(encryption.format, photons)
-    first = r.first_detection
-    lines += [
-        check.format(j, *angles, outcome, prob)
-        for (j, outcome, prob), angles in zip(first.outcomes, r.announcements)
-    ]
-    lines.append(_verdict_line(first))
-    if r.second_detection is not None:
-        lines += [f"phase=encoding kind=Encoded party=Alice photon={j}" for j in r.payload_ids]
-        lines += [
-            f"phase=recovery kind=Sent party=Alice photon={j} to={receiver}\n"
-            f"phase=recovery kind=Measured party={receiver} photon={j} basis=Z "
-            f"outcome={outcome} probability={prob:.17g}"
-            for j, outcome, prob in zip(r.payload_ids, r.decoded_payload, r.recovery_probabilities)
-        ]
-        lines.append(_verdict_line(r.second_detection))
-    return Transcript("\n".join(lines) + "\n")
 
 
 def _verdict_line(verdict: DetectionVerdict) -> str:
     result = "pass" if verdict.passed else "fail"
     failed = ",".join(map(str, verdict.failed_photons)) or "-"
-    return f"phase={verdict.phase} kind=Verdict party=Alice result={result} failed={failed}"
+    return f"phase={verdict.phase} kind=Verdict party=Alice result={result} failed={failed}\n"
 
 
 def required_sequence_length(n_payload: int, check_fraction: float) -> int:

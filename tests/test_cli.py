@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pathlib
@@ -344,6 +345,30 @@ def test_unusable_output_path_exit1(tmp_path, capsys, monkeypatch, command, opti
     assert "Traceback" not in err
     # No report, no directory: the tree is as it was.
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_out_write_failing_after_the_campaign_exit1(tmp_path, capsys):
+    # /dev/full opens, so the up-front check passes; writing the report fails.
+    argv = ["run", write(tmp_path, honest_doc()), "--trials", "2", "--out", "/dev/full"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: --out /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_transcript_write_failing_mid_campaign_exit1(tmp_path, capsys):
+    # The second trial's log name is taken by a directory.
+    tdir = tmp_path / "transcripts"
+    (tdir / "trial_00001.log").mkdir(parents=True)
+    out = tmp_path / "r.txt"
+    argv = ["run", write(tmp_path, honest_doc()), "--trials", "3", "--transcripts", str(tdir),
+            "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    log = tdir / "trial_00001.log"
+    assert err == f"config error: --transcripts {log}: {os.strerror(errno.EISDIR)}\n"
+    assert (tdir / "trial_00000.log").stat().st_size > 0
+    assert not out.exists()
 
 
 JSON_VALUES = st.recursive(

@@ -221,7 +221,7 @@ def test_transcript_lines_match_run(name):
         for token in line.split(" "):
             key, sep, value = token.partition("=")
             assert key and sep and value, line
-    fields = [dict(token.split("=", 1) for token in line.split(" ")) for line in lines]
+    fields = r.transcript.records()
     n, k = r.num_photons, config.num_agents
     checks, payload = len(r.first_detection.outcomes), config.payload_length()
     expected = {"preparation": n, "encryption": n * (2 * k + 1),
@@ -229,10 +229,10 @@ def test_transcript_lines_match_run(name):
     if passes:
         expected.update({"encoding": payload, "recovery": 2 * payload, "second-detection": 1})
     assert Counter(f["phase"] for f in fields) == expected
-    assert [float(f["angle"]) for f in fields if "angle" in f] == [
+    assert [f["angle"] for f in fields if "angle" in f] == [
         angle for row in r.announcements for angle in row
     ]
-    assert [float(f["probability"]) for f in fields if "probability" in f] == [
+    assert [f["probability"] for f in fields if "probability" in f] == [
         p for _, _, p in r.first_detection.outcomes
     ] + list(r.recovery_probabilities)
 
