@@ -46,6 +46,11 @@ REPORT_FIELDS = (
 # trace distance for its report's max_trace_distance.
 THETA_SAMPLES = 20
 
+# Most grid points that one stacked kernel call of ``sweep`` evaluates. The
+# intermediates of a call peak at about 3.7 KB per point at d = 8 (0.46 MB
+# for a full chunk), whatever the size of the grid.
+_SWEEP_CHUNK_POINTS = 128
+
 
 def helstrom_bound(td):
     """Optimal success probability for distinguishing two equiprobable states
@@ -64,42 +69,76 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _encoded_rows(spec: EntanglerSpec, thetas):
-    """The entangler E, and the joint (ancilla, photon) rows E(|eps> (x) U(theta)|0>)
-    with message bit 0 and bit 1 encoded on the photon, shape (2, len(thetas), 2d)."""
-    entangler = build_entangler(spec)
-    thetas = np.asarray(thetas, dtype=float)
-    chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    joint = (spec.epsilon.amps[None, :, None] * chi[:, None, :]).reshape(len(chi), -1)
+def _encoded_rows(specs: list[EntanglerSpec], thetas: np.ndarray):
+    """The stacked entanglers E, shape (S, 2d, 2d), and the joint (ancilla,
+    photon) rows E(|eps> (x) U(theta)|0>) with message bit 0 and bit 1 encoded
+    on the photon, shape (2, S, T, 2d), for S specs of one ancilla dimension
+    and their (S, T) angles."""
+    entanglers = np.stack([build_entangler(spec) for spec in specs])
+    eps = np.stack([spec.epsilon.amps for spec in specs])
+    chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+    joint = (eps[:, None, :, None] * chi[:, :, None, :]).reshape(*thetas.shape, -1)
     # One matrix-vector product per row, as a batched matmul. The row form
     # ``joint @ E.T`` is one gemm whose results differ in the last bits, and
     # so would break the byte-pinned sweep tables and reports.
-    bit0 = (entangler @ joint[..., None])[..., 0]
-    return entangler, np.stack([bit0, apply_photon_op(bit0, MINUS_I_SIGMA_Y)])
+    bit0 = (entanglers[:, None] @ joint[..., None])[..., 0]
+    return entanglers, np.stack([bit0, apply_photon_op(bit0, MINUS_I_SIGMA_Y)])
 
 
 def _trace_distances(rho: np.ndarray) -> np.ndarray:
-    """Trace distance between the bit-0 and bit-1 density matrices, per angle."""
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho[0] - rho[1])), axis=1)
+    """Trace distance between the bit-0 and bit-1 density matrices, per angle.
+    The difference is taken in place, in ``rho[0]``, to save a stack's copy."""
+    diff = rho[0]
+    diff -= rho[1]
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
-def indistinguishability(spec: EntanglerSpec, thetas) -> np.ndarray:
-    """Trace distance between the attacker's post-inverse ancilla states
-    conditioned on message bit 0 vs 1, computed exactly at each photon angle
-    in ``thetas``; ``helstrom_bound`` of it is the best guessing probability."""
-    entangler, rows = _encoded_rows(spec, thetas)
+def _per_ancilla_dim(kernel, specs, thetas) -> np.ndarray:
+    """``kernel(specs, thetas)`` evaluated on the specs of each ancilla
+    dimension as one stack, gathered into one (S, T) array in spec order.
+
+    ``thetas`` is one (T,) vector shared by every spec or one (S, T) row per
+    spec."""
+    specs = list(specs)
+    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.broadcast_to(thetas, (len(specs), thetas.shape[-1]))
+    dims = [spec.ancilla_dim for spec in specs]
+    out = np.empty(thetas.shape)
+    for d in set(dims):
+        idx = [i for i, dim in enumerate(dims) if dim == d]
+        out[idx] = kernel([specs[i] for i in idx], thetas[idx])
+    return out
+
+
+def _ancilla_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
+    entanglers, rows = _encoded_rows(specs, thetas)
     # E^-1 in the same matrix-vector form. Read as a d x 2 (ancilla, photon)
     # matrix M, each row gives the ancilla's reduced state M M^dagger.
-    m = (entangler.conj().T @ rows[..., None]).reshape(*rows.shape[:2], -1, 2)
+    inverses = entanglers.conj().swapaxes(-1, -2)[:, None]
+    m = (inverses @ rows[..., None]).reshape(*rows.shape[:3], -1, 2)
     return _trace_distances(m @ m.conj().swapaxes(-1, -2))
 
 
-def counterfactual_joint_distance(spec: EntanglerSpec, thetas) -> np.ndarray:
-    """Diagnostic: trace distance of the *joint* states when the attacker keeps
-    the photon and skips the inverse entangler. Nonzero for generic theta,
-    which shows the indistinguishability test is sensitive."""
-    _, rows = _encoded_rows(spec, thetas)
+def _joint_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
+    _, rows = _encoded_rows(specs, thetas)
     return _trace_distances(rows[..., :, None] * rows.conj()[..., None, :])
+
+
+def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
+    """Trace distance between the attacker's post-inverse ancilla states
+    conditioned on message bit 0 vs 1, computed exactly for each spec of
+    ``specs`` at each photon angle: shape (S, T), for ``thetas`` one (T,)
+    vector shared by every spec or one (S, T) row per spec.
+    ``helstrom_bound`` of it is the best guessing probability."""
+    return _per_ancilla_dim(_ancilla_distances, specs, thetas)
+
+
+def counterfactual_joint_distance(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
+    """Diagnostic: trace distance of the *joint* states when the attacker keeps
+    the photon and skips the inverse entangler, shaped like
+    ``indistinguishability``. Nonzero for generic theta, which shows the
+    indistinguishability test is sensitive."""
+    return _per_ancilla_dim(_joint_distances, specs, thetas)
 
 
 @dataclass(frozen=True)
@@ -245,7 +284,7 @@ def summarize(
     if attack is not None:
         td_rng = np.random.default_rng(np.random.SeedSequence([config.seed, trials]))
         thetas = td_rng.uniform(0.0, 2 * np.pi, THETA_SAMPLES)
-        max_td = float(indistinguishability(attack, thetas).max())
+        max_td = float(indistinguishability([attack], thetas).max())
     else:
         max_td = 0.0
 
@@ -292,44 +331,58 @@ class SweepGrid:
             )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    theta_prime: float
-    alpha_sq: float
-    theta: float
-    trace_distance: float
-    helstrom: float
-
-
-def grid_spec(grid: SweepGrid, theta_prime: float, alpha_sq: float) -> EntanglerSpec:
+def grid_specs(grid: SweepGrid) -> list[EntanglerSpec]:
+    """The entangler spec of each (theta', alpha^2) pair of ``grid``, alpha^2
+    fastest: the rows of ``sweep(grid)``."""
     n_anc = (grid.ancilla_dim - 1).bit_length()
-    return EntanglerSpec(
-        epsilon=basis_state(n_anc, 0),
-        epsilon_perp=basis_state(n_anc, 1),
-        alpha=float(np.sqrt(alpha_sq)),
-        beta=float(np.sqrt(1.0 - alpha_sq)),
-        theta_prime=theta_prime,
-    )
-
-
-def sweep(grid: SweepGrid) -> list[SweepRow]:
-    grid.validate()
-    rows = []
-    for tp in grid.theta_prime_values:
-        for a2 in grid.alpha_sq_values:
-            tds = indistinguishability(grid_spec(grid, tp, a2), grid.theta_values)
-            rows += [
-                SweepRow(tp, a2, theta, td, helstrom_bound(td))
-                for theta, td in zip(grid.theta_values, tds.tolist())
-            ]
-    return rows
-
-
-def sweep_table(rows: list[SweepRow]) -> str:
-    lines = ["theta_prime,alpha_sq,theta,trace_distance,helstrom"]
-    for r in rows:
-        lines.append(
-            f"{r.theta_prime:.17g},{r.alpha_sq:.17g},{r.theta:.17g},"
-            f"{r.trace_distance:.17g},{r.helstrom:.17g}"
+    epsilon, epsilon_perp = basis_state(n_anc, 0), basis_state(n_anc, 1)
+    return [
+        EntanglerSpec(
+            epsilon=epsilon,
+            epsilon_perp=epsilon_perp,
+            alpha=float(np.sqrt(a2)),
+            beta=float(np.sqrt(1.0 - a2)),
+            theta_prime=tp,
         )
-    return "\n".join(lines) + "\n"
+        for tp in grid.theta_prime_values
+        for a2 in grid.alpha_sq_values
+    ]
+
+
+def sweep(grid: SweepGrid) -> np.ndarray:
+    """Exact trace distance at every point of ``grid``, shape (S, T): one row
+    per spec of ``grid_specs(grid)``, one column per theta.
+
+    The grid is evaluated in chunks of at most ``_SWEEP_CHUNK_POINTS`` points,
+    each one stacked ``indistinguishability`` call, so the peak memory of a
+    sweep does not grow with its grid.
+    """
+    grid.validate()
+    specs = grid_specs(grid)
+    thetas = np.asarray(grid.theta_values, dtype=float)
+    tds = np.empty((len(specs), len(thetas)))
+    n_specs = max(1, _SWEEP_CHUNK_POINTS // len(thetas))
+    n_thetas = min(len(thetas), _SWEEP_CHUNK_POINTS)
+    for s in range(0, len(specs), n_specs):
+        for t in range(0, len(thetas), n_thetas):
+            tds[s:s + n_specs, t:t + n_thetas] = indistinguishability(
+                specs[s:s + n_specs], thetas[t:t + n_thetas]
+            )
+    return tds
+
+
+def sweep_table(grid: SweepGrid, tds: np.ndarray) -> str:
+    """The CSV table of ``sweep(grid)``: one line per grid point, theta
+    fastest, every value written as ``%.17g``."""
+    n_alpha, n_theta = len(grid.alpha_sq_values), len(grid.theta_values)
+    n = tds.size
+    cols = np.empty((n, 5))
+    cols[:, 0] = np.repeat(grid.theta_prime_values, n_alpha * n_theta)
+    cols[:, 1] = np.tile(np.repeat(grid.alpha_sq_values, n_theta), len(grid.theta_prime_values))
+    cols[:, 2] = np.tile(grid.theta_values, n // n_theta)
+    cols[:, 3] = tds.ravel()
+    cols[:, 4] = helstrom_bound(cols[:, 3])
+    return (
+        "theta_prime,alpha_sq,theta,trace_distance,helstrom\n"
+        + "%.17g,%.17g,%.17g,%.17g,%.17g\n" * n % tuple(cols.ravel().tolist())
+    )

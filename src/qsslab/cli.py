@@ -315,7 +315,8 @@ DEFAULT_GRID = SweepGrid(
 def cmd_sweep(args) -> tuple[int, str]:
     scenario = load_scenario(args.config)
     _check_out(args.out)
-    return EXIT_OK, sweep_table(sweep(scenario.grid or DEFAULT_GRID))
+    grid = scenario.grid or DEFAULT_GRID
+    return EXIT_OK, sweep_table(grid, sweep(grid))
 
 
 @dataclass(frozen=True)
@@ -334,13 +335,15 @@ class Fixture:
 def _criterion_2() -> list[Fixture]:
     """100 random entanglers (ancilla dim 2/4/8) x 20 random photon angles."""
     rng = np.random.default_rng(20260823)
-    max_td = inv_err = 0.0
+    specs, thetas = [], []
+    inv_err = 0.0
     for i in range(100):
         spec = random_entangler_spec(rng, ancilla_dim=(2, 4, 8)[i % 3])
         ent = build_entangler(spec)
         inv_err = max(inv_err, float(np.max(np.abs(ent.conj().T @ ent - np.eye(ent.shape[0])))))
-        tds = indistinguishability(spec, rng.uniform(0.0, 2 * np.pi, 20))
-        max_td = max(max_td, float(tds.max()))
+        specs.append(spec)
+        thetas.append(rng.uniform(0.0, 2 * np.pi, 20))
+    max_td = float(indistinguishability(specs, thetas).max())
     return [
         Fixture("ancilla-indistinguishability", max_td, 1e-10),
         # The bound is monotone in the trace distance, rounding included.
@@ -457,6 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Send the rest of stdout, the interpreter's final flush included, to
+    devnull: stdout takes no more output, and a flush that failed again at
+    exit would print to stderr."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     """Run one command, write its output, and return its exit code."""
     parser = build_parser()
@@ -473,11 +485,12 @@ def main(argv=None) -> int:
         _write_output(text, getattr(args, "out", None))
     except BrokenPipeError:
         # The reader of stdout has exited (`qsslab sweep ... | head -n 1`).
-        # Send the rest of stdout, the interpreter's final flush included,
-        # to devnull, so that nothing reaches stderr.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _discard_stdout()
+    except OSError as exc:
+        # Stdout took no output (`qsslab sweep ... > /dev/full`).
+        _discard_stdout()
+        print(f"config error: stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         # The --out file opened before the run but took no output (a full disk).
         print(f"config error: {exc}", file=sys.stderr)

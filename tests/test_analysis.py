@@ -5,7 +5,7 @@ from qsslab.analysis import (
     ScenarioReport,
     SweepGrid,
     counterfactual_joint_distance,
-    grid_spec,
+    grid_specs,
     helstrom_bound,
     indistinguishability,
     monte_carlo,
@@ -26,15 +26,15 @@ BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 def test_indistinguishability_below_tolerance(rng):
     for _ in range(30):
         spec = random_entangler_spec(rng)
-        tds = indistinguishability(spec, rng.uniform(0, 2 * np.pi, 5))
-        assert tds.shape == (5,)
+        tds = indistinguishability([spec], rng.uniform(0, 2 * np.pi, 5))
+        assert tds.shape == (1, 5)
         assert np.all(tds <= 1e-10)
         assert np.all(helstrom_bound(tds) <= 0.5 + 5e-11)
 
 
 def test_indistinguishability_beta_zero_exact():
     spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 1.0, 0.0, 0.7)
-    (td,) = indistinguishability(spec, [0.9])
+    ((td,),) = indistinguishability([spec], [0.9])
     assert td == pytest.approx(0.0, abs=1e-14)
     assert helstrom_bound(td) == pytest.approx(0.5, abs=1e-14)
 
@@ -46,17 +46,30 @@ def test_indistinguishability_batch_size_independent(rng, dim):
     for _ in range(5):
         spec = random_entangler_spec(rng, ancilla_dim=dim)
         thetas = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0, 2 * np.pi, 17)])
-        batch = indistinguishability(spec, thetas)
-        singles = [indistinguishability(spec, [t])[0] for t in thetas]
+        (batch,) = indistinguishability([spec], thetas)
+        singles = [indistinguishability([spec], [t])[0, 0] for t in thetas]
         assert batch.tolist() == singles
-        assert indistinguishability(spec, thetas[::-1]).tolist() == singles[::-1]
+        assert indistinguishability([spec], thetas[::-1])[0].tolist() == singles[::-1]
+
+
+def test_indistinguishability_stack_independent(rng):
+    # A spec's row has the same bits alone or stacked with other specs, of
+    # any ancilla dimension, with its own angles or with angles shared by all.
+    specs = [random_entangler_spec(rng, ancilla_dim=(2, 8, 4, 8)[i % 4]) for i in range(9)]
+    thetas = rng.uniform(-10.0, 20.0, (9, 6))
+    singles = [indistinguishability([s], t)[0].tolist() for s, t in zip(specs, thetas)]
+    assert indistinguishability(specs, thetas).tolist() == singles
+    shared = [indistinguishability([s], thetas[0])[0].tolist() for s in specs]
+    assert indistinguishability(specs, thetas[0]).tolist() == shared
+    joint = [counterfactual_joint_distance([s], t)[0].tolist() for s, t in zip(specs, thetas)]
+    assert counterfactual_joint_distance(specs, thetas).tolist() == joint
 
 
 def test_counterfactual_pipeline_is_sensitive(rng):
     # Keeping the photon (no inverse entangler) the bit is visible: this
     # confirms the indistinguishability test could detect a broken pipeline.
     spec = qgwz_spec(BELL)
-    assert counterfactual_joint_distance(spec, [0.7])[0] > 0.1
+    assert counterfactual_joint_distance([spec], [0.7])[0, 0] > 0.1
 
 
 def test_helstrom_relation():
@@ -153,24 +166,34 @@ def test_sweep_full_grid():
         alpha_sq_values=(0.0, 0.25, 0.5, 0.75, 1.0),
         theta_values=tuple(np.linspace(0, 2 * np.pi, 5, endpoint=False)),
     )
-    rows = sweep(grid)
-    assert len(rows) == 125
-    assert all(r.trace_distance <= 1e-10 for r in rows)
-    zero_rows = [r for r in rows if r.theta_prime == 0.0]
-    assert all(r.trace_distance <= 1e-12 for r in zero_rows)
+    tds = sweep(grid)
+    assert tds.size == 125
+    assert np.all(tds <= 1e-10)
+    theta_prime = np.repeat(grid.theta_prime_values, len(grid.alpha_sq_values))
+    zero_rows = tds[theta_prime == 0.0]
+    assert zero_rows.size and np.all(zero_rows <= 1e-12)
 
 
 def test_sweep_single_point():
-    rows = sweep(SweepGrid((0.5,), (0.5,), (1.0,)))
-    assert len(rows) == 1
+    tds = sweep(SweepGrid((0.5,), (0.5,), (1.0,)))
+    assert tds.shape == (1, 1)
 
 
 def test_sweep_order_independent():
     grid = SweepGrid((0.3, 1.2), (0.25, 0.75), (0.0, 2.0))
-    rows = {(r.theta_prime, r.alpha_sq, r.theta): r.trace_distance for r in sweep(grid)}
+    tds = sweep(grid)
+    rows = {
+        (tp, a2, th): tds[i * len(grid.alpha_sq_values) + j, k]
+        for i, tp in enumerate(grid.theta_prime_values)
+        for j, a2 in enumerate(grid.alpha_sq_values)
+        for k, th in enumerate(grid.theta_values)
+    }
     for (tp, a2, th), td in rows.items():
-        spec = grid_spec(grid, tp, a2)
-        assert indistinguishability(spec, [th])[0] == td
+        spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1),
+                             np.sqrt(a2), np.sqrt(1.0 - a2), tp)
+        assert indistinguishability([spec], [th])[0, 0] == td
+    assert grid_specs(grid)[1] == EntanglerSpec(basis_state(1, 0), basis_state(1, 1),
+                                                np.sqrt(0.75), np.sqrt(0.25), 0.3)
 
 
 def test_sweep_rejects_empty_grid():
@@ -179,7 +202,8 @@ def test_sweep_rejects_empty_grid():
 
 
 def test_sweep_table_format():
-    text = sweep_table(sweep(SweepGrid((0.5,), (0.5,), (1.0,))))
+    grid = SweepGrid((0.5,), (0.5,), (1.0,))
+    text = sweep_table(grid, sweep(grid))
     lines = text.strip().splitlines()
     assert lines[0] == "theta_prime,alpha_sq,theta,trace_distance,helstrom"
     assert len(lines) == 2

@@ -254,6 +254,26 @@ def test_sweep_into_closed_pipe_exits_quietly():
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["run", "configs/honest.json", "--trials", "2"],
+    ["sweep", "configs/qgwz.json"],
+], ids=["run", "sweep"])
+def test_stdout_on_full_device_is_a_config_error(argv):
+    # `qsslab ... > /dev/full` in a real interpreter: one config error line,
+    # and nothing else on stderr, not even at the interpreter's final flush.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsslab.cli", *argv], cwd=root,
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_CONFIG, f"config error: stdout: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
 # (scenario, path of the replaced value, value, qsslab command and options).
 # Each case must exit 1 with a config error: no traceback, and no run with a
 # value other than the one given.
