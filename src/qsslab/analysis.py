@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ from .attack import (
 )
 from .protocol import (
     MAX_RUN_SIZE,
+    BatchResult,
     ProtocolConfig,
     RunResult,
     config_to_dict,
@@ -201,7 +203,7 @@ def run_batch(
     trial_indices: Iterable[int],
     attack: EntanglerSpec | None,
     rule: GuessRule,
-) -> list[RunResult]:
+) -> BatchResult:
     """Run the trials ``trial_indices`` of a campaign as one batch.
 
     Trial i runs with seed ``derive_seed(config.seed, i)``; its result is the
@@ -223,55 +225,52 @@ def run_trial(
     return run_batch(config, [trial_index], attack, rule)[0]
 
 
+def run_batches(
+    config: ProtocolConfig,
+    attack: EntanglerSpec | None,
+    rule: GuessRule,
+    trials: int,
+) -> Iterator[BatchResult]:
+    """Yield the batches (``run_batch``) of trials 0 .. trials-1, in order.
+
+    A batch holds as many trials as fit in ``MAX_RUN_SIZE`` photons x
+    agents, and at least one, so a campaign streams one batch at a time.
+    """
+    config.validate()
+    per_batch = max(1, MAX_RUN_SIZE // (config.sequence_length() * config.num_agents))
+    for start in range(0, trials, per_batch):
+        yield run_batch(config, range(start, min(start + per_batch, trials)), attack, rule)
+
+
 def run_trials(
     config: ProtocolConfig,
     attack: EntanglerSpec | None,
     rule: GuessRule,
     trials: int,
 ) -> Iterator[RunResult]:
-    """Yield the runs of trials 0 .. trials-1, in order.
-
-    Trials run in batches (``run_batch``) of as many trials as fit in
-    ``MAX_RUN_SIZE`` photons x agents, and at least one, so a campaign
-    streams one batch at a time.
-    """
-    config.validate()
-    per_batch = max(1, MAX_RUN_SIZE // (config.sequence_length() * config.num_agents))
-    for start in range(0, trials, per_batch):
-        batch = run_batch(config, range(start, min(start + per_batch, trials)), attack, rule)
-        # Let go of each run as it is handed over, so that a consumer which
-        # renders transcripts holds one run's transcript, not a batch's.
-        batch.reverse()
-        while batch:
-            yield batch.pop()
+    """Yield the runs of trials 0 .. trials-1, in order, each built when it
+    is yielded from its batch (``run_batches``)."""
+    for batch in run_batches(config, attack, rule, trials):
+        yield from batch
 
 
 def summarize(
     config: ProtocolConfig,
     attack: EntanglerSpec | None,
-    results: Iterable[RunResult],
+    results: Iterable[BatchResult | RunResult],
 ) -> ScenarioReport:
-    """Fold a stream of protocol runs into a ScenarioReport in one pass.
+    """Fold a stream of batches or single runs into a ScenarioReport in one
+    pass.
 
-    No run is kept, so a campaign's memory does not grow with its length.
-    The report does not depend on the order of ``results``.
+    Each item gives its integer counts (``BatchResult.counts``, or the
+    bit-by-bit ``RunResult.counts``). No item is kept, so a campaign's
+    memory does not grow with its length, and the report does not depend on
+    how the runs are grouped or ordered.
     """
-    trials = first_passes = 0
-    decoded_bits = correct_bits = 0
-    guessed_bits = guessed_correct = 0
-    for r in results:
-        trials += 1
-        if r.first_detection.passed:
-            first_passes += 1
-        if r.decoded_message is None:
-            continue
-        decoded_bits += len(r.message)
-        correct_bits += sum(1 for a, b in zip(r.message, r.decoded_message) if a == b)
-        if attack is not None:
-            for pid, bit in zip(r.message_photon_ids, r.message):
-                if pid in r.guesses:
-                    guessed_bits += 1
-                    guessed_correct += int(r.guesses[pid] == bit)
+    totals = (0,) * 6
+    for item in results:
+        totals = tuple(map(sum, zip(totals, item.counts())))
+    trials, first_passes, decoded_bits, correct_bits, guessed_bits, guessed_correct = totals
     if trials == 0:
         raise ValueError("trials must be >= 1")
 
@@ -309,7 +308,7 @@ def monte_carlo(
     trials: int = 100,
 ) -> ScenarioReport:
     """Aggregate ``trials`` independent protocol runs into a ScenarioReport."""
-    return summarize(config, attack, run_trials(config, attack, rule or GuessRule(), trials))
+    return summarize(config, attack, run_batches(config, attack, rule or GuessRule(), trials))
 
 
 @dataclass(frozen=True)
@@ -324,6 +323,8 @@ class SweepGrid:
             raise ValueError("sweep grid lists must be nonempty")
         if any(not 0.0 <= a <= 1.0 for a in self.alpha_sq_values):
             raise ValueError("alpha_sq values must lie in [0, 1]")
+        if not all(map(math.isfinite, [*self.theta_prime_values, *self.theta_values])):
+            raise ValueError("theta_prime and theta values must be finite")
         d = self.ancilla_dim
         if not 2 <= d <= MAX_ANCILLA_DIM or d & (d - 1):
             raise ValueError(

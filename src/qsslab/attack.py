@@ -268,14 +268,16 @@ class EntanglingAdversary:
         self.adaptive = adaptive
         self.entangler = build_entangler(spec)
         self._joint_projs, self._ancilla_projs = _projector_sets(spec)
-        # Per trial: final ancilla outcome by photon id.
-        self.final_outcomes: list[dict[int, int]] = [{} for _ in self.rngs]
+        # Final ancilla outcome per (trial, photon): 0 for eps, 1 for eps_perp,
+        # -1 where no ancilla was measured. Sized by the forward hook.
+        self.final_outcomes: np.ndarray | None = None
         # Ancilla factors split off returning photons: (trials, photon ids, rows).
         self._returned: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
         if amps.shape[-1] != 2:
             raise InvariantError("attack expects a bare single-photon state on the channel")
+        self.final_outcomes = np.full(photon_ids.shape, -1)
         joint = self.spec.epsilon.amps[:, None] * amps[..., None, :]
         rows = joint.reshape(-1, 2 * self.spec.ancilla_dim)
         return (rows @ self.entangler.T).reshape(*amps.shape[:-1], -1)
@@ -321,10 +323,10 @@ class EntanglingAdversary:
         self._returned = (np.asarray(trials), np.asarray(photon_ids), ancilla)
         return photon.reshape(*amps.shape[:-1], 2)
 
-    def on_finish(self) -> list[dict[int, int]]:
-        """Measure the kept ancillas; one dict of bit guesses per trial, empty
-        for a trial whose photons never returned."""
-        guesses: list[dict[int, int]] = [{} for _ in self.rngs]
+    def on_finish(self) -> np.ndarray:
+        """Measure the kept ancillas; the bit guess per (trial, photon), -1
+        for a photon whose ancilla was not measured: every check photon, and
+        every photon of a trial whose photons never returned."""
         if self._returned is not None:
             trials, photon_ids, ancillas = self._returned
             outcomes, _, probs = measure_projective_rows(
@@ -338,12 +340,8 @@ class EntanglingAdversary:
                     "final ancilla outcome outside span(eps, eps_perp), probability "
                     f"{probs[residual[0]]}"
                 )
-            outcomes = outcomes.reshape(photon_ids.shape)
-            for t, ids, outs, bits in zip(trials.tolist(), photon_ids.tolist(),
-                                          outcomes.tolist(), self.rule(outcomes).tolist()):
-                self.final_outcomes[t] = dict(zip(ids, outs))
-                guesses[t] = dict(zip(ids, bits))
-        return guesses
+            self.final_outcomes[trials[:, None], photon_ids] = outcomes.reshape(photon_ids.shape)
+        return np.where(self.final_outcomes < 0, -1, self.rule(self.final_outcomes))
 
 
 def random_entangler_spec(rng: np.random.Generator, ancilla_dim: int | None = None) -> EntanglerSpec:

@@ -20,7 +20,7 @@ from .analysis import (
     SweepGrid,
     helstrom_bound,
     indistinguishability,
-    run_trials,
+    run_batches,
     summarize,
     sweep,
     sweep_table,
@@ -35,7 +35,7 @@ from .attack import (
     random_entangler_spec,
     split_product,
 )
-from .protocol import ConfigError, ProtocolConfig, RunResult, with_seed
+from .protocol import BatchResult, ConfigError, ProtocolConfig, with_seed
 from .quantum import (
     MINUS_I_SIGMA_Y,
     InvariantError,
@@ -259,16 +259,23 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.flush()
 
 
-def _write_transcripts(results: Iterable[RunResult], directory: str) -> Iterator[RunResult]:
-    """Pass runs through, writing each one's transcript to trial_{i:05d}.log."""
-    for i, result in enumerate(results):
-        path = os.path.join(directory, f"trial_{i:05d}.log")
-        try:
-            with open(path, "w") as fh:
-                fh.write(result.transcript.serialize())
-        except OSError as exc:
-            raise ConfigError(f"--transcripts {path}: {exc.strerror}")
-        yield result
+def _write_transcripts(
+    batches: Iterable[BatchResult], directory: str
+) -> Iterator[BatchResult]:
+    """Pass batches through, writing the transcript of each of their runs to
+    trial_{i:05d}.log. Runs are built from their batch one at a time, so
+    one run's transcript is held at once."""
+    first = 0
+    for batch in batches:
+        for i, result in enumerate(batch, first):
+            path = os.path.join(directory, f"trial_{i:05d}.log")
+            try:
+                with open(path, "w") as fh:
+                    fh.write(result.transcript.serialize())
+            except OSError as exc:
+                raise ConfigError(f"--transcripts {path}: {exc.strerror}")
+        first += len(batch)
+        yield batch
 
 
 def cmd_run(args) -> tuple[int, str]:
@@ -286,10 +293,10 @@ def cmd_run(args) -> tuple[int, str]:
         except OSError as exc:
             raise ConfigError(f"--transcripts {args.transcripts}: {exc.strerror}")
 
-    results = run_trials(config, scenario.entangler, scenario.rule, trials)
+    batches = run_batches(config, scenario.entangler, scenario.rule, trials)
     if args.transcripts is not None:
-        results = _write_transcripts(results, args.transcripts)
-    report = summarize(config, scenario.entangler, results)
+        batches = _write_transcripts(batches, args.transcripts)
+    report = summarize(config, scenario.entangler, batches)
 
     if args.format == "json-lines":
         text = report.to_json_line() + "\n"

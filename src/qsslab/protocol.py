@@ -16,12 +16,15 @@ photon: D is 2 on an honest channel and 2*d once an adversary has attached
 a d-dimensional ancilla. Every phase is a few array operations on that
 array, and adversary hooks take and return batches with the same trial
 axis. Each run still draws from its own generators, exactly what it draws
-alone. A transcript is rendered from its run's recorded outcomes when it is
-first read.
+alone. A batch's results stay arrays with the same trial axis
+(``BatchResult``); one run's ``RunResult`` is built from them only when it
+is read, and its transcript is rendered from its recorded outcomes when it
+is first read.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -215,11 +218,9 @@ class NullAdversary:
     row of joint states with the photon as the last qubit. Trials that fail
     the first detection take no further part, so ``on_photon_return`` also
     gets the positions in the batch of the trials it sees. ``on_finish``
-    returns one dict of bit guesses per trial.
+    returns the guessed bit of each photon, shape (trials, photons), with -1
+    for no guess, or None when the hook guesses nothing.
     """
-
-    def __init__(self, trials: int = 1):
-        self.trials = trials
 
     def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
         return amps
@@ -234,8 +235,8 @@ class NullAdversary:
     ) -> np.ndarray:
         return amps
 
-    def on_finish(self) -> list[dict[int, int]]:
-        return [{} for _ in range(self.trials)]
+    def on_finish(self) -> np.ndarray | None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -267,6 +268,125 @@ class RunResult:
     @cached_property
     def transcript(self) -> Transcript:
         return render_transcript(self)
+
+    def counts(self) -> tuple[int, int, int, int, int, int]:
+        """This run's ``BatchResult.counts``, counted bit by bit: the
+        reference for the batch's array reductions."""
+        passed = int(self.first_detection.passed)
+        if self.decoded_message is None:
+            return 1, passed, 0, 0, 0, 0
+        correct = sum(1 for a, b in zip(self.message, self.decoded_message) if a == b)
+        guesses = [
+            int(self.guesses[pid] == bit)
+            for pid, bit in zip(self.message_photon_ids, self.message)
+            if pid in self.guesses
+        ]
+        return 1, passed, len(self.message), correct, len(guesses), sum(guesses)
+
+
+@dataclass(frozen=True, eq=False)
+class BatchResult(Sequence):
+    """The runs of one batch (``run_protocol_batch``) as arrays with a
+    leading trial axis.
+
+    As a sequence it holds one ``RunResult`` per seed: ``len``, indexing and
+    iteration build run t's ``RunResult`` from row t when it is read, so a
+    consumer that only counts (``counts``) builds none.
+    """
+
+    config: ProtocolConfig
+    seeds: tuple[int, ...]
+    num_photons: int
+    messages: np.ndarray  # (trials, message bits)
+    check_ids: np.ndarray  # (trials, checks), sorted
+    check_outcomes: np.ndarray  # (trials, checks)
+    check_probabilities: np.ndarray  # (trials, checks)
+    announcements: np.ndarray  # (trials, checks, agents)
+    first_passed: np.ndarray  # (trials,)
+    # The trials that passed the first detection, and their rows below.
+    live: np.ndarray  # (live,)
+    payload_ids: np.ndarray  # (live, payload), sorted
+    check_positions: np.ndarray  # (live, second checks), sorted positions in the payload
+    check_bits: np.ndarray  # (live, second checks)
+    decoded_payload: np.ndarray  # (live, payload)
+    recovery_probabilities: np.ndarray  # (live, payload)
+    # The adversary's bit guess per (trial, photon), -1 for none; None when
+    # the adversary guesses nothing.
+    guesses: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, t: int) -> RunResult:
+        t = range(len(self))[t]
+        ids, outcomes, probs = (
+            a[t].tolist() for a in (self.check_ids, self.check_outcomes, self.check_probabilities)
+        )
+        failed = tuple(j for j, o in zip(ids, outcomes) if o != 0)
+        guesses = {}
+        if self.guesses is not None:
+            (guessed,) = np.nonzero(self.guesses[t] >= 0)
+            guesses = dict(zip(guessed.tolist(), self.guesses[t, guessed].tolist()))
+        second = _FAILED_FIRST_DETECTION if failed else self._second_fields(
+            int(np.searchsorted(self.live, t))
+        )
+        return RunResult(
+            with_seed(self.config, self.seeds[t]),
+            tuple(self.messages[t].tolist()),
+            first_detection=DetectionVerdict(
+                "first-detection", not failed, failed, tuple(zip(ids, outcomes, probs))
+            ),
+            guesses=guesses,
+            num_photons=self.num_photons,
+            announcements=tuple(map(tuple, self.announcements[t].tolist())),
+            **second,
+        )
+
+    def __iter__(self) -> Iterator[RunResult]:
+        return map(self.__getitem__, range(len(self)))
+
+    def _second_fields(self, i: int) -> dict:
+        """The RunResult fields of live row ``i`` after the first detection."""
+        is_message = self._is_message[i]
+        decoded = self.decoded_payload[i].tolist()
+        positions = tuple(self.check_positions[i].tolist())
+        return dict(
+            decoded_message=tuple(self.decoded_payload[i, is_message].tolist()),
+            second_detection=second_detection(decoded, positions, self.check_bits[i].tolist()),
+            message_photon_ids=tuple(self.payload_ids[i, is_message].tolist()),
+            check_positions=positions,
+            recovery_probabilities=tuple(self.recovery_probabilities[i].tolist()),
+            payload_ids=tuple(self.payload_ids[i].tolist()),
+            decoded_payload=tuple(decoded),
+        )
+
+    @cached_property
+    def _is_message(self) -> np.ndarray:
+        """Which payload positions of each live row carry message bits."""
+        mask = np.ones(self.payload_ids.shape, dtype=bool)
+        mask[np.arange(len(mask))[:, None], self.check_positions] = False
+        return mask
+
+    def counts(self) -> tuple[int, int, int, int, int, int]:
+        """(trials, first-detection passes, decoded message bits, correctly
+        decoded bits, guessed message bits, correct guesses), summed over the
+        batch: the integers that ``analysis.summarize`` adds up."""
+        messages = self.messages[self.live]
+        decoded = self.decoded_payload[self._is_message].reshape(messages.shape)
+        guessed = correct = 0
+        if self.guesses is not None:
+            ids = self.payload_ids[self._is_message].reshape(messages.shape)
+            bits = self.guesses[self.live[:, None], ids]
+            guessed = int(np.count_nonzero(bits >= 0))
+            correct = int(np.count_nonzero(bits == messages))
+        return (
+            len(self),
+            int(np.count_nonzero(self.first_passed)),
+            messages.size,
+            int(np.count_nonzero(decoded == messages)),
+            guessed,
+            correct,
+        )
 
 
 def render_transcript(r: RunResult) -> Transcript:
@@ -420,13 +540,15 @@ def first_detection(
     config: ProtocolConfig,
     rngs: list[np.random.Generator],
     adversary: NullAdversary,
-) -> tuple[list[DetectionVerdict], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Alice checks a random sample of each trial's photons: every agent
     announces its angle for each sampled photon, Alice undoes the announced
     sum and measures Z.
 
-    Returns one verdict per trial and the announced angles, shape
-    (trials, n_checks, n_agents).
+    Returns, per trial, the sorted check photon ids, their outcomes and the
+    Born probabilities of those outcomes, each (trials, n_checks), and the
+    announced angles, (trials, n_checks, n_agents). A trial passes when all
+    its outcomes are 0.
     """
     trials, n = photons.shape[:2]
     n_checks = math.ceil(config.check_fraction_first * n)
@@ -442,17 +564,12 @@ def first_detection(
     # Each trial draws its uniforms after its check ids, as a run alone does.
     uniforms = np.concatenate([rng.random(n_checks) for rng in rngs])
     outcomes, probs = measure_photons_z(checked.reshape(len(uniforms), -1), uniforms)
-    verdicts = []
-    for ids, outs, ps in zip(
-        check_ids.tolist(),
-        outcomes.reshape(trials, n_checks).tolist(),
-        probs.reshape(trials, n_checks).tolist(),
-    ):
-        failed = tuple(j for j, o in zip(ids, outs) if o != 0)
-        verdicts.append(
-            DetectionVerdict("first-detection", not failed, failed, tuple(zip(ids, outs, ps)))
-        )
-    return verdicts, announced.transpose(1, 2, 0)
+    return (
+        check_ids,
+        outcomes.reshape(trials, n_checks),
+        probs.reshape(trials, n_checks),
+        announced.transpose(1, 2, 0),
+    )
 
 
 def encode_message(photons: np.ndarray, bits) -> np.ndarray:
@@ -514,7 +631,7 @@ def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
 
 def run_protocol_batch(
     config: ProtocolConfig, seeds, adversary_factory=None
-) -> list[RunResult]:
+) -> BatchResult:
     """Execute one protocol run of ``config`` per seed, all as one batch.
 
     The runs differ only in their seeds, so they share every shape: each
@@ -528,37 +645,35 @@ def run_protocol_batch(
     one per run, and returns an adversary hook for the whole batch.
     """
     config.validate()
-    seeds = list(seeds)
+    seeds = tuple(seeds)
     if not seeds:
-        return []
+        raise ValueError("a batch needs at least one seed")
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
     rngs = [np.random.default_rng(proto_ss) for proto_ss, _ in streams]
     if adversary_factory:
         adversary = adversary_factory([np.random.default_rng(adv_ss) for _, adv_ss in streams])
     else:
-        adversary = NullAdversary(len(seeds))
+        adversary = NullAdversary()
 
     if config.message_bits is not None:
-        messages = [tuple(int(b) for b in config.message_bits)] * len(seeds)
+        messages = np.tile(np.array(config.message_bits, dtype=int), (len(seeds), 1))
     else:
-        messages = [tuple(rng.integers(0, 2, size=config.message_length).tolist()) for rng in rngs]
+        messages = np.stack([rng.integers(0, 2, size=config.message_length) for rng in rngs])
     n_total = config.sequence_length()
     photons = prepare_sequence(len(seeds) * n_total).reshape(len(seeds), n_total, 2)
     photons, ledger = encryption_phase(photons, config, rngs, adversary)
-    firsts, announced = first_detection(photons, ledger, config, rngs, adversary)
-    live = np.array([t for t, first in enumerate(firsts) if first.passed], dtype=int)
-    second = _second_phase(photons, live, firsts, messages, ledger, rngs, adversary, config)
-
-    return [
-        RunResult(
-            with_seed(config, seed), message, first_detection=first, guesses=guesses,
-            num_photons=n_total, announcements=tuple(map(tuple, announcements)),
-            **second.get(t, _FAILED_FIRST_DETECTION),
-        )
-        for t, (seed, message, first, guesses, announcements) in enumerate(zip(
-            seeds, messages, firsts, adversary.on_finish(), announced.tolist(), strict=True
-        ))
-    ]
+    check_ids, outcomes, probs, announced = first_detection(
+        photons, ledger, config, rngs, adversary
+    )
+    first_passed = ~outcomes.any(axis=1)
+    live = np.flatnonzero(first_passed)
+    second = _second_phase(
+        photons, live, check_ids[live], messages[live], ledger, rngs, adversary, config
+    )
+    return BatchResult(
+        config, seeds, n_total, messages, check_ids, outcomes, probs, announced,
+        first_passed, live, *second, adversary.on_finish(),
+    )
 
 
 # The RunResult fields of a run that stops at the first detection.
@@ -567,52 +682,40 @@ _FAILED_FIRST_DETECTION = dict(
 )
 
 
-def _second_phase(photons, live, firsts, messages, ledger, rngs, adversary, config) -> dict:
-    """Encoding, recovery and second detection for the trials ``live`` that
-    passed the first detection: the remaining RunResult fields of each, by
-    trial position."""
-    if not live.size:
-        return {}
+def _second_phase(photons, live, check_ids, messages, ledger, rngs, adversary, config) -> tuple:
+    """Encoding and recovery for the trials ``live`` that passed the first
+    detection, given their check ids and messages.
+
+    Returns one row per live trial of: payload photon ids, second-check
+    positions in the payload and their bits, decoded payload bits, and
+    their Born probabilities. The second detection's verdict is read from
+    these when a run is built (``BatchResult``).
+    """
     n_payload, n_second = config.payload_length(), config.num_second_checks
+    positions = np.zeros((len(live), n_second), dtype=int)
+    check_bits = np.zeros((len(live), n_second), dtype=int)
+    if not live.size:
+        no_payload = np.zeros((0, n_payload), dtype=int)
+        return no_payload, positions, check_bits, no_payload, np.zeros((0, n_payload))
+    rows = np.arange(len(live))[:, None]
     is_payload = np.ones((len(live), photons.shape[1]), dtype=bool)
-    check_ids = np.array([[j for j, _, _ in firsts[t].outcomes] for t in live])
-    is_payload[np.arange(len(live))[:, None], check_ids] = False
+    is_payload[rows, check_ids] = False
     payload_ids = np.nonzero(is_payload)[1].reshape(len(live), n_payload)
 
+    if n_second > 0:
+        for i, rng in enumerate(rngs[t] for t in live):
+            # Each trial draws its second-detection positions, then their bits.
+            positions[i] = np.sort(rng.choice(n_payload, n_second, replace=False))
+            check_bits[i] = rng.integers(0, 2, size=n_second)
     is_check = np.zeros((len(live), n_payload), dtype=bool)
+    is_check[rows, positions] = True
     payload_bits = np.zeros((len(live), n_payload), dtype=int)
-    positions, check_bits = [], []
-    for i, t in enumerate(live):
-        # Each trial draws its second-detection positions, then their bits.
-        pos, bits = (), ()
-        if n_second > 0:
-            pos = tuple(sorted(rngs[t].choice(n_payload, n_second, replace=False).tolist()))
-            bits = tuple(rngs[t].integers(0, 2, size=n_second).tolist())
-        positions.append(pos)
-        check_bits.append(bits)
-        is_check[i, list(pos)] = True
-        payload_bits[i, list(pos)] = bits
-    payload_bits[~is_check] = np.ravel([messages[t] for t in live])
+    payload_bits[rows, positions] = check_bits
+    payload_bits[~is_check] = messages.ravel()
 
     encoded = encode_message(photons[live[:, None], payload_ids], payload_bits)
     decoded, probs = recovery_phase(encoded, payload_ids, live, ledger, rngs, adversary)
-    n_message = n_payload - n_second
-    decoded_message = decoded[~is_check].reshape(len(live), n_message).tolist()
-    message_ids = payload_ids[~is_check].reshape(len(live), n_message).tolist()
-    return {
-        t: dict(
-            decoded_message=tuple(decoded_message[i]),
-            second_detection=second_detection(decoded_payload, positions[i], check_bits[i]),
-            message_photon_ids=tuple(message_ids[i]),
-            check_positions=positions[i],
-            recovery_probabilities=tuple(probs[i].tolist()),
-            payload_ids=tuple(payload),
-            decoded_payload=tuple(decoded_payload),
-        )
-        for i, (t, payload, decoded_payload) in enumerate(
-            zip(live.tolist(), payload_ids.tolist(), decoded.tolist())
-        )
-    }
+    return payload_ids, positions, check_bits, decoded, probs
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:

@@ -201,6 +201,19 @@ def test_sweep_rejects_empty_grid():
         sweep(SweepGrid((), (0.5,), (1.0,)))
 
 
+@pytest.mark.parametrize("theta_prime, theta", [
+    ((0.5,), (np.nan, np.inf)),
+    ((0.5,), (1.0, -np.inf)),
+    ((np.nan,), (1.0,)),
+    ((np.inf, 0.5), (1.0,)),
+])
+def test_sweep_rejects_non_finite_angles(theta_prime, theta):
+    # A library caller gets the documented ValueError, as the CLI gives a
+    # config error, never rows of nan or an error from a spec.
+    with pytest.raises(ValueError, match="must be finite"):
+        sweep(SweepGrid(theta_prime, (0.5,), theta, 2))
+
+
 def test_sweep_table_format():
     grid = SweepGrid((0.5,), (0.5,), (1.0,))
     text = sweep_table(grid, sweep(grid))

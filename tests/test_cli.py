@@ -354,7 +354,7 @@ def test_unusable_output_path_exit1(tmp_path, capsys, monkeypatch, command, opti
     def refuse(*args):
         raise AssertionError("the campaign started before the output path was checked")
 
-    monkeypatch.setattr(cli, "run_trials", refuse)
+    monkeypatch.setattr(cli, "run_batches", refuse)
     monkeypatch.setattr(cli, "sweep", refuse)
     argv = [command, write(tmp_path, sweep_doc() if command == "sweep" else honest_doc()),
             *options(tmp_path)]

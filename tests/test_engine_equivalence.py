@@ -164,9 +164,9 @@ def run_case(case):
         "second": None if r.second_detection is None else [
             r.second_detection.passed, list(r.second_detection.failed_photons)],
         "guesses": sorted([int(k), int(v)] for k, v in r.guesses.items()),
-        "final_outcomes": sorted(
-            [int(k), int(v)] for k, v in adversaries[0].final_outcomes[0].items()
-        ) if adversaries else [],
+        "final_outcomes": [
+            [j, o] for j, o in enumerate(adversaries[0].final_outcomes[0].tolist()) if o >= 0
+        ] if adversaries else [],
     }
     if case["transcript"]:
         out["transcript"] = r.transcript.to_lines()

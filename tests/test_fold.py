@@ -1,0 +1,144 @@
+"""A batch folds to the report its runs fold to, and a campaign that only
+counts builds no ``RunResult``.
+
+``summarize`` adds up six integer counts per item: a ``BatchResult`` gives
+them by array reductions, a ``RunResult`` by the bit-by-bit reference loop.
+Both must give byte-equal reports on every kind of batch.
+"""
+import pathlib
+
+import numpy as np
+import pytest
+
+from qsslab import protocol
+from qsslab.analysis import derive_seed, monte_carlo, run_batch, summarize
+from qsslab.attack import EntanglerSpec, EntanglingAdversary, GuessRule, qgwz_spec
+from qsslab.cli import EXIT_OK, main
+from qsslab.protocol import BatchResult, NullAdversary, ProtocolConfig, run_protocol_batch
+from qsslab.quantum import basis_state
+from test_batch import BELL, CAMPAIGNS
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+NAIVE = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.8, 0.6, 1.1)
+NAIVE_CONFIG = ProtocolConfig(num_agents=3, message_length=4, check_fraction_first=0.3,
+                              num_second_checks=1, seed=4)
+FIXED_BITS = ProtocolConfig(num_agents=3, message_bits=(1, 0, 1, 1, 0, 0, 1),
+                            num_second_checks=2, seed=5)
+
+
+def _seeds(config, n):
+    return [derive_seed(config.seed, i) for i in range(n)]
+
+
+def _campaign(name):
+    config, spec, rule = CAMPAIGNS[name]
+    return config, spec, run_batch(config, range(13), spec, rule)
+
+
+def _naive():
+    # The non-adaptive control fails the first detection in some trials.
+    batch = run_protocol_batch(
+        NAIVE_CONFIG, _seeds(NAIVE_CONFIG, 16),
+        lambda rngs: EntanglingAdversary(NAIVE, rngs, adaptive=False),
+    )
+    return NAIVE_CONFIG, NAIVE, batch
+
+
+def _fixed_bits():
+    spec = qgwz_spec(BELL)
+    return FIXED_BITS, spec, run_batch(FIXED_BITS, range(9), spec, GuessRule())
+
+
+def _null_adversary():
+    config = CAMPAIGNS["honest"][0]
+    batch = run_protocol_batch(config, _seeds(config, 7), lambda rngs: NullAdversary())
+    return config, None, batch
+
+
+class EvenPhotonGuesser(NullAdversary):
+    """Guesses bit 1 for every even photon id and nothing for the odd ones."""
+
+    def on_photon_forward(self, photon_ids, amps):
+        self.shape = photon_ids.shape
+        return amps
+
+    def on_finish(self):
+        guesses = np.full(self.shape, -1)
+        guesses[:, ::2] = 1
+        return guesses
+
+
+def _partial_guesses():
+    # Some message bits go unguessed; the report still names an attack.
+    config = CAMPAIGNS["honest"][0]
+    batch = run_protocol_batch(config, _seeds(config, 7), lambda rngs: EvenPhotonGuesser())
+    return config, qgwz_spec(BELL), batch
+
+
+BATCHES = {
+    **{name: (lambda name=name: _campaign(name)) for name in CAMPAIGNS},
+    "naive-fails-first": _naive,
+    "fixed-message-bits": _fixed_bits,
+    "null-adversary": _null_adversary,
+    "partial-guesses": _partial_guesses,
+}
+
+
+@pytest.mark.parametrize("name", BATCHES)
+def test_batch_fold_matches_run_fold(name):
+    config, spec, batch = BATCHES[name]()
+    runs = list(batch)
+    assert batch.counts() == tuple(map(sum, zip(*(r.counts() for r in runs))))
+    folded, reference = summarize(config, spec, [batch]), summarize(config, spec, runs)
+    assert folded.to_json_line() == reference.to_json_line()
+    assert folded.to_csv() == reference.to_csv()
+    assert folded.to_text() == reference.to_text()
+
+
+def test_naive_batch_fails_first_detection_mid_batch():
+    # The fold of test_batch_fold_matches_run_fold covers failed trials.
+    passed = _naive()[2].first_passed.tolist()
+    assert any(not p and True in passed[:i] and True in passed[i + 1:]
+               for i, p in enumerate(passed))
+
+
+def test_batch_is_a_sequence_of_runs():
+    config, spec, rule = CAMPAIGNS["qgwz-adaptive"]
+    batch = run_batch(config, range(4), spec, rule)
+    assert isinstance(batch, BatchResult) and len(batch) == 4
+    assert list(batch) == [batch[t] for t in range(4)]
+    assert batch[-1] == batch[3]
+    with pytest.raises(IndexError):
+        batch[4]
+
+
+def test_campaign_without_transcripts_builds_no_run(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RunResult was built")
+
+    monkeypatch.setattr(protocol, "RunResult", refuse)
+    config, spec, rule = CAMPAIGNS["qgwz-adaptive"]
+    assert monte_carlo(config, spec, rule, trials=5).trials == 5
+    qgwz = str(ROOT / "configs" / "qgwz.json")
+    assert main(["run", qgwz, "--trials", "3", "--out", str(tmp_path / "r.txt")]) == EXIT_OK
+    # The patch is live: writing transcripts reads runs, and so builds them.
+    with pytest.raises(AssertionError, match="RunResult was built"):
+        main(["run", qgwz, "--trials", "3", "--out", str(tmp_path / "t.txt"),
+              "--transcripts", str(tmp_path / "t")])
+
+
+def test_empty_batch_is_refused():
+    with pytest.raises(ValueError):
+        run_protocol_batch(CAMPAIGNS["honest"][0], [])
+
+
+def test_guesses_mark_unguessed_photons():
+    config, spec, batch = _naive()
+    for t, run in enumerate(batch):
+        guessed = np.flatnonzero(batch.guesses[t] >= 0).tolist()
+        assert guessed == sorted(run.guesses)
+        if not run.first_detection.passed:
+            assert guessed == []
+        else:
+            assert guessed == list(run.payload_ids)

@@ -254,13 +254,15 @@ def test_first_detection_marks_roles_and_passes():
     config = small_config(seed=8)
     rng = np.random.default_rng(np.random.SeedSequence(8))
     photons, ledger = encryption_phase(prepare_sequence(10)[None], config, [rng], NullAdversary())
-    (verdict,), (announced,) = first_detection(photons, ledger, config, [rng], NullAdversary())
-    assert verdict.passed
-    checked = [j for j, _, _ in verdict.outcomes]
+    (ids,), (outcomes,), (probs,), (announced,) = first_detection(
+        photons, ledger, config, [rng], NullAdversary()
+    )
+    assert not outcomes.any()  # passes
+    checked = ids.tolist()
     assert len(checked) == int(np.ceil(0.5 * 10))
     assert checked == sorted(set(checked))
     assert announced.shape == (len(checked), config.num_agents)
-    for _, outcome, prob in verdict.outcomes:
+    for outcome, prob in zip(outcomes.tolist(), probs.tolist()):
         assert outcome == 0 and prob >= 1 - 1e-12
 
 
