@@ -21,6 +21,7 @@ from .protocol import (
     ProtocolConfig,
     RunResult,
     config_to_dict,
+    format_floats,
     run_protocol_batch,
 )
 from .quantum import (
@@ -374,7 +375,8 @@ def sweep(grid: SweepGrid) -> np.ndarray:
 
 def sweep_table(grid: SweepGrid, tds: np.ndarray) -> str:
     """The CSV table of ``sweep(grid)``: one line per grid point, theta
-    fastest, every value written as ``%.17g``."""
+    fastest, every value written as ``%.17g``, each distinct one formatted
+    once (``format_floats``)."""
     n_alpha, n_theta = len(grid.alpha_sq_values), len(grid.theta_values)
     n = tds.size
     cols = np.empty((n, 5))
@@ -385,5 +387,5 @@ def sweep_table(grid: SweepGrid, tds: np.ndarray) -> str:
     cols[:, 4] = helstrom_bound(cols[:, 3])
     return (
         "theta_prime,alpha_sq,theta,trace_distance,helstrom\n"
-        + "%.17g,%.17g,%.17g,%.17g,%.17g\n" * n % tuple(cols.ravel().tolist())
+        + "%s,%s,%s,%s,%s\n" * n % tuple(format_floats(cols).ravel().tolist())
     )

@@ -35,7 +35,13 @@ from .attack import (
     random_entangler_spec,
     split_product,
 )
-from .protocol import BatchResult, ConfigError, ProtocolConfig, with_seed
+from .protocol import (
+    BatchResult,
+    ConfigError,
+    ProtocolConfig,
+    render_transcripts,
+    with_seed,
+)
 from .quantum import (
     MINUS_I_SIGMA_Y,
     InvariantError,
@@ -263,15 +269,15 @@ def _write_transcripts(
     batches: Iterable[BatchResult], directory: str
 ) -> Iterator[BatchResult]:
     """Pass batches through, writing the transcript of each of their runs to
-    trial_{i:05d}.log. Runs are built from their batch one at a time, so
-    one run's transcript is held at once."""
+    trial_{i:05d}.log. Transcripts are rendered from the batch's arrays one
+    run at a time (``render_transcripts``), so one is held at once."""
     first = 0
     for batch in batches:
-        for i, result in enumerate(batch, first):
+        for i, transcript in enumerate(render_transcripts(batch), first):
             path = os.path.join(directory, f"trial_{i:05d}.log")
             try:
                 with open(path, "w") as fh:
-                    fh.write(result.transcript.serialize())
+                    fh.write(transcript.serialize())
             except OSError as exc:
                 raise ConfigError(f"--transcripts {path}: {exc.strerror}")
         first += len(batch)

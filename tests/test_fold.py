@@ -122,10 +122,9 @@ def test_campaign_without_transcripts_builds_no_run(monkeypatch, tmp_path):
     assert monte_carlo(config, spec, rule, trials=5).trials == 5
     qgwz = str(ROOT / "configs" / "qgwz.json")
     assert main(["run", qgwz, "--trials", "3", "--out", str(tmp_path / "r.txt")]) == EXIT_OK
-    # The patch is live: writing transcripts reads runs, and so builds them.
+    # The patch is live: reading a run builds it.
     with pytest.raises(AssertionError, match="RunResult was built"):
-        main(["run", qgwz, "--trials", "3", "--out", str(tmp_path / "t.txt"),
-              "--transcripts", str(tmp_path / "t")])
+        run_batch(config, range(2), spec, rule)[0]
 
 
 def test_empty_batch_is_refused():

@@ -1,18 +1,25 @@
 """Transcript rendering against the reference renderer, and parsing back.
 
-``render_transcript`` formats only what differs between runs: the
-preparation and encryption lines come from a one-entry cache keyed by
-(agents, photons), and each later phase is one ``%`` format. Its bytes must
-equal those of the reference renderer below, which formats every line of
-every run with ``str.format`` and f-strings.
+One row renderer writes every transcript. ``render_transcripts`` feeds it a
+batch's arrays run by run, without building a ``RunResult``, and
+``render_transcript`` feeds it one run's own fields. It formats only what
+differs between runs: the preparation and encryption lines come from a
+one-entry cache keyed by (agents, photons), every float is written as
+``%.17g`` once per distinct bit pattern (``format_floats``), and each later
+phase is its per-photon template with the run's strings joined into its
+gaps. Its bytes must equal those of the reference renderer below, which
+formats every line of every run with ``str.format`` and f-strings.
 """
+import math
 import pathlib
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsslab import protocol
+from qsslab import cli, protocol
 from qsslab.analysis import derive_seed, run_trials
 from qsslab.attack import (
     EntanglerSpec,
@@ -23,12 +30,15 @@ from qsslab.attack import (
 )
 from qsslab.cli import load_scenario
 from qsslab.protocol import (
+    BatchResult,
     DetectionVerdict,
     ProtocolConfig,
     RunResult,
     Transcript,
     agent_name,
+    format_floats,
     render_transcript,
+    render_transcripts,
     run_protocol_batch,
 )
 from qsslab.quantum import State, basis_state
@@ -120,9 +130,13 @@ def random_campaign(rng: np.random.Generator, index: int):
     return run_protocol_batch(config, seeds, factory), f"{kind} {proto}"
 
 
-def test_render_matches_reference_on_random_configs():
+@pytest.fixture(scope="module")
+def campaigns():
     rng = np.random.default_rng(909)
-    campaigns = [random_campaign(rng, i) for i in range(48)]
+    return [random_campaign(rng, i) for i in range(48)]
+
+
+def test_render_matches_reference_on_random_configs(campaigns):
     # Render the campaigns' runs round-robin, so consecutive renders mostly
     # differ in (agents, photons) and the one-entry prefix cache turns over.
     runs = [(r, what) for runs, what in campaigns for r in runs]
@@ -143,6 +157,83 @@ def test_render_matches_reference_on_random_configs():
         "Agent8", "Agent9", "Zach", "failed first detection", "no second checks",
         "fixed message", "discrete",
     )), seen
+
+
+def test_batch_render_matches_reference_on_random_configs(campaigns):
+    for batch, what in campaigns:
+        rendered = [t.serialize() for t in render_transcripts(batch)]
+        assert rendered == [reference_transcript(r).serialize() for r in batch], what
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 10**6])
+def test_batch_render_across_format_chunks(monkeypatch, chunk):
+    # 17 floats a run (9 angles, 3 check and 5 recovery probabilities): one
+    # run, two runs, or the whole batch per chunk, with runs that failed the
+    # first detection among them.
+    config = ProtocolConfig(num_agents=3, message_length=4, check_fraction_first=0.3,
+                            num_second_checks=1, seed=4)
+    batch = run_protocol_batch(
+        config, [derive_seed(4, i) for i in range(16)],
+        lambda rngs: EntanglingAdversary(NAIVE, rngs, adaptive=False),
+    )
+    assert (batch.announcements[0].size, batch.payload_ids.shape[1]) == (9, 5)
+    assert 0 < batch.first_passed.sum() < len(batch)
+    monkeypatch.setattr(protocol, "_FORMAT_CHUNK", chunk)
+    assert list(render_transcripts(batch)) == [reference_transcript(r) for r in batch]
+
+
+def test_cli_transcripts_build_no_run(monkeypatch, tmp_path):
+    path = str(ROOT / "configs/honest.json")
+    scenario = load_scenario(path)
+    expected = [
+        reference_transcript(r).serialize()
+        for r in run_trials(scenario.protocol, scenario.entangler, scenario.rule, 3)
+    ]
+
+    def refuse(self, t):
+        raise AssertionError("a RunResult was built")
+
+    monkeypatch.setattr(BatchResult, "__getitem__", refuse)
+    with pytest.raises(AssertionError, match="RunResult was built"):
+        list(run_trials(scenario.protocol, scenario.entangler, scenario.rule, 1))
+    assert cli.main(["run", path, "--trials", "3", "--transcripts", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"trial_{i:05d}.log" for i in range(3)]
+    assert [(tmp_path / f"trial_{i:05d}.log").read_text() for i in range(3)] == expected
+
+
+def _bits_to_float(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    _bits_to_float(0x7FF8000000000001),  # a NaN with another payload
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.0, 0.1, 1e16, 1e17, 1e-5, 1e-4, 2 * math.pi,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_FLOATS)),
+        max_size=24,
+    ),
+    st.integers(1, 3),
+)
+def test_format_floats_is_percent_17g_once_per_bit_pattern(values, rows):
+    base = np.array(values, dtype=float)
+    # Repeats, negations and both nextafter neighbours of every value.
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = np.concatenate([
+            base, base[::-1], -base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
+        ] * rows).reshape(rows, 5, -1)
+    out = format_floats(a)
+    assert out.shape == a.shape and out.dtype == object
+    assert out.ravel().tolist() == ["%.17g" % x for x in a.ravel().tolist()]
+    # One string per distinct bit pattern: -0.0 and 0.0, and NaNs with other
+    # payloads, are formatted apart.
+    assert len({id(s) for s in out.ravel()}) == len(np.unique(a.view(np.uint64)))
 
 
 def test_prefix_cache_holds_one_entry_and_refills():
