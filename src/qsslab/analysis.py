@@ -342,8 +342,8 @@ def grid_specs(grid: SweepGrid) -> list[EntanglerSpec]:
         EntanglerSpec(
             epsilon=epsilon,
             epsilon_perp=epsilon_perp,
-            alpha=float(np.sqrt(a2)),
-            beta=float(np.sqrt(1.0 - a2)),
+            alpha=math.sqrt(a2),
+            beta=math.sqrt(1.0 - a2),
             theta_prime=tp,
         )
         for tp in grid.theta_prime_values

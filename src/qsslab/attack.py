@@ -13,6 +13,7 @@ whatever the bit was, so every guess rule is uninformative.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,21 +62,23 @@ class EntanglerSpec:
     theta_prime: float
 
     def __post_init__(self):
-        # Each check is written so that a NaN fails it.
-        if not np.isfinite(self.theta_prime):
+        # Each check is written so that a NaN fails it, and runs on Python
+        # scalars: a sweep builds one spec per (theta', alpha^2) pair.
+        if not math.isfinite(self.theta_prime):
             raise InvariantError(f"theta_prime must be finite, got {self.theta_prime}")
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "theta_prime", canonical_angle(self.theta_prime))
-        if self.epsilon.dim != self.epsilon_perp.dim:
+        dim = self.epsilon.dim
+        if dim != self.epsilon_perp.dim:
             raise InvariantError(
-                f"ancilla dimension mismatch: {self.epsilon.dim} vs {self.epsilon_perp.dim}"
+                f"ancilla dimension mismatch: {dim} vs {self.epsilon_perp.dim}"
             )
-        if self.epsilon.dim < 2:
+        if dim < 2:
             raise InvariantError("ancilla dimension must be >= 2")
-        if self.epsilon.dim > MAX_ANCILLA_DIM:
+        if dim > MAX_ANCILLA_DIM:
             raise InvariantError(
-                f"ancilla dimension {self.epsilon.dim} exceeds MAX_ANCILLA_DIM = {MAX_ANCILLA_DIM}"
+                f"ancilla dimension {dim} exceeds MAX_ANCILLA_DIM = {MAX_ANCILLA_DIM}"
             )
         # a * a rather than a ** 2: a float power raises OverflowError on huge input.
         a, b = abs(self.alpha), abs(self.beta)

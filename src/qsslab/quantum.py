@@ -17,10 +17,17 @@ at import, a batch of rotations in ``rotate_photons`` and the entangler in
 ``apply_photon_op`` take their operator as already checked. The norm
 invariant is checked on every ``State`` and row-wise on a batch
 (``check_norms``).
+
+A ``State``'s identity is its amplitude bytes with -0.0 folded into +0.0,
+computed once, when the state is first compared or hashed. ``==`` and
+``hash`` both use that key, so equal states hash alike, and a cache keyed
+by states (such as the entangler cache of ``attack.build_entangler``) finds
+a freshly built one by one bytes compare.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +50,10 @@ def canonical_angles(thetas) -> np.ndarray:
 
 
 def canonical_angle(theta: float) -> float:
-    """Reduce an angle to the canonical range [0, 2*pi)."""
-    return float(canonical_angles(theta))
+    """Reduce an angle to the canonical range [0, 2*pi); bit for bit
+    ``canonical_angles`` on one Python float, without a numpy call."""
+    t = float(theta) % TWO_PI
+    return 0.0 if t == TWO_PI else t
 
 
 def rotation_operator(theta: float) -> np.ndarray:
@@ -93,11 +102,17 @@ class State:
     def dim(self) -> int:
         return self.amps.size
 
+    @cached_property
+    def _key(self) -> bytes:
+        # Adding +0.0 folds -0.0 into +0.0, the one pair of distinct bit
+        # patterns that compare equal (the amplitudes are finite).
+        return (self.amps + 0.0).tobytes()
+
     def __eq__(self, other):
-        return isinstance(other, State) and np.array_equal(self.amps, other.amps)
+        return isinstance(other, State) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.amps.tobytes())
+        return hash(self._key)
 
 
 def basis_state(num_qubits: int, index: int) -> State:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsslab import attack
 from qsslab.analysis import (
     ScenarioReport,
     SweepGrid,
@@ -220,3 +221,21 @@ def test_sweep_table_format():
     lines = text.strip().splitlines()
     assert lines[0] == "theta_prime,alpha_sq,theta,trace_distance,helstrom"
     assert len(lines) == 2
+
+
+def test_repeated_sweep_finds_its_entanglers_by_key(monkeypatch):
+    # A second sweep builds fresh specs; each finds its cached entangler by
+    # the State key alone, with no array comparison.
+    grid = SweepGrid((0.4, 2.1, 5.0), (0.1, 0.5, 0.9), (0.0, 1.0, 2.5, 4.0), 4)
+    first = sweep(grid)
+    before = attack._build_entangler.cache_info()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.array_equal called during a cached sweep")
+
+    monkeypatch.setattr(np, "array_equal", refuse)
+    second = sweep(grid)
+    after = attack._build_entangler.cache_info()
+    assert after.hits - before.hits == len(grid_specs(grid))
+    assert after.misses == before.misses
+    assert second.tobytes() == first.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsslab import attack
 from qsslab.attack import (
     ENCODING_SHIFT,
     EntanglerSpec,
@@ -236,6 +237,20 @@ def test_entangler_built_once_per_spec(rng):
     # An equal spec built separately maps to the same cached operator.
     twin = EntanglerSpec(spec.epsilon, spec.epsilon_perp, spec.alpha, spec.beta, spec.theta_prime)
     assert build_entangler(twin) is a.entangler
+
+
+def test_specs_equal_up_to_signed_zeros_share_one_entangler():
+    spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.6, 0.8, 0.5)
+    signed = EntanglerSpec(
+        State(np.array([1.0, -0.0])), State(np.array([-0.0, 1.0])), 0.6, complex(0.8, -0.0), 0.5
+    )
+    assert spec == signed and hash(spec) == hash(signed)
+    assert len({spec, signed}) == 1
+    assert {spec: "spec"}[signed] == "spec"
+    entangler = build_entangler(spec)
+    hits = attack._build_entangler.cache_info().hits
+    assert build_entangler(signed) is entangler
+    assert attack._build_entangler.cache_info().hits == hits + 1
 
 
 def test_projector_sets_built_once_per_spec(rng):

@@ -1,17 +1,21 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsslab.quantum import (
     ATOL_STATE,
     MINUS_I_SIGMA_Y,
+    TWO_PI,
     InvariantError,
     State,
     apply_controlled,
     apply_unitary,
     basis_state,
     canonical_angle,
+    canonical_angles,
     check_norms,
     check_projectors,
     check_unitary,
@@ -75,6 +79,30 @@ def test_canonical_angle_range():
         assert np.allclose(rotation_operator(c), rotation_operator(t), atol=1e-12)
 
 
+def _near_multiple_of_two_pi(k, step):
+    """k * 2pi, or its neighbouring float below (step -1) or above (step 1)."""
+    x = k * TWO_PI
+    return math.nextafter(x, step * math.inf) if step else x
+
+
+hard_angles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.builds(_near_multiple_of_two_pi, st.integers(-50, 50), st.sampled_from((-1, 0, 1))),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308)),
+)
+
+
+@given(hard_angles)
+@settings(max_examples=500)
+@example(-5e-324)  # the fold: -tiny % 2pi rounds to 2pi itself
+def test_canonical_angle_is_canonical_angles_bit_for_bit(x):
+    c = canonical_angle(x)
+    assert type(c) is float
+    assert c.hex() == float(canonical_angles(x)).hex()
+    assert 0.0 <= c < TWO_PI
+
+
 # --- state construction ---
 
 def test_state_rejects_unnormalized():
@@ -90,6 +118,22 @@ def test_state_rejects_nan():
 def test_state_rejects_bad_length():
     with pytest.raises(ValueError):
         State(np.array([1.0, 0.0, 0.0]))
+
+
+def test_state_identity_folds_signed_zeros():
+    # Equal states hash alike: -0.0 and +0.0 compare equal, in the real and
+    # the imaginary part.
+    a = State(np.array([1.0, 0.0]))
+    b = State(np.array([1.0, -0.0]))
+    c = State(np.array([complex(1.0, -0.0), complex(-0.0, -0.0)]))
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert {a: "a"}[b] == "a" and {b: "b"}[c] == "b"
+    # Identity is the amplitudes, not the ray: a global phase tells states apart.
+    assert State(np.array([-1.0, 0.0])) != a
+    assert State(np.array([0.0, 1.0])) != a
+    assert basis_state(2, 0) != State(np.array([1.0, 0.0]))
 
 
 def test_tensor_pins_msb_convention():
