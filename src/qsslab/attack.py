@@ -32,12 +32,10 @@ from .quantum import (
     canonical_angle,
     canonical_angles,
     check_norms,
-    check_projectors,
     check_unitary,
-    measure_projective_rows,
     overlap,
-    projector,
     rotation_operator,
+    sample_outcomes,
     tensor,
 )
 
@@ -210,30 +208,6 @@ def apply_ccy(joint: State) -> State:
     return apply_controlled(joint, controls=[0, 1], target=2, op=MINUS_I_SIGMA_Y)
 
 
-def ancilla_projectors(spec: EntanglerSpec, with_photon: bool) -> list[np.ndarray]:
-    """{P_eps, P_eps_perp, rest} on the ancilla, optionally extended over the photon."""
-    p_eps = projector(spec.epsilon)
-    p_perp = projector(spec.epsilon_perp)
-    if with_photon:
-        eye2 = np.eye(2, dtype=complex)
-        p_eps = np.kron(p_eps, eye2)
-        p_perp = np.kron(p_perp, eye2)
-    rest = np.eye(p_eps.shape[0], dtype=complex) - p_eps - p_perp
-    return [p_eps, p_perp, rest]
-
-
-@lru_cache(maxsize=16)
-def _projector_sets(spec: EntanglerSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The adversary's (joint, ancilla-only) projector sets for ``spec``, each
-    built and checked once and returned read-only, like the entangler."""
-    joint = np.array(ancilla_projectors(spec, with_photon=True))
-    ancilla = np.array(ancilla_projectors(spec, with_photon=False))
-    check_projectors(list(joint), 2 * spec.ancilla_dim)
-    check_projectors(list(ancilla), spec.ancilla_dim)
-    joint.flags.writeable = ancilla.flags.writeable = False
-    return joint, ancilla
-
-
 def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
     """Factor a product state into (ancilla factor, photon factor).
 
@@ -245,6 +219,22 @@ def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
     if s[0] < 1.0 - 1e-8:
         raise InvariantError(f"state is not a product (leading Schmidt weight {s[0]})")
     return State(u[:, 0]), State(s[0] * vh[0, :])
+
+
+def _span_outcomes(probs: np.ndarray, r: np.ndarray, refusal: str) -> np.ndarray:
+    """Born outcome per row of ``probs`` (n, 2), the weights on |eps> and
+    |eps_perp>, for uniforms ``r`` (n,): 0 for eps, 1 for eps_perp.
+
+    What is left, 1 - p_eps - p_eps_perp, is the residual outcome outside
+    span(eps, eps_perp); drawing it raises ``InvariantError`` with
+    ``refusal`` and its probability.
+    """
+    rest = 1.0 - probs[:, 0] - probs[:, 1]
+    outcomes = sample_outcomes(np.column_stack([probs, rest]), r)
+    residual = np.flatnonzero(outcomes == 2)
+    if residual.size:
+        raise InvariantError(f"{refusal} {rest[residual[0]]}")
+    return outcomes
 
 
 class EntanglingAdversary:
@@ -270,7 +260,13 @@ class EntanglingAdversary:
         self.rule = rule
         self.adaptive = adaptive
         self.entangler = build_entangler(spec)
-        self._joint_projs, self._ancilla_projs = _projector_sets(spec)
+        # Both measurements contract the ancilla with <eps| and <eps_perp|:
+        # ``_kets`` holds the two states as rows, ``_bras`` their conjugates
+        # as the columns of a (d, 2) matrix, and ``_joint_bras`` = _bras (x) I
+        # applies them to the (ancilla, photon) rows in one matrix product.
+        self._kets = np.stack([spec.epsilon.amps, spec.epsilon_perp.amps])
+        self._bras = self._kets.T.conj()
+        self._joint_bras = np.kron(self._bras, np.eye(2))
         # Final ancilla outcome per (trial, photon): 0 for eps, 1 for eps_perp,
         # -1 where no ancilla was measured. Sized by the forward hook.
         self.final_outcomes: np.ndarray | None = None
@@ -290,20 +286,23 @@ class EntanglingAdversary:
     ) -> tuple[np.ndarray, np.ndarray]:
         if not self.adaptive:
             return honest_angles, amps
-        outcomes, collapsed, probs = measure_projective_rows(
-            amps.reshape(-1, amps.shape[-1]),
-            self._joint_projs,
+        # photon[n, k]: the photon left in row n by <eps| (x) I (k = 0) and
+        # by <eps_perp| (x) I (k = 1); its squared norm is the outcome's weight.
+        photon = (amps.reshape(-1, amps.shape[-1]) @ self._joint_bras).reshape(-1, 2, 2)
+        weights = photon.real**2 + photon.imag**2
+        probs = weights[..., 0] + weights[..., 1]
+        outcomes = _span_outcomes(
+            probs,
             np.concatenate([rng.random(amps.shape[1]) for rng in self.rngs]),
+            "residual outcome outside span(eps, eps_perp) with probability",
         )
-        residual = np.flatnonzero(outcomes == 2)
-        if residual.size:
-            raise InvariantError(
-                "residual outcome outside span(eps, eps_perp) with probability "
-                f"{probs[residual[0]]}"
-            )
+        rows = np.arange(len(photon))
+        kept = photon[rows, outcomes] / np.sqrt(probs[rows, outcomes])[:, None]
+        collapsed = (self._kets[outcomes][:, :, None] * kept[:, None, :]).reshape(amps.shape)
+        check_norms(collapsed)
         shifted = canonical_angles(honest_angles + self.spec.theta_prime)
         announced = np.where(outcomes.reshape(honest_angles.shape) == 0, honest_angles, shifted)
-        return announced, collapsed.reshape(amps.shape)
+        return announced, collapsed
 
     def on_photon_return(
         self, trials: np.ndarray, photon_ids: np.ndarray, amps: np.ndarray
@@ -332,17 +331,12 @@ class EntanglingAdversary:
         every photon of a trial whose photons never returned."""
         if self._returned is not None:
             trials, photon_ids, ancillas = self._returned
-            outcomes, _, probs = measure_projective_rows(
-                ancillas,
-                self._ancilla_projs,
+            overlaps = ancillas @ self._bras
+            outcomes = _span_outcomes(
+                overlaps.real**2 + overlaps.imag**2,
                 np.concatenate([self.rngs[t].random(photon_ids.shape[1]) for t in trials]),
+                "final ancilla outcome outside span(eps, eps_perp), probability",
             )
-            residual = np.flatnonzero(outcomes == 2)
-            if residual.size:
-                raise InvariantError(
-                    "final ancilla outcome outside span(eps, eps_perp), probability "
-                    f"{probs[residual[0]]}"
-                )
             self.final_outcomes[trials[:, None], photon_ids] = outcomes.reshape(photon_ids.shape)
         return np.where(self.final_outcomes < 0, -1, self.rule(self.final_outcomes))
 

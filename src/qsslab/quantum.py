@@ -33,7 +33,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Tolerance of the stored invariants: norms, unitarity, projector sets.
+# Tolerance of the stored invariants: norms and unitarity.
 ATOL_STATE = 1e-10
 
 MINUS_I_SIGMA_Y = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -229,20 +229,6 @@ def check_norms(amps: np.ndarray) -> None:
         _check_norm_sq(float(np.vdot(worst, worst).real))
 
 
-def projector(state: State) -> np.ndarray:
-    return np.outer(state.amps, state.amps.conj())
-
-
-def check_projectors(projectors: list[np.ndarray], dim: int) -> None:
-    total = sum(projectors)
-    if np.max(np.abs(total - np.eye(dim))) > ATOL_STATE:
-        raise InvariantError("projectors do not sum to the identity")
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            if np.max(np.abs(projectors[i] @ projectors[j])) > ATOL_STATE:
-                raise InvariantError(f"projectors {i} and {j} are not orthogonal")
-
-
 def sample_outcomes(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Born-rule outcome per row of ``probs`` (n, k) for uniforms ``r`` (n,).
 
@@ -257,25 +243,6 @@ def sample_outcomes(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
         possible = probs[missed] > 0
         outcomes[missed] = probs.shape[1] - 1 - np.argmax(possible[:, ::-1], axis=1)
     return outcomes
-
-
-def measure_projective_rows(
-    amps: np.ndarray, projectors: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Born-rule measurement of every row of ``amps`` (n, D) against one
-    complete orthogonal projector set (k, D, D), with uniforms ``r`` (n,).
-
-    Returns (outcomes, collapsed rows, outcome probabilities). The projector
-    set is not validated here; callers check it once with ``check_projectors``.
-    """
-    projected = np.einsum("kij,nj->nki", projectors, amps)
-    probs = np.einsum("nj,nkj->nk", amps.conj(), projected).real
-    outcomes = sample_outcomes(probs, r)
-    rows = np.arange(len(amps))
-    p = probs[rows, outcomes]
-    collapsed = projected[rows, outcomes] / np.sqrt(p)[:, None]
-    check_norms(collapsed)
-    return outcomes, collapsed, p
 
 
 def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

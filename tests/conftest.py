@@ -9,6 +9,11 @@ def random_state(rng: np.random.Generator, num_qubits: int) -> State:
     return State(amps / np.linalg.norm(amps))
 
 
+def projector(state: State) -> np.ndarray:
+    """|psi><psi| of a state, for density-matrix comparisons."""
+    return np.outer(state.amps, state.amps.conj())
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(m)

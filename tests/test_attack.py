@@ -7,7 +7,6 @@ from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
     GuessRule,
-    ancilla_projectors,
     apply_ccy,
     build_entangler,
     qgwz_fixture,
@@ -23,10 +22,8 @@ from qsslab.quantum import (
     apply_unitary,
     basis_state,
     canonical_angle,
-    check_projectors,
     global_phase_equal,
     ket0,
-    measure_projective_rows,
     overlap,
     partial_trace,
     rotation_operator,
@@ -253,21 +250,6 @@ def test_specs_equal_up_to_signed_zeros_share_one_entangler():
     assert attack._build_entangler.cache_info().hits == hits + 1
 
 
-def test_projector_sets_built_once_per_spec(rng):
-    # Like the entangler, both projector sets are built and checked once per
-    # spec, not once per adversary, and shared read-only.
-    spec = random_entangler_spec(rng, ancilla_dim=4)
-    a = EntanglingAdversary(spec, [rng])
-    b = EntanglingAdversary(spec, [rng], adaptive=False)
-    twin = EntanglerSpec(spec.epsilon, spec.epsilon_perp, spec.alpha, spec.beta, spec.theta_prime)
-    c = EntanglingAdversary(twin, [rng])
-    for name in ("_joint_projs", "_ancilla_projs"):
-        assert getattr(a, name) is getattr(b, name) is getattr(c, name)
-        assert not getattr(a, name).flags.writeable
-    assert a._joint_projs.shape == (3, 8, 8)
-    assert a._ancilla_projs.shape == (3, 4, 4)
-
-
 def test_announcement_refuses_residual_outcome():
     # For the Bell ancilla, eps = |00> and eps_perp = |11>: an ancilla in |01>
     # lies outside their span and can only give the residual outcome.
@@ -311,22 +293,50 @@ def test_checks_run_on_every_trial_of_a_batch(rng):
 
 
 def test_respond_frequency_matches_alpha_squared():
-    alpha = 0.6
-    spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1),
-                         alpha, np.sqrt(1 - alpha**2), 1.3)
-    ent = build_entangler(spec)
-    rng = np.random.default_rng(1234)
+    # E(|eps>|chi>) = alpha |eps>|chi> + beta |eps_perp> U(theta')|chi>: the
+    # announcement measurement gives eps with probability |alpha|^2 and
+    # collapses the row onto |eps>|chi>, or onto |eps_perp> U(theta')|chi>.
+    alpha, beta, theta_prime, theta = 0.6, 0.8, 1.3, 0.8
+    spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), alpha, beta, theta_prime)
     n = 100_000
-    base = entangled_joint(spec, 0.8, ent)
-    projs = np.array(ancilla_projectors(spec, with_photon=True), dtype=complex)
-    check_projectors(list(projs), base.dim)
-    # rng.random(n) is the stream of n scalar draws, one per measurement.
-    outcomes, _, _ = measure_projective_rows(np.tile(base.amps, (n, 1)), projs, rng.random(n))
-    assert not np.any(outcomes == 2)
-    hits = int(np.count_nonzero(outcomes == 0))
+    # One trial of n photons: its generator's n scalar draws, one per measurement.
+    adv = EntanglingAdversary(spec, [np.random.default_rng(1234)])
+    honest = np.full((1, n), theta)
+    rows = np.tile(entangled_joint(spec, theta).amps, (1, n, 1))
+    announced, collapsed = adv.on_check_announcement(np.arange(n)[None], honest, rows)
+    on_eps = announced[0] == theta
+    assert np.all(announced[0][~on_eps] == canonical_angle(theta + theta_prime))
+    hits = int(np.count_nonzero(on_eps))
     p = alpha**2
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 4 * sigma
+    # The photon's weight divides out exactly when it is |alpha|^2 (|beta|^2).
+    kept = tensor(spec.epsilon, chi_state(theta)).amps
+    rotated = tensor(spec.epsilon_perp, chi_state(theta + theta_prime)).amps
+    assert np.max(np.abs(collapsed[0][on_eps] - kept)) <= 1e-12
+    assert np.max(np.abs(collapsed[0][~on_eps] - rotated)) <= 1e-12
+
+
+def test_finish_refuses_ancilla_outside_span():
+    # For the Bell ancilla, eps = |00> and eps_perp = |11>: a kept ancilla
+    # 0.1 |00> + sqrt(0.99) |01> gives the residual outcome with probability
+    # 0.99, the weight it has outside their span.
+    spec = qgwz_spec(BELL)
+    ids = np.tile(np.arange(len(THETAS)), (2, 1))
+
+    def returned():
+        adv = EntanglingAdversary(spec, [np.random.default_rng(s) for s in range(2)])
+        # E^-1 right after E: every kept ancilla is back on |eps>.
+        state = adv.on_photon_forward(ids, np.repeat(chi_rows(THETAS), 2, axis=0))
+        adv.on_photon_return(np.arange(2), ids, state)
+        return adv
+
+    assert np.array_equal(returned().on_finish(), np.zeros(ids.shape, dtype=int))
+    adv = returned()
+    _, _, ancillas = adv._returned
+    ancillas[len(THETAS):] = 0.1 * basis_state(2, 0).amps + np.sqrt(0.99) * basis_state(2, 1).amps
+    with pytest.raises(InvariantError, match="final ancilla outcome outside span"):
+        adv.on_finish()
 
 
 # --- inverse entangler and indistinguishability ---

@@ -14,6 +14,12 @@ directories for the shipped configs, recorded at commit e27fedc, before
 transcripts were rendered from line templates; they pin every
 transcript byte, floats included.
 
+``SKEWED_TRANSCRIPTS_SHA256``, a constant here and not a golden key, pins
+the same digest for ``configs/qgwz.json`` with the ``SKEWED`` ancilla, whose
+|eps> is not a basis state: the last digits of its transcript floats depend
+on the order in which the adversary's <eps| and <eps_perp| contractions
+sum. It was recorded when those contractions replaced projector sets.
+
 Re-record only against a trusted engine:
 
     PYTHONPATH=src python tests/test_engine_equivalence.py --record
@@ -185,10 +191,11 @@ def cli_sweep_digest(config_path, tmp_dir):
     return code, hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def cli_transcripts_digest(config_path, tmp_dir):
+def cli_transcripts_digest(config_path, tmp_dir, trials=None):
     """sha256 over the name and bytes of every file ``--transcripts`` writes."""
     tdir = pathlib.Path(tmp_dir) / "transcripts"
-    code = main(["run", str(ROOT / config_path), "--trials", str(TRANSCRIPT_TRIALS[config_path]),
+    trials = TRANSCRIPT_TRIALS[config_path] if trials is None else trials
+    code = main(["run", str(ROOT / config_path), "--trials", str(trials),
                  "--transcripts", str(tdir), "--out", str(pathlib.Path(tmp_dir) / "report.txt")])
     digest = hashlib.sha256()
     for path in sorted(tdir.iterdir()):
@@ -262,6 +269,20 @@ def test_cli_transcripts_byte_identical(config_path, tmp_path):
     code, digest = cli_transcripts_digest(config_path, tmp_path)
     assert code == 0
     assert digest == _load()["transcripts_sha256"][config_path]
+
+
+SKEWED_TRANSCRIPTS_SHA256 = "a4c5bfeaeae94aa73a2263ee1ea83b70cd69b65712c3d2d39b045524b26881dd"
+
+
+def test_cli_transcripts_byte_identical_skewed_ancilla(tmp_path):
+    doc = json.loads((ROOT / "configs" / "qgwz.json").read_text())
+    amps = np.array([complex(*p) for p in SKEWED])
+    doc["attack"]["ancilla_state"] = _pairs(amps / np.linalg.norm(amps))
+    config = tmp_path / "qgwz-skewed.json"
+    config.write_text(json.dumps(doc))
+    code, digest = cli_transcripts_digest(config, tmp_path, trials=5)
+    assert code == 0
+    assert digest == SKEWED_TRANSCRIPTS_SHA256
 
 
 def _transcript_digests():

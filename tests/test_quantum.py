@@ -17,21 +17,19 @@ from qsslab.quantum import (
     canonical_angle,
     canonical_angles,
     check_norms,
-    check_projectors,
     check_unitary,
     global_phase_equal,
     ket0,
     measure_photons_z,
-    measure_projective_rows,
     partial_trace,
-    projector,
     rotate_photons,
     rotation_operator,
+    sample_outcomes,
     tensor,
     trace_distance,
 )
 
-from conftest import random_state, random_unitary
+from conftest import projector, random_state, random_unitary
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -278,16 +276,7 @@ def test_controlled_matches_brute_force_matrix(rng):
 
 # --- measurement ---
 
-# Z-measurement projectors of one qubit, as one (2, 2, 2) set.
-Z_PROJECTORS = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-
-
 def test_measure_ket0_z():
-    outcomes, collapsed, probs = measure_projective_rows(
-        ket0().amps[None, :], Z_PROJECTORS, np.random.default_rng(0).random(1)
-    )
-    assert outcomes.tolist() == [0] and probs[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(collapsed[0], ket0().amps)
     outcomes, probs = measure_photons_z(ket0().amps[None, :], np.array([0.999]))
     assert outcomes.tolist() == [0] and probs[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -297,19 +286,6 @@ def test_measure_rotated_state_probability():
     outcomes, probs = measure_photons_z(st_.amps[None, :], np.array([0.0]))
     assert outcomes.tolist() == [0]
     assert probs[0] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_measure_rejects_incomplete_projectors():
-    p0, _ = Z_PROJECTORS
-    with pytest.raises(InvariantError):
-        check_projectors([p0, p0], 2)
-
-
-def test_measure_rejects_nonorthogonal_projectors():
-    p0, p1 = Z_PROJECTORS
-    plus = State(np.array([1, 1]) / np.sqrt(2))
-    with pytest.raises(InvariantError):
-        check_projectors([projector(plus), np.eye(2) - projector(plus) + 0.5 * p0, 0.5 * p1], 2)
 
 
 def test_measure_frequencies_match_born_rule():
@@ -325,25 +301,6 @@ def test_measure_frequencies_match_born_rule():
     assert abs(ones / n - p1) <= 4 * sigma
 
 
-def test_measure_entangler_subspace_probability():
-    # alpha |eps>|chi> + beta |eps_perp>(...) measured on the ancilla gives
-    # the eps outcome with probability |alpha|^2.
-    alpha, beta = 0.6, 0.8
-    eps, perp = basis_state(1, 0), basis_state(1, 1)
-    chi = State(rotation_operator(0.3) @ ket0().amps)
-    rotated = State(rotation_operator(0.3 + 1.2) @ ket0().amps)
-    joint = State(alpha * tensor(eps, chi).amps + beta * tensor(perp, rotated).amps)
-    projs = np.array([np.kron(projector(eps), np.eye(2)), np.kron(projector(perp), np.eye(2))])
-    check_projectors(list(projs), joint.dim)
-    rng = np.random.default_rng(5)
-    outcomes, _, probs = measure_projective_rows(np.tile(joint.amps, (2000, 1)), projs,
-                                                 rng.random(2000))
-    hits = int(np.count_nonzero(outcomes == 0))
-    assert probs[outcomes == 0] == pytest.approx(alpha**2, abs=1e-12)
-    sigma = np.sqrt(alpha**2 * beta**2 / 2000)
-    assert abs(hits / 2000 - alpha**2) <= 4 * sigma
-
-
 # The largest double below 1: the highest uniform a generator can draw.
 TOP_UNIFORM = np.array([1.0 - 2.0**-53])
 
@@ -353,18 +310,12 @@ def test_measure_fall_through_picks_last_possible_outcome():
     # probabilities can sum to less than r. The outcome must then be the last
     # one with positive probability, never a zero-probability one.
     drift = 1.0 - 1e-11
-    state = State(np.sqrt(drift) * np.array([0.6, 0.8, 0.0, 0.0], dtype=complex))
-    projs = np.array([np.diag(d).astype(complex)
-                      for d in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1])])
-    check_projectors(list(projs), state.dim)
-    outcomes, collapsed, probs = measure_projective_rows(state.amps[None, :], projs, TOP_UNIFORM)
-    assert outcomes.tolist() == [1]
-    assert probs[0] == pytest.approx(0.64 * drift, abs=1e-15)
-    assert np.allclose(collapsed[0], [0, 1, 0, 0], atol=1e-12)
+    probs = np.array([[0.36 * drift, 0.64 * drift, 0.0], [drift, 0.0, 0.0]])
+    assert sample_outcomes(probs, np.repeat(TOP_UNIFORM, 2)).tolist() == [1, 0]
+    # Below the total, the first outcome whose cumulative probability exceeds r.
+    assert sample_outcomes(probs, np.array([0.36 * drift, 0.0])).tolist() == [1, 0]
 
     edge = State(np.array([np.sqrt(drift), 0.0], dtype=complex))
-    outcomes, _, probs = measure_projective_rows(edge.amps[None, :], Z_PROJECTORS, TOP_UNIFORM)
-    assert outcomes.tolist() == [0] and probs[0] == pytest.approx(drift, abs=1e-15)
     outcomes, probs = measure_photons_z(edge.amps[None, :], TOP_UNIFORM)
     assert outcomes.tolist() == [0] and probs[0] == pytest.approx(drift, abs=1e-15)
 
