@@ -301,6 +301,35 @@ def test_measure_frequencies_match_born_rule():
     assert abs(ones / n - p1) <= 4 * sigma
 
 
+def test_measure_entangler_subspace_probability():
+    # alpha |eps>|chi> + beta |eps_perp>(...) measured on the ancilla gives
+    # the eps outcome with probability |alpha|^2. The ancilla is measured as
+    # the adversary does: contract with <eps| (x) I and <eps_perp| (x) I and
+    # take the squared norms of the photons left over as outcome weights.
+    alpha, beta = 0.6, 0.8
+    eps, perp = basis_state(1, 0), basis_state(1, 1)
+    chi = State(rotation_operator(0.3) @ ket0().amps)
+    rotated = State(rotation_operator(0.3 + 1.2) @ ket0().amps)
+    joint = State(alpha * tensor(eps, chi).amps + beta * tensor(perp, rotated).amps)
+    bras = np.kron(np.stack([eps.amps, perp.amps]).T.conj(), np.eye(2))
+    photon = (joint.amps @ bras).reshape(2, 2)
+    weights = np.sum(np.abs(photon) ** 2, axis=1)
+    # The weights are the projector expectations <psi| P (x) I |psi>.
+    for state, weight in zip([eps, perp], weights):
+        p = np.kron(projector(state), np.eye(2))
+        assert weight == pytest.approx(np.vdot(joint.amps, p @ joint.amps).real, abs=1e-15)
+    rng = np.random.default_rng(5)
+    n = 2000
+    outcomes = sample_outcomes(np.tile(weights, (n, 1)), rng.random(n))
+    hits = int(np.count_nonzero(outcomes == 0))
+    probs = weights[outcomes]
+    assert probs[outcomes == 0] == pytest.approx(alpha**2, abs=1e-12)
+    assert probs[outcomes == 1] == pytest.approx(beta**2, abs=1e-12)
+    check_norms(photon[outcomes] / np.sqrt(weights[outcomes])[:, None])
+    sigma = np.sqrt(alpha**2 * beta**2 / n)
+    assert abs(hits / n - alpha**2) <= 4 * sigma
+
+
 # The largest double below 1: the highest uniform a generator can draw.
 TOP_UNIFORM = np.array([1.0 - 2.0**-53])
 
