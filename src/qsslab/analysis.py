@@ -217,15 +217,6 @@ def run_batch(
     return run_protocol_batch(config, seeds, factory)
 
 
-def run_trial(
-    config: ProtocolConfig,
-    trial_index: int,
-    attack: EntanglerSpec | None,
-    rule: GuessRule,
-) -> RunResult:
-    return run_batch(config, [trial_index], attack, rule)[0]
-
-
 def run_batches(
     config: ProtocolConfig,
     attack: EntanglerSpec | None,
@@ -258,19 +249,18 @@ def run_trials(
 def summarize(
     config: ProtocolConfig,
     attack: EntanglerSpec | None,
-    results: Iterable[BatchResult | RunResult],
+    batches: Iterable[BatchResult],
 ) -> ScenarioReport:
-    """Fold a stream of batches or single runs into a ScenarioReport in one
-    pass.
+    """Fold a stream of batches into a ScenarioReport in one pass.
 
-    Each item gives its integer counts (``BatchResult.counts``, or the
-    bit-by-bit ``RunResult.counts``). No item is kept, so a campaign's
-    memory does not grow with its length, and the report does not depend on
-    how the runs are grouped or ordered.
+    Each batch gives its integer counts from its columns
+    (``BatchResult.counts``). No batch is kept, so a campaign's memory does
+    not grow with its length, and the report does not depend on how the
+    runs are grouped into batches or in what order the batches come.
     """
     totals = (0,) * 6
-    for item in results:
-        totals = tuple(map(sum, zip(totals, item.counts())))
+    for batch in batches:
+        totals = tuple(map(sum, zip(totals, batch.counts())))
     trials, first_passes, decoded_bits, correct_bits, guessed_bits, guessed_correct = totals
     if trials == 0:
         raise ValueError("trials must be >= 1")

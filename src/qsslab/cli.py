@@ -2,8 +2,8 @@
 
 Scenario configs are JSON with three sections (``protocol``, ``attack``,
 ``run``); complex numbers are written as [re, im] pairs and unknown keys are
-rejected. Exit codes: 0 success, 1 invalid config, 2 unexpected detection
-failure, 3 internal invariant violation.
+rejected. Exit codes: 0 success, 1 invalid config or command line, 2
+unexpected detection failure, 3 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -441,8 +441,17 @@ def cmd_verify(args) -> tuple[int, str]:
     return EXIT_OK, "".join(lines) + "all fixtures passed\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit code 1):
+    argparse's own exit code 2 means a failed detection here. Subcommand
+    parsers are built with the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsslab",
         description="Quantum secret sharing protocol and entangling-attack laboratory",
     )
@@ -483,10 +492,10 @@ def _discard_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    """Run one command, write its output, and return its exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, write its output, and return its exit code.
+    ``-h``/``--help`` prints usage and exits 0 (``SystemExit``)."""
     try:
+        args = build_parser().parse_args(argv)
         code, text = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

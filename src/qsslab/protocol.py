@@ -17,8 +17,9 @@ a d-dimensional ancilla. Every phase is a few array operations on that
 array, and adversary hooks take and return batches with the same trial
 axis. Each run still draws from its own generators, exactly what it draws
 alone. A batch's results stay arrays with the same trial axis
-(``BatchResult``); one run's ``RunResult`` is built from them only when it
-is read. Transcripts are rendered from the same columns, run by run
+(``BatchResult``), both detection verdicts among them, each decided once by
+the engine; one run's ``RunResult`` is built from them only when it is
+read. Transcripts are rendered from the same columns, run by run
 (``render_transcripts``), or from one run's fields when its ``transcript``
 is first read.
 """
@@ -270,20 +271,6 @@ class RunResult:
     def transcript(self) -> Transcript:
         return render_transcript(self)
 
-    def counts(self) -> tuple[int, int, int, int, int, int]:
-        """This run's ``BatchResult.counts``, counted bit by bit: the
-        reference for the batch's array reductions."""
-        passed = int(self.first_detection.passed)
-        if self.decoded_message is None:
-            return 1, passed, 0, 0, 0, 0
-        correct = sum(1 for a, b in zip(self.message, self.decoded_message) if a == b)
-        guesses = [
-            int(self.guesses[pid] == bit)
-            for pid, bit in zip(self.message_photon_ids, self.message)
-            if pid in self.guesses
-        ]
-        return 1, passed, len(self.message), correct, len(guesses), sum(guesses)
-
 
 @dataclass(frozen=True, eq=False)
 class BatchResult(Sequence):
@@ -307,8 +294,11 @@ class BatchResult(Sequence):
     # The trials that passed the first detection, and their rows below.
     live: np.ndarray  # (live,)
     payload_ids: np.ndarray  # (live, payload), sorted
+    is_message: np.ndarray  # (live, payload), False at the second checks
     check_positions: np.ndarray  # (live, second checks), sorted positions in the payload
-    check_bits: np.ndarray  # (live, second checks)
+    # Whether each second check decoded to a bit other than its own: the
+    # second detection's verdict, decided once by the engine.
+    check_mismatched: np.ndarray  # (live, second checks)
     decoded_payload: np.ndarray  # (live, payload)
     recovery_probabilities: np.ndarray  # (live, payload)
     # The adversary's bit guess per (trial, photon), -1 for none; None when
@@ -348,35 +338,27 @@ class BatchResult(Sequence):
 
     def _second_fields(self, i: int) -> dict:
         """The RunResult fields of live row ``i`` after the first detection."""
-        is_message = self._is_message[i]
-        decoded = self.decoded_payload[i].tolist()
-        positions = tuple(self.check_positions[i].tolist())
+        is_message = self.is_message[i]
+        mismatched = tuple(self.check_positions[i, self.check_mismatched[i]].tolist())
         return dict(
             decoded_message=tuple(self.decoded_payload[i, is_message].tolist()),
-            second_detection=second_detection(decoded, positions, self.check_bits[i].tolist()),
+            second_detection=DetectionVerdict("second-detection", not mismatched, mismatched),
             message_photon_ids=tuple(self.payload_ids[i, is_message].tolist()),
-            check_positions=positions,
+            check_positions=tuple(self.check_positions[i].tolist()),
             recovery_probabilities=tuple(self.recovery_probabilities[i].tolist()),
             payload_ids=tuple(self.payload_ids[i].tolist()),
-            decoded_payload=tuple(decoded),
+            decoded_payload=tuple(self.decoded_payload[i].tolist()),
         )
-
-    @cached_property
-    def _is_message(self) -> np.ndarray:
-        """Which payload positions of each live row carry message bits."""
-        mask = np.ones(self.payload_ids.shape, dtype=bool)
-        mask[np.arange(len(mask))[:, None], self.check_positions] = False
-        return mask
 
     def counts(self) -> tuple[int, int, int, int, int, int]:
         """(trials, first-detection passes, decoded message bits, correctly
         decoded bits, guessed message bits, correct guesses), summed over the
         batch: the integers that ``analysis.summarize`` adds up."""
         messages = self.messages[self.live]
-        decoded = self.decoded_payload[self._is_message].reshape(messages.shape)
+        decoded = self.decoded_payload[self.is_message].reshape(messages.shape)
         guessed = correct = 0
         if self.guesses is not None:
-            ids = self.payload_ids[self._is_message].reshape(messages.shape)
+            ids = self.payload_ids[self.is_message].reshape(messages.shape)
             bits = self.guesses[self.live[:, None], ids]
             guessed = int(np.count_nonzero(bits >= 0))
             correct = int(np.count_nonzero(bits == messages))
@@ -415,11 +397,8 @@ def render_transcripts(batch: BatchResult) -> Iterator[Transcript]:
 
     The floats of a few runs at a time, about ``_FORMAT_CHUNK`` of them,
     are formatted together, each distinct one once (``format_floats``), so
-    the strings held never grow with the batch. The second detection's
-    mismatches are one comparison for the whole batch.
+    the strings held never grow with the batch.
     """
-    rows = np.arange(len(batch.live))[:, None]
-    mismatched = batch.decoded_payload[rows, batch.check_positions] != batch.check_bits
     n_checks, n_payload = batch.check_ids.shape[1], batch.payload_ids.shape[1]
     step = max(1, _FORMAT_CHUNK // (n_checks * (batch.config.num_agents + 1) + n_payload))
     i = 0  # the live row of the next trial that passed the first detection
@@ -436,7 +415,7 @@ def render_transcripts(batch: BatchResult) -> Iterator[Transcript]:
                     batch.payload_ids[i],
                     batch.decoded_payload[i],
                     next(recovery_probs),
-                    batch.check_positions[i, mismatched[i]].tolist(),
+                    batch.check_positions[i, batch.check_mismatched[i]].tolist(),
                 )
                 i += 1
             yield _render_run(
@@ -728,17 +707,6 @@ def recovery_phase(
     return outcomes.reshape(photon_ids.shape), probs.reshape(photon_ids.shape)
 
 
-def second_detection(
-    decoded_payload: tuple[int, ...],
-    check_positions: tuple[int, ...],
-    expected_bits: tuple[int, ...],
-) -> DetectionVerdict:
-    mismatched = tuple(
-        pos for pos, bit in zip(check_positions, expected_bits) if decoded_payload[pos] != bit
-    )
-    return DetectionVerdict("second-detection", not mismatched, mismatched)
-
-
 def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
     """Execute one full protocol run; deterministic given ``config.seed``.
 
@@ -804,17 +772,20 @@ def _second_phase(photons, live, check_ids, messages, ledger, rngs, adversary, c
     """Encoding and recovery for the trials ``live`` that passed the first
     detection, given their check ids and messages.
 
-    Returns one row per live trial of: payload photon ids, second-check
-    positions in the payload and their bits, decoded payload bits, and
-    their Born probabilities. The second detection's verdict is read from
-    these when a run is built (``BatchResult``).
+    Returns one row per live trial of: payload photon ids, which payload
+    positions carry message bits, the second-check positions in the payload,
+    which of those checks decoded to a bit other than their own (the second
+    detection), decoded payload bits, and their Born probabilities.
     """
     n_payload, n_second = config.payload_length(), config.num_second_checks
     positions = np.zeros((len(live), n_second), dtype=int)
-    check_bits = np.zeros((len(live), n_second), dtype=int)
     if not live.size:
         no_payload = np.zeros((0, n_payload), dtype=int)
-        return no_payload, positions, check_bits, no_payload, np.zeros((0, n_payload))
+        return (
+            no_payload, no_payload.astype(bool), positions, positions.astype(bool),
+            no_payload, np.zeros((0, n_payload)),
+        )
+    second_bits = np.zeros((len(live), n_second), dtype=int)
     rows = np.arange(len(live))[:, None]
     is_payload = np.ones((len(live), photons.shape[1]), dtype=bool)
     is_payload[rows, check_ids] = False
@@ -824,16 +795,17 @@ def _second_phase(photons, live, check_ids, messages, ledger, rngs, adversary, c
         for i, rng in enumerate(rngs[t] for t in live):
             # Each trial draws its second-detection positions, then their bits.
             positions[i] = np.sort(rng.choice(n_payload, n_second, replace=False))
-            check_bits[i] = rng.integers(0, 2, size=n_second)
-    is_check = np.zeros((len(live), n_payload), dtype=bool)
-    is_check[rows, positions] = True
+            second_bits[i] = rng.integers(0, 2, size=n_second)
+    is_message = np.ones((len(live), n_payload), dtype=bool)
+    is_message[rows, positions] = False
     payload_bits = np.zeros((len(live), n_payload), dtype=int)
-    payload_bits[rows, positions] = check_bits
-    payload_bits[~is_check] = messages.ravel()
+    payload_bits[rows, positions] = second_bits
+    payload_bits[is_message] = messages.ravel()
 
     encoded = encode_message(photons[live[:, None], payload_ids], payload_bits)
     decoded, probs = recovery_phase(encoded, payload_ids, live, ledger, rngs, adversary)
-    return payload_ids, positions, check_bits, decoded, probs
+    mismatched = decoded[rows, positions] != second_bits
+    return payload_ids, is_message, positions, mismatched, decoded, probs
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:

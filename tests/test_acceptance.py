@@ -9,7 +9,7 @@ verify`` runs too.
 import numpy as np
 import pytest
 
-from qsslab.analysis import monte_carlo, run_trial, run_trials, summarize
+from qsslab.analysis import monte_carlo, run_batch, run_trials, summarize
 from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
@@ -226,7 +226,7 @@ def test_criterion_8_determinism(capsys):
     logs_b = [r.transcript.serialize() for r in run_trials(config, spec, GuessRule(), 8)]
     logs_ok = [l.encode() for l in logs_a] == [l.encode() for l in logs_b]
     reordered = summarize(
-        config, spec, reversed([run_trial(config, i, spec, GuessRule()) for i in range(8)])
+        config, spec, reversed([run_batch(config, [i], spec, GuessRule()) for i in range(8)])
     )
     reordered_ok = reordered.to_json_line().encode() == rep_a.to_json_line().encode()
     ok = transcripts_ok and reports_ok and logs_ok and reordered_ok

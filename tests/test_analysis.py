@@ -10,7 +10,7 @@ from qsslab.analysis import (
     helstrom_bound,
     indistinguishability,
     monte_carlo,
-    run_trial,
+    run_batch,
     run_trials,
     summarize,
     sweep,
@@ -128,7 +128,7 @@ def test_summarize_order_independent():
     config, spec = honest_config(), qgwz_spec(BELL)
     serial = monte_carlo(config, attack=spec, trials=16)
     reordered = summarize(
-        config, spec, reversed([run_trial(config, i, spec, GuessRule()) for i in range(16)])
+        config, spec, reversed([run_batch(config, [i], spec, GuessRule()) for i in range(16)])
     )
     assert serial == reordered
     assert serial.to_json_line() == reordered.to_json_line()

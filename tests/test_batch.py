@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qsslab import analysis
-from qsslab.analysis import derive_seed, run_batch, run_trial, run_trials, summarize
+from qsslab.analysis import derive_seed, run_batch, run_trials, summarize
 from qsslab.attack import EntanglerSpec, EntanglingAdversary, GuessRule, qgwz_spec
 from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State, basis_state
@@ -87,16 +87,16 @@ def test_campaign_over_several_batches_matches_single_trials(monkeypatch):
     config = ProtocolConfig(num_agents=3, message_length=500, check_fraction_first=0.5,
                             num_second_checks=0, seed=55)
     spec, rule = qgwz_spec(BELL), GuessRule()
-    sizes = []
+    batches = []
 
-    def counting_run_batch(config, trial_indices, attack, rule):
-        sizes.append(len(trial_indices))
-        return run_batch(config, trial_indices, attack, rule)
+    def recording_run_batch(config, trial_indices, attack, rule):
+        batches.append(run_batch(config, trial_indices, attack, rule))
+        return batches[-1]
 
-    monkeypatch.setattr(analysis, "run_batch", counting_run_batch)
+    monkeypatch.setattr(analysis, "run_batch", recording_run_batch)
     batched = list(run_trials(config, spec, rule, 70))
-    assert sizes == [33, 33, 4]
-    singles = [run_trial(config, i, spec, rule) for i in range(70)]
-    assert_same_runs(batched, singles)
-    report = summarize(config, spec, batched).to_json_line()
+    assert [len(b) for b in batches] == [33, 33, 4]
+    singles = [run_batch(config, [i], spec, rule) for i in range(70)]
+    assert_same_runs(batched, [single[0] for single in singles])
+    report = summarize(config, spec, batches).to_json_line()
     assert report == summarize(config, spec, singles).to_json_line()

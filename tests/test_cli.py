@@ -311,6 +311,14 @@ MALFORMED = [
     pytest.param(sweep_doc, ("run", "sweep", "ancilla_dim"), 2**40, ["sweep"],
                  id="ancilla-dim-huge"),
     pytest.param(lambda: general_doc(dim=16), (), None, ["run"], id="general-epsilon-16"),
+    # Usage errors: argparse would exit 2, which is the failed-detection code.
+    pytest.param(honest_doc, (), None, ["run", "--trials", "abc"], id="override-trials-str"),
+    pytest.param(honest_doc, (), None, ["run", "--seed", "1.5"], id="override-seed-float"),
+    pytest.param(honest_doc, (), None, ["run", "--format", "xml"], id="format-unknown"),
+    # No document: the argv is passed as given, with no config path.
+    pytest.param(None, (), None, ["run"], id="missing-config"),
+    pytest.param(None, (), None, ["bogus"], id="unknown-command"),
+    pytest.param(None, (), None, [], id="no-command"),
 ]
 
 
@@ -324,13 +332,24 @@ def locate(doc, path):
 
 @pytest.mark.parametrize("make_doc, path, value, argv", MALFORMED)
 def test_malformed_input_exit1(tmp_path, capsys, make_doc, path, value, argv):
-    doc = make_doc()
-    if path:
-        node, key = locate(doc, path)
-        node[key] = value
-    code = main([argv[0], write(tmp_path, doc), *argv[1:]])
+    if make_doc is not None:
+        doc = make_doc()
+        if path:
+            node, key = locate(doc, path)
+            node[key] = value
+        argv = [argv[0], write(tmp_path, doc), *argv[1:]]
+    # main returns the code of a usage error too, raising no SystemExit.
+    code = main(argv)
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qsslab")
 
 
 # (command, options, given tmp_path): output paths that cannot take the

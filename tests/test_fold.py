@@ -1,10 +1,13 @@
 """A batch folds to the report its runs fold to, and a campaign that only
 counts builds no ``RunResult``.
 
-``summarize`` adds up six integer counts per item: a ``BatchResult`` gives
-them by array reductions, a ``RunResult`` by the bit-by-bit reference loop.
-Both must give byte-equal reports on every kind of batch.
+``summarize`` adds up six integer counts per batch, which ``BatchResult``
+gives by array reductions over its columns. ``run_counts`` below counts one
+run bit by bit, as the reference: on every kind of batch the batch's counts
+must equal its runs' summed, and the batch must fold to the report its
+trials fold to as batches of one, byte for byte.
 """
+import functools
 import pathlib
 
 import numpy as np
@@ -27,33 +30,47 @@ FIXED_BITS = ProtocolConfig(num_agents=3, message_bits=(1, 0, 1, 1, 0, 0, 1),
                             num_second_checks=2, seed=5)
 
 
-def _seeds(config, n):
-    return [derive_seed(config.seed, i) for i in range(n)]
+def run_counts(r):
+    """Run ``r``'s ``BatchResult.counts``, counted bit by bit: the reference
+    for the batch's array reductions."""
+    passed = int(r.first_detection.passed)
+    if r.decoded_message is None:
+        return 1, passed, 0, 0, 0, 0
+    correct = sum(1 for a, b in zip(r.message, r.decoded_message) if a == b)
+    guesses = [
+        int(r.guesses[pid] == bit)
+        for pid, bit in zip(r.message_photon_ids, r.message)
+        if pid in r.guesses
+    ]
+    return 1, passed, len(r.message), correct, len(guesses), sum(guesses)
 
 
-def _campaign(name):
+def _run(config, indices, factory):
+    """Trials ``indices`` of a campaign of ``config``, as one batch."""
+    return run_protocol_batch(config, [derive_seed(config.seed, i) for i in indices], factory)
+
+
+# Each maker runs the trials ``indices`` and gives (config, attack spec for
+# the report, batch).
+def _campaign(name, indices=range(13)):
     config, spec, rule = CAMPAIGNS[name]
-    return config, spec, run_batch(config, range(13), spec, rule)
+    return config, spec, run_batch(config, indices, spec, rule)
 
 
-def _naive():
+def _naive(indices=range(16)):
     # The non-adaptive control fails the first detection in some trials.
-    batch = run_protocol_batch(
-        NAIVE_CONFIG, _seeds(NAIVE_CONFIG, 16),
-        lambda rngs: EntanglingAdversary(NAIVE, rngs, adaptive=False),
-    )
-    return NAIVE_CONFIG, NAIVE, batch
+    factory = lambda rngs: EntanglingAdversary(NAIVE, rngs, adaptive=False)
+    return NAIVE_CONFIG, NAIVE, _run(NAIVE_CONFIG, indices, factory)
 
 
-def _fixed_bits():
+def _fixed_bits(indices=range(9)):
     spec = qgwz_spec(BELL)
-    return FIXED_BITS, spec, run_batch(FIXED_BITS, range(9), spec, GuessRule())
+    return FIXED_BITS, spec, run_batch(FIXED_BITS, indices, spec, GuessRule())
 
 
-def _null_adversary():
+def _null_adversary(indices=range(7)):
     config = CAMPAIGNS["honest"][0]
-    batch = run_protocol_batch(config, _seeds(config, 7), lambda rngs: NullAdversary())
-    return config, None, batch
+    return config, None, _run(config, indices, lambda rngs: NullAdversary())
 
 
 class EvenPhotonGuesser(NullAdversary):
@@ -69,15 +86,14 @@ class EvenPhotonGuesser(NullAdversary):
         return guesses
 
 
-def _partial_guesses():
+def _partial_guesses(indices=range(7)):
     # Some message bits go unguessed; the report still names an attack.
     config = CAMPAIGNS["honest"][0]
-    batch = run_protocol_batch(config, _seeds(config, 7), lambda rngs: EvenPhotonGuesser())
-    return config, qgwz_spec(BELL), batch
+    return config, qgwz_spec(BELL), _run(config, indices, lambda rngs: EvenPhotonGuesser())
 
 
 BATCHES = {
-    **{name: (lambda name=name: _campaign(name)) for name in CAMPAIGNS},
+    **{name: functools.partial(_campaign, name) for name in CAMPAIGNS},
     "naive-fails-first": _naive,
     "fixed-message-bits": _fixed_bits,
     "null-adversary": _null_adversary,
@@ -88,9 +104,9 @@ BATCHES = {
 @pytest.mark.parametrize("name", BATCHES)
 def test_batch_fold_matches_run_fold(name):
     config, spec, batch = BATCHES[name]()
-    runs = list(batch)
-    assert batch.counts() == tuple(map(sum, zip(*(r.counts() for r in runs))))
-    folded, reference = summarize(config, spec, [batch]), summarize(config, spec, runs)
+    assert batch.counts() == tuple(map(sum, zip(*(run_counts(r) for r in batch))))
+    singles = [BATCHES[name]([i])[2] for i in range(len(batch))]
+    folded, reference = summarize(config, spec, [batch]), summarize(config, spec, singles)
     assert folded.to_json_line() == reference.to_json_line()
     assert folded.to_csv() == reference.to_csv()
     assert folded.to_text() == reference.to_text()

@@ -7,6 +7,7 @@ from qsslab.attack import EntanglingAdversary, GuessRule, qgwz_spec
 from qsslab.protocol import (
     MAX_RUN_SIZE,
     ConfigError,
+    DetectionVerdict,
     InvariantPhaseError,
     MissingAngleError,
     NullAdversary,
@@ -18,13 +19,16 @@ from qsslab.protocol import (
     first_detection,
     prepare_sequence,
     recovery_phase,
+    render_transcripts,
     required_sequence_length,
     run_protocol,
-    second_detection,
+    run_protocol_batch,
     sum_angles,
 )
 from qsslab.quantum import (
+    MINUS_I_SIGMA_Y,
     State,
+    apply_photon_op,
     global_phase_equal,
     ket0,
     rotation_operator,
@@ -175,12 +179,39 @@ def test_first_detection_refuses_with_missing_agent():
             first_detection(photons, partial, config, [rng], NullAdversary())
 
 
+class PayloadFlipper(NullAdversary):
+    """A tampering agent: flips every payload photon on its way back."""
+
+    def on_photon_return(self, trials, photon_ids, amps):
+        return apply_photon_op(amps, MINUS_I_SIGMA_Y)
+
+
 def test_second_detection_verdicts():
-    assert second_detection((0, 1, 0), (1,), (1,)).passed
-    verdict = second_detection((0, 1, 0), (0, 2), (1, 0))
-    assert not verdict.passed
-    assert verdict.failed_photons == (0,)
-    assert second_detection((0, 1), (), ()).passed  # vacuous
+    # The flips pass the first detection, which they never touch, and every
+    # decoded bit comes out flipped, so every second check fails.
+    config = small_config(message_length=8, num_second_checks=3)
+    batch = run_protocol_batch(config, [1, 2, 3], lambda rngs: PayloadFlipper())
+    assert batch.first_passed.all()
+    assert batch.check_mismatched.shape == (3, 3) and batch.check_mismatched.all()
+    transcripts = list(render_transcripts(batch))
+    for t, run in enumerate(batch):
+        assert run.decoded_message == tuple(1 - bit for bit in run.message)
+        assert run.second_detection == DetectionVerdict(
+            "second-detection", False, run.check_positions
+        )
+        last = ("phase=second-detection kind=Verdict party=Alice result=fail failed="
+                + ",".join(map(str, run.check_positions)))
+        assert transcripts[t].to_lines()[-1] == last
+        assert run.transcript.to_lines()[-1] == last
+    # Seed 1's second checks, pinned: they move only if the draws do.
+    assert batch[0].check_positions == (3, 5, 10)
+    # With no second checks the verdict passes vacuously, flips and all.
+    run = run_protocol(small_config(num_second_checks=0, seed=1), lambda rngs: PayloadFlipper())
+    assert run.decoded_message == tuple(1 - bit for bit in run.message)
+    assert run.second_detection == DetectionVerdict("second-detection", True, ())
+    assert run.transcript.to_lines()[-1] == (
+        "phase=second-detection kind=Verdict party=Alice result=pass failed=-"
+    )
 
 
 def test_transcript_phase_ordering():
