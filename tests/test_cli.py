@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import pathlib
@@ -207,6 +208,17 @@ def test_cmd_verify_passes(capsys):
     # Every identity that `qsslab verify` has checked stays in the table.
     assert {"rotation-additivity", "encoding-matrix", "encode-angle", "HT-norm", "HT-overlap",
             "entangler-inverse", "ancilla-indistinguishability", "qgwz-theta-prime"} <= names
+
+
+# sha256 of the whole `qsslab verify` stdout: every value to 17 significant
+# digits, so any change in the bits a fixture computes shows here.
+VERIFY_STDOUT_SHA256 = "de5c2cb4da0f4e7413a8521243ee66653d37493493c03cebd37a3357735f4283"
+
+
+def test_cmd_verify_stdout_bytes(capsys):
+    assert main(["verify"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
 
 
 class ClosedPipe:
