@@ -24,6 +24,7 @@ from qsslab.cli import (
     parse_scenario,
 )
 from qsslab.protocol import ConfigError
+from qsslab.quantum import State, basis_state
 
 
 def honest_doc(**proto):
@@ -219,6 +220,21 @@ def test_cmd_verify_stdout_bytes(capsys):
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
+
+
+def test_cmd_verify_refuses_entangled_attacker_fixture(capsys, monkeypatch):
+    # Criterion 3 factors the photon off each joint state; an entangled
+    # fixture (here GHZ, for both bits) is an invariant violation, not a value.
+    ghz = State(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2))
+    pair = basis_state(2, 0)
+    monkeypatch.setattr(cli, "qgwz_fixture", lambda theta: (ghz, ghz, pair, pair))
+    assert main(["verify"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invariant violation: state is not a product "
+        "(leading Schmidt weight 0.7071067811865475)\n"
+    )
 
 
 class ClosedPipe:
