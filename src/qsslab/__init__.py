@@ -4,7 +4,6 @@ sharing protocol and the entangling participant attacks against it."""
 from .analysis import (
     ScenarioReport,
     SweepGrid,
-    counterfactual_joint_distance,
     helstrom_bound,
     indistinguishability,
     monte_carlo,
@@ -37,16 +36,11 @@ from .protocol import (
 from .quantum import (
     InvariantError,
     State,
-    apply_controlled,
-    apply_unitary,
     basis_state,
     canonical_angle,
-    global_phase_equal,
     ket0,
-    partial_trace,
     rotation_operator,
     tensor,
-    trace_distance,
 )
 
 __all__ = [
@@ -64,18 +58,13 @@ __all__ = [
     "State",
     "SweepGrid",
     "Transcript",
-    "apply_controlled",
-    "apply_unitary",
     "basis_state",
     "build_entangler",
     "canonical_angle",
-    "counterfactual_joint_distance",
-    "global_phase_equal",
     "helstrom_bound",
     "indistinguishability",
     "ket0",
     "monte_carlo",
-    "partial_trace",
     "qgwz_fixture",
     "qgwz_spec",
     "random_entangler_spec",
@@ -88,7 +77,6 @@ __all__ = [
     "summarize",
     "sweep",
     "tensor",
-    "trace_distance",
 ]
 
 __version__ = "0.1.0"

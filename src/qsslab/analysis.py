@@ -122,11 +122,6 @@ def _ancilla_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.nda
     return _trace_distances(m @ m.conj().swapaxes(-1, -2))
 
 
-def _joint_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
-    _, rows = _encoded_rows(specs, thetas)
-    return _trace_distances(rows[..., :, None] * rows.conj()[..., None, :])
-
-
 def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
     """Trace distance between the attacker's post-inverse ancilla states
     conditioned on message bit 0 vs 1, computed exactly for each spec of
@@ -134,14 +129,6 @@ def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
     vector shared by every spec or one (S, T) row per spec.
     ``helstrom_bound`` of it is the best guessing probability."""
     return _per_ancilla_dim(_ancilla_distances, specs, thetas)
-
-
-def counterfactual_joint_distance(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
-    """Diagnostic: trace distance of the *joint* states when the attacker keeps
-    the photon and skips the inverse entangler, shaped like
-    ``indistinguishability``. Nonzero for generic theta, which shows the
-    indistinguishability test is sensitive."""
-    return _per_ancilla_dim(_joint_distances, specs, thetas)
 
 
 @dataclass(frozen=True)

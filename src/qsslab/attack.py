@@ -24,7 +24,6 @@ from .quantum import (
     MINUS_I_SIGMA_Y,
     InvariantError,
     State,
-    apply_controlled,
     # Not called in this module; kept importable because qssbench/selftest.py
     # checks that the benchmark's tracer patches it here.
     apply_unitary,  # noqa: F401
@@ -201,24 +200,6 @@ def qgwz_spec(ancilla_state: State) -> EntanglerSpec:
         beta=beta,
         theta_prime=ENCODING_SHIFT,
     )
-
-
-def apply_ccy(joint: State) -> State:
-    """Direct controlled-controlled-(-i*sigma_y): ancilla pair controls, photon target."""
-    return apply_controlled(joint, controls=[0, 1], target=2, op=MINUS_I_SIGMA_Y)
-
-
-def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
-    """Factor a product state into (ancilla factor, photon factor).
-
-    Raises ``InvariantError`` if the state carries residual entanglement.
-    """
-    n = joint.num_qubits
-    mat = joint.amps.reshape(2**ancilla_qubits, 2 ** (n - ancilla_qubits))
-    u, s, vh = np.linalg.svd(mat)
-    if s[0] < 1.0 - 1e-8:
-        raise InvariantError(f"state is not a product (leading Schmidt weight {s[0]})")
-    return State(u[:, 0]), State(s[0] * vh[0, :])
 
 
 def _span_outcomes(probs: np.ndarray, r: np.ndarray, refusal: str) -> np.ndarray:

@@ -33,7 +33,6 @@ from .attack import (
     qgwz_fixture,
     qgwz_spec,
     random_entangler_spec,
-    split_product,
 )
 from .protocol import (
     BatchResult,
@@ -365,6 +364,16 @@ def _criterion_2() -> list[Fixture]:
     ]
 
 
+def _attacker_factor(joint: State) -> State:
+    """The attacker-held pair of a product state whose leading qubit is the
+    photon, from its Schmidt decomposition; ``InvariantError`` if the state
+    carries residual entanglement."""
+    _, s, vh = np.linalg.svd(joint.amps.reshape(2, -1))
+    if s[0] < 1.0 - 1e-8:
+        raise InvariantError(f"state is not a product (leading Schmidt weight {s[0]})")
+    return State(s[0] * vh[0])
+
+
 def _criterion_3() -> list[Fixture]:
     """The attacker-held pair of the controlled-gate attack at 29 photon angles."""
     rng = np.random.default_rng(3)
@@ -372,9 +381,8 @@ def _criterion_3() -> list[Fixture]:
     ht_norm = ht_overlap = 0.0
     for theta in [0.0, np.pi / 4, np.pi / 2, np.pi] + list(rng.uniform(0, 2 * np.pi, 25)):
         joint0, joint1, ht0, ht1 = qgwz_fixture(float(theta))
-        # Factor independently: the photon is the leading qubit of these fixtures.
-        _, factor0 = split_product(joint0, 1)
-        _, factor1 = split_product(joint1, 1)
+        factor0 = _attacker_factor(joint0)
+        factor1 = _attacker_factor(joint1)
         worst = min(worst, abs(overlap(factor0, factor1)))
         ht_norm = max(ht_norm, abs(float(np.linalg.norm(ht0.amps)) - 1.0))
         ht_overlap = max(ht_overlap, abs(abs(overlap(ht0, ht1)) - 1.0))

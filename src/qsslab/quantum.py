@@ -7,16 +7,16 @@ Conventions (fixed and tested):
   which compose additively: ``U(a) @ U(b) = U(a + b)``.
 - all angles are canonicalized to [0, 2*pi).
 
-Besides the scalar ``State`` API, the module has batched kernels that act on
-many photons at once: an array of shape (..., D), such as (n_photons, D) or
+``State`` holds one checked state: an input, an ancilla basis vector, a
+fixture. The engine itself is batched kernels that act on many photons at
+once: an array of shape (..., D), such as (n_photons, D) or
 (trials, n_photons, D), whose rows are joint states with the photon as the
 last (least significant) qubit.
 Each operator is checked unitary once, where it is built: ``MINUS_I_SIGMA_Y``
 at import, a batch of rotations in ``rotate_photons`` and the entangler in
-``attack.build_entangler``. ``apply_unitary``, ``apply_controlled`` and
-``apply_photon_op`` take their operator as already checked. The norm
-invariant is checked on every ``State`` and row-wise on a batch
-(``check_norms``).
+``attack.build_entangler``. ``apply_photon_op`` takes its operator as
+already checked. The norm invariant is checked on every ``State`` and
+row-wise on a batch (``check_norms``).
 
 A ``State``'s identity is its amplitude bytes with -0.0 folded into +0.0,
 computed once, when the state is first compared or hashed. ``==`` and
@@ -150,7 +150,9 @@ def apply_unitary(state: State, op: np.ndarray) -> State:
     """Apply ``op``, already checked unitary where it was built, to ``state``.
 
     A (dim, dim) ``op`` acts on the whole register, a (2, 2) ``op`` on its
-    last qubit, the photon (``apply_photon_op``).
+    last qubit, the photon (``apply_photon_op``). No command calls it; it
+    stays because qssbench/selftest.py checks that the benchmark's tracer
+    patches it here and in the modules that import it.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape == (state.dim, state.dim):
@@ -161,36 +163,6 @@ def apply_unitary(state: State, op: np.ndarray) -> State:
         f"operator shape {op.shape} acts neither on all {state.num_qubits} qubits "
         "nor on the last one"
     )
-
-
-def apply_controlled(state: State, controls: list[int], target: int, op: np.ndarray) -> State:
-    """Apply a 2x2 ``op``, already unitary, to ``target`` on components where
-    every control bit is 1."""
-    n = state.num_qubits
-    controls = list(controls)
-    if not controls:
-        raise ValueError("controls must be nonempty")
-    indices = controls + [target]
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"overlapping control/target indices: {indices}")
-    if any(q < 0 or q >= n for q in indices):
-        raise ValueError(f"qubit index out of range for {n} qubits: {indices}")
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"controlled op must be 2x2, got {op.shape}")
-
-    idx = np.arange(2**n)
-    active = np.ones(2**n, dtype=bool)
-    for c in controls:
-        active &= ((idx >> (n - 1 - c)) & 1) == 1
-    tbit = 1 << (n - 1 - target)
-    i0 = idx[active & ((idx & tbit) == 0)]
-    i1 = i0 | tbit
-    amps = state.amps.copy()
-    a0, a1 = amps[i0], amps[i1]
-    amps[i0] = op[0, 0] * a0 + op[0, 1] * a1
-    amps[i1] = op[1, 0] * a0 + op[1, 1] * a1
-    return State(amps)
 
 
 def rotate_photons(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -259,40 +231,8 @@ def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.n
     return outcomes, probs
 
 
-def partial_trace(state: State, keep: list[int]) -> np.ndarray:
-    """Reduced density matrix over ``keep`` (in the given order)."""
-    n = state.num_qubits
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"invalid keep set for {n} qubits: {keep}")
-    traced = [q for q in range(n) if q not in keep]
-    t = state.amps.reshape([2] * n)
-    rho = np.tensordot(t, t.conj(), axes=(traced, traced))
-    # Remaining axes follow the original qubit order; permute to the requested one.
-    remaining = [q for q in range(n) if q in keep]
-    order = [remaining.index(q) for q in keep]
-    k = len(keep)
-    rho = rho.transpose(order + [k + o for o in order])
-    return rho.reshape(2**k, 2**k)
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    eigs = np.linalg.eigvalsh(a - b)
-    return float(0.5 * np.sum(np.abs(eigs)))
-
-
 def overlap(a: State, b: State) -> complex:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amps, b.amps))
 
-
-def global_phase_equal(a: State, b: State, tol: float = ATOL_STATE) -> bool:
-    """True iff the states agree up to an unobservable global phase."""
-    return abs(overlap(a, b)) >= 1.0 - tol

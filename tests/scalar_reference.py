@@ -1,0 +1,124 @@
+"""The scalar gate layer, kept as a reference for the tests.
+
+Every command of qsslab runs on the row kernels of ``qsslab.quantum``,
+``qsslab.attack`` and ``qsslab.analysis``. The functions below are the
+earlier one-``State``-at-a-time path, kept verbatim: controlled gates,
+partial trace, trace distance, equality up to a global phase, the
+controlled-controlled-(-i*sigma_y) gate of the attack, the product
+splitter, and the joint-state distance of an attacker who keeps the photon.
+The tests check the engine against them. ``counterfactual_joint_distance``
+runs on the engine's own ``_encoded_rows``, ``_per_ancilla_dim`` and
+``_trace_distances``, so it computes the same bits as it did inside
+``qsslab.analysis``.
+
+Tests import this module as they import ``conftest``.
+"""
+from __future__ import annotations
+
+from collections.abc import Iterable
+
+import numpy as np
+
+from qsslab.analysis import _encoded_rows, _per_ancilla_dim, _trace_distances
+from qsslab.attack import EntanglerSpec
+from qsslab.quantum import (
+    ATOL_STATE,
+    MINUS_I_SIGMA_Y,
+    InvariantError,
+    State,
+    overlap,
+)
+
+
+def apply_controlled(state: State, controls: list[int], target: int, op: np.ndarray) -> State:
+    """Apply a 2x2 ``op``, already unitary, to ``target`` on components where
+    every control bit is 1."""
+    n = state.num_qubits
+    controls = list(controls)
+    if not controls:
+        raise ValueError("controls must be nonempty")
+    indices = controls + [target]
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"overlapping control/target indices: {indices}")
+    if any(q < 0 or q >= n for q in indices):
+        raise ValueError(f"qubit index out of range for {n} qubits: {indices}")
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"controlled op must be 2x2, got {op.shape}")
+
+    idx = np.arange(2**n)
+    active = np.ones(2**n, dtype=bool)
+    for c in controls:
+        active &= ((idx >> (n - 1 - c)) & 1) == 1
+    tbit = 1 << (n - 1 - target)
+    i0 = idx[active & ((idx & tbit) == 0)]
+    i1 = i0 | tbit
+    amps = state.amps.copy()
+    a0, a1 = amps[i0], amps[i1]
+    amps[i0] = op[0, 0] * a0 + op[0, 1] * a1
+    amps[i1] = op[1, 0] * a0 + op[1, 1] * a1
+    return State(amps)
+
+
+def partial_trace(state: State, keep: list[int]) -> np.ndarray:
+    """Reduced density matrix over ``keep`` (in the given order)."""
+    n = state.num_qubits
+    keep = list(keep)
+    if not keep:
+        raise ValueError("keep must be nonempty")
+    if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
+        raise ValueError(f"invalid keep set for {n} qubits: {keep}")
+    traced = [q for q in range(n) if q not in keep]
+    t = state.amps.reshape([2] * n)
+    rho = np.tensordot(t, t.conj(), axes=(traced, traced))
+    # Remaining axes follow the original qubit order; permute to the requested one.
+    remaining = [q for q in range(n) if q in keep]
+    order = [remaining.index(q) for q in keep]
+    k = len(keep)
+    rho = rho.transpose(order + [k + o for o in order])
+    return rho.reshape(2**k, 2**k)
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    eigs = np.linalg.eigvalsh(a - b)
+    return float(0.5 * np.sum(np.abs(eigs)))
+
+
+def global_phase_equal(a: State, b: State, tol: float = ATOL_STATE) -> bool:
+    """True iff the states agree up to an unobservable global phase."""
+    return abs(overlap(a, b)) >= 1.0 - tol
+
+
+def apply_ccy(joint: State) -> State:
+    """Direct controlled-controlled-(-i*sigma_y): ancilla pair controls, photon target."""
+    return apply_controlled(joint, controls=[0, 1], target=2, op=MINUS_I_SIGMA_Y)
+
+
+def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
+    """Factor a product state into (ancilla factor, photon factor).
+
+    Raises ``InvariantError`` if the state carries residual entanglement.
+    """
+    n = joint.num_qubits
+    mat = joint.amps.reshape(2**ancilla_qubits, 2 ** (n - ancilla_qubits))
+    u, s, vh = np.linalg.svd(mat)
+    if s[0] < 1.0 - 1e-8:
+        raise InvariantError(f"state is not a product (leading Schmidt weight {s[0]})")
+    return State(u[:, 0]), State(s[0] * vh[0, :])
+
+
+def _joint_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
+    _, rows = _encoded_rows(specs, thetas)
+    return _trace_distances(rows[..., :, None] * rows.conj()[..., None, :])
+
+
+def counterfactual_joint_distance(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
+    """Diagnostic: trace distance of the *joint* states when the attacker keeps
+    the photon and skips the inverse entangler, shaped like
+    ``indistinguishability``. Nonzero for generic theta, which shows the
+    indistinguishability test is sensitive."""
+    return _per_ancilla_dim(_joint_distances, specs, thetas)

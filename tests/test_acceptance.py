@@ -14,13 +14,14 @@ from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
     GuessRule,
-    apply_ccy,
     build_entangler,
     qgwz_spec,
 )
 from qsslab.cli import FIXTURES
 from qsslab.protocol import ProtocolConfig, run_protocol
 from qsslab.quantum import State, basis_state, tensor
+
+from scalar_reference import apply_ccy
 
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 

@@ -5,7 +5,6 @@ from qsslab import attack
 from qsslab.analysis import (
     ScenarioReport,
     SweepGrid,
-    counterfactual_joint_distance,
     grid_specs,
     helstrom_bound,
     indistinguishability,
@@ -20,6 +19,8 @@ from qsslab.analysis import (
 from qsslab.attack import EntanglerSpec, GuessRule, qgwz_spec, random_entangler_spec
 from qsslab.protocol import ProtocolConfig
 from qsslab.quantum import State, basis_state
+
+from scalar_reference import counterfactual_joint_distance
 
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 

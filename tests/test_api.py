@@ -1,0 +1,95 @@
+"""The package's public names, and the README's library sketch run as written.
+
+The scalar gate layer is not part of the package: it lives in
+``tests/scalar_reference.py``. ``apply_unitary`` stays importable from the
+four modules whose copies the benchmark's tracer patches
+(``qssbench/selftest.py``), and from nowhere else.
+"""
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+import qsslab
+from qsslab import analysis, attack, cli, protocol, quantum
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = [
+    "BatchResult",
+    "ConfigError",
+    "EntanglerSpec",
+    "EntanglingAdversary",
+    "GuessRule",
+    "InvariantError",
+    "MissingAngleError",
+    "NullAdversary",
+    "ProtocolConfig",
+    "RunResult",
+    "ScenarioReport",
+    "State",
+    "SweepGrid",
+    "Transcript",
+    "basis_state",
+    "build_entangler",
+    "canonical_angle",
+    "helstrom_bound",
+    "indistinguishability",
+    "ket0",
+    "monte_carlo",
+    "qgwz_fixture",
+    "qgwz_spec",
+    "random_entangler_spec",
+    "rotation_operator",
+    "run_batch",
+    "run_batches",
+    "run_protocol",
+    "run_protocol_batch",
+    "run_trials",
+    "summarize",
+    "sweep",
+    "tensor",
+]
+
+REFERENCE_NAMES = [
+    "apply_controlled",
+    "apply_ccy",
+    "partial_trace",
+    "trace_distance",
+    "global_phase_equal",
+    "split_product",
+    "counterfactual_joint_distance",
+    "_joint_distances",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(qsslab.__all__) == PUBLIC_NAMES
+    for name in qsslab.__all__:
+        assert getattr(qsslab, name) is not None
+
+
+@pytest.mark.parametrize("module", [qsslab, quantum, attack, analysis, protocol, cli])
+def test_scalar_reference_is_not_in_the_package(module):
+    assert [name for name in REFERENCE_NAMES if hasattr(module, name)] == []
+
+
+def test_apply_unitary_only_where_the_tracer_patches_it():
+    holders = [m for m in (qsslab, quantum, protocol, attack, analysis, cli)
+               if hasattr(m, "apply_unitary")]
+    assert holders == [quantum, protocol, attack, analysis]
+    assert all(m.apply_unitary is quantum.apply_unitary for m in holders)
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

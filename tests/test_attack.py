@@ -7,12 +7,10 @@ from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
     GuessRule,
-    apply_ccy,
     build_entangler,
     qgwz_fixture,
     qgwz_spec,
     random_entangler_spec,
-    split_product,
 )
 from qsslab.protocol import ProtocolConfig, run_protocol
 from qsslab.quantum import (
@@ -22,17 +20,21 @@ from qsslab.quantum import (
     apply_unitary,
     basis_state,
     canonical_angle,
-    global_phase_equal,
     ket0,
     overlap,
-    partial_trace,
     rotation_operator,
     rotate_photons,
     tensor,
-    trace_distance,
 )
 
 from conftest import random_state
+from scalar_reference import (
+    apply_ccy,
+    global_phase_equal,
+    partial_trace,
+    split_product,
+    trace_distance,
+)
 
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 

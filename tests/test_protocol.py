@@ -29,11 +29,12 @@ from qsslab.quantum import (
     MINUS_I_SIGMA_Y,
     State,
     apply_photon_op,
-    global_phase_equal,
     ket0,
     rotation_operator,
     rotate_photons,
 )
+
+from scalar_reference import global_phase_equal
 
 
 def small_config(**kw):

@@ -11,25 +11,22 @@ from qsslab.quantum import (
     TWO_PI,
     InvariantError,
     State,
-    apply_controlled,
     apply_unitary,
     basis_state,
     canonical_angle,
     canonical_angles,
     check_norms,
     check_unitary,
-    global_phase_equal,
     ket0,
     measure_photons_z,
-    partial_trace,
     rotate_photons,
     rotation_operator,
     sample_outcomes,
     tensor,
-    trace_distance,
 )
 
 from conftest import projector, random_state, random_unitary
+from scalar_reference import apply_controlled, global_phase_equal, partial_trace, trace_distance
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
