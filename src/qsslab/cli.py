@@ -4,10 +4,15 @@ Scenario configs are JSON with three sections (``protocol``, ``attack``,
 ``run``); complex numbers are written as [re, im] pairs and unknown keys are
 rejected. Exit codes: 0 success, 1 invalid config or command line, 2
 unexpected detection failure, 3 internal invariant violation.
+
+``main(argv)`` may be called any number of times in one process: the parser
+is built on the first call and reused, and each call picks its command's
+handler by name when it runs.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -162,6 +167,11 @@ def parse_scenario(doc: dict) -> Scenario:
         seed=_integer(proto.get("seed", 0), "protocol.seed", minimum=0),
     )
     config.validate()
+    if bits is not None and "message_length" in proto and config.message_length != len(bits):
+        raise ConfigError(
+            f"protocol.message_length is {config.message_length} but message_bits "
+            f"has {len(bits)} bits"
+        )
 
     attack = _section(doc, "attack", {"kind": "none"})
     _check_keys(
@@ -458,7 +468,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+    It holds no handlers: ``main`` picks one by command name when it runs."""
     parser = _Parser(
         prog="qsslab",
         description="Quantum secret sharing protocol and entangling-attack laboratory",
@@ -478,15 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--transcripts", default=None, metavar="DIR",
         help="also write one transcript log per trial into DIR",
     )
-    run.set_defaults(func=cmd_run)
 
     sw = sub.add_parser("sweep", help="sweep entangler parameters, tabulating trace distances")
     sw.add_argument("config", help="path to a JSON scenario config")
     sw.add_argument("--out", default=None, help="write the table here (default stdout)")
-    sw.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="run the built-in fixture suite")
-    verify.set_defaults(func=cmd_verify)
+    sub.add_parser("verify", help="run the built-in fixture suite")
     return parser
 
 
@@ -504,7 +514,10 @@ def main(argv=None) -> int:
     ``-h``/``--help`` prints usage and exits 0 (``SystemExit``)."""
     try:
         args = build_parser().parse_args(argv)
-        code, text = args.func(args)
+        # Looked up on every call, so a handler replaced after the parser
+        # was built (by a tracer or a test) is the one that runs.
+        command = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify}[args.command]
+        code, text = command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

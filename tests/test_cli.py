@@ -95,6 +95,16 @@ def test_parse_general_scenario():
     assert s.entangler.beta == pytest.approx(0.8j)
 
 
+def test_message_length_may_repeat_the_bits_length():
+    bits = [1, 0, 1]
+    s = parse_scenario(honest_doc(message_bits=bits, message_length=3))
+    assert (s.protocol.message_bits, s.protocol.message_length) == ((1, 0, 1), 3)
+    # Without message_length the bits alone fix the message.
+    doc = honest_doc(message_bits=bits)
+    del doc["protocol"]["message_length"]
+    assert parse_scenario(doc).protocol.message_bits == (1, 0, 1)
+
+
 def test_unknown_keys_rejected():
     doc = honest_doc()
     doc["protocol"]["frobnicate"] = 1
@@ -334,6 +344,10 @@ MALFORMED = [
     pytest.param(honest_doc, ("protocol", "check_fraction_first"), 0.999999999, ["run"],
                  id="check-fraction-near-1"),
     pytest.param(honest_doc, ("protocol", "agents"), 10**12, ["run"], id="agents-huge"),
+    # A message_length beside message_bits would be echoed in the report
+    # while the run used the bits' length.
+    pytest.param(lambda: honest_doc(message_length=500), ("protocol", "message_bits"), [1, 0],
+                 ["run"], id="length-disagrees-with-bits"),
     # The ancilla dimension is capped at attack.MAX_ANCILLA_DIM = 8.
     pytest.param(sweep_doc, ("run", "sweep", "ancilla_dim"), 16, ["sweep"], id="ancilla-dim-16"),
     pytest.param(sweep_doc, ("run", "sweep", "ancilla_dim"), 2**40, ["sweep"],
@@ -378,6 +392,69 @@ def test_help_prints_usage_and_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: qsslab")
+
+
+def test_parser_is_built_once_and_dispatch_is_at_call_time(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    path = write(tmp_path, sweep_doc())
+    # This call has built the parser, if no earlier one did.
+    assert main(["sweep", path, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    seen = []
+
+    def fake(args):
+        seen.append(args.config)
+        return EXIT_OK, "replaced\n"
+
+    monkeypatch.setattr(cli, "cmd_sweep", fake)
+    assert main(["sweep", path]) == EXIT_OK
+    assert seen == [path]
+    assert capsys.readouterr().out == "replaced\n"
+
+
+def fresh_main(argv, cwd, columns="80"):
+    """``qsslab argv`` in a fresh interpreter: (exit code, stdout, stderr)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsslab.cli", *argv], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "COLUMNS": columns},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # Each call in this process gives the bytes of the same command run in a
+    # fresh interpreter, whatever ran before it.
+    monkeypatch.setenv("COLUMNS", "80")
+    path = write(tmp_path, honest_doc(seed=11))
+    calls = [
+        ["run", path, "--seed", "5", "--trials", "2", "--out", "a"],
+        ["run", path, "--trials", "2", "--out", "b"],
+        ["run", path, "--trials", "abc"],
+        ["run", path, "--trials", "2", "--out", "c"],
+    ]
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    monkeypatch.chdir(here)
+    codes = []
+    for argv in calls:
+        codes.append(main(argv))
+        assert (codes[-1], *capsys.readouterr()) == fresh_main(argv, there)
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_CONFIG, EXIT_OK]
+    for name in "abc":
+        assert (here / name).read_bytes() == (there / name).read_bytes()
+    assert "seed                      5\n" in (here / "a").read_text()
+    # The second run takes the file's seed, not the first run's override.
+    assert "seed                      11\n" in (here / "b").read_text()
+    assert (here / "b").read_bytes() == (here / "c").read_bytes()
+
+    _, help_text, _ = fresh_main(["-h"], there)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == help_text
+    assert help_text.startswith("usage: qsslab")
 
 
 # (command, options, given tmp_path): output paths that cannot take the
