@@ -106,6 +106,11 @@ def _per_ancilla_dim(kernel, specs, thetas) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     thetas = np.broadcast_to(thetas, (len(specs), thetas.shape[-1]))
     dims = [spec.ancilla_dim for spec in specs]
+    if len(set(dims)) == 1:
+        # One dimension, as in every sweep chunk and campaign: the kernel's
+        # own result, its angles in the C order a gather would give them
+        # (``np.cos`` of a strided array can differ in the last bit).
+        return kernel(specs, np.ascontiguousarray(thetas))
     out = np.empty(thetas.shape)
     for d in set(dims):
         idx = [i for i, dim in enumerate(dims) if dim == d]

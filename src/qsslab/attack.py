@@ -243,11 +243,14 @@ class EntanglingAdversary:
         self.entangler = build_entangler(spec)
         # Both measurements contract the ancilla with <eps| and <eps_perp|:
         # ``_kets`` holds the two states as rows, ``_bras`` their conjugates
-        # as the columns of a (d, 2) matrix, and ``_joint_bras`` = _bras (x) I
-        # applies them to the (ancilla, photon) rows in one matrix product.
+        # as the columns of a (d, 2) matrix, and ``_joint_bras`` = _bras (x) I,
+        # written as its two nonzero strided blocks, applies them to the
+        # (ancilla, photon) rows in one matrix product.
         self._kets = np.stack([spec.epsilon.amps, spec.epsilon_perp.amps])
         self._bras = self._kets.T.conj()
-        self._joint_bras = np.kron(self._bras, np.eye(2))
+        self._joint_bras = np.zeros((2 * spec.ancilla_dim, 4), dtype=complex)
+        self._joint_bras[0::2, 0::2] = self._bras
+        self._joint_bras[1::2, 1::2] = self._bras
         # Final ancilla outcome per (trial, photon): 0 for eps, 1 for eps_perp,
         # -1 where no ancilla was measured. Sized by the forward hook.
         self.final_outcomes: np.ndarray | None = None

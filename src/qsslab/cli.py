@@ -5,6 +5,13 @@ Scenario configs are JSON with three sections (``protocol``, ``attack``,
 rejected. Exit codes: 0 success, 1 invalid config or command line, 2
 unexpected detection failure, 3 internal invariant violation.
 
+``--out`` is opened once, after the scenario and the options are checked and
+before any trial or sweep runs, and the output is written through that one
+handle. The open truncates nothing: a file already there keeps its bytes
+until the output replaces them, so a command that fails after the open
+leaves it byte for byte as it was, and removes the file if its own open
+created it.
+
 ``main(argv)`` may be called any number of times in one process: the parser
 is built on the first call and reused, and each call picks its command's
 handler by name when it runs.
@@ -12,9 +19,11 @@ handler by name when it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -244,34 +253,57 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
-def _check_out(path: str | None) -> None:
-    """Refuse an ``--out`` path that cannot take the output, before any work.
+class _OutFile:
+    """The ``--out`` file of one command, or nothing without a path.
 
-    The path is opened for appending, which writes nothing, and removed again
-    if that created it.
+    The path is opened once, before the command's work, so a path that cannot
+    take the output is a config error before any trial or sweep runs. The
+    open truncates nothing: a file that was there keeps its bytes until
+    ``write`` replaces them. A command that fails before then leaves such a
+    file as it was, and removes the file if its own open created it.
     """
-    if path is None:
-        return
-    existed = os.path.lexists(path)
-    try:
-        with open(path, "a"):
-            pass
-    except OSError as exc:
-        raise ConfigError(f"--out {path}: {exc.strerror}")
-    if not existed:
-        os.remove(path)
 
-
-def _write_output(text: str, out: str | None) -> None:
-    if out:
+    def __init__(self, path: str | None):
+        self.path = path
+        self.fh = None
+        self.created = self.written = False
+        if path is None:
+            return
         try:
-            with open(out, "w") as fh:
-                fh.write(text)
+            try:
+                self.fh, self.created = open(path, "x"), True
+            except FileExistsError:
+                self.fh = open(path, "a")
         except OSError as exc:
-            raise ConfigError(f"--out {out}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+            raise ConfigError(f"--out {path}: {exc.strerror}")
+
+    def __enter__(self) -> _OutFile:
+        return self
+
+    def write(self, text: str) -> None:
+        """Replace the file's bytes with ``text`` and close it."""
+        if self.fh is None:
+            return
+        try:
+            with self.fh:
+                fd = self.fh.fileno()
+                # A device or a pipe takes the text as it is; only a regular
+                # file has old bytes to drop.
+                if not self.created and stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, 0)
+                self.fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out {self.path}: {exc.strerror}")
+        self.written = True
+
+    def __exit__(self, *exc_info) -> None:
+        if self.fh is None:
+            return
+        self.fh.close()
+        if self.created and not self.written:
+            # Cleanup must not hide the error that ended the command.
+            with contextlib.suppress(OSError):
+                os.remove(self.path)
 
 
 def _write_transcripts(
@@ -301,24 +333,25 @@ def cmd_run(args) -> tuple[int, str]:
     trials = scenario.trials
     if args.trials is not None:
         trials = _integer(args.trials, "--trials", minimum=1)
-    _check_out(args.out)
-    if args.transcripts is not None:
-        try:
-            os.makedirs(args.transcripts, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"--transcripts {args.transcripts}: {exc.strerror}")
+    with _OutFile(args.out) as out:
+        if args.transcripts is not None:
+            try:
+                os.makedirs(args.transcripts, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--transcripts {args.transcripts}: {exc.strerror}")
 
-    batches = run_batches(config, scenario.entangler, scenario.rule, trials)
-    if args.transcripts is not None:
-        batches = _write_transcripts(batches, args.transcripts)
-    report = summarize(config, scenario.entangler, batches)
+        batches = run_batches(config, scenario.entangler, scenario.rule, trials)
+        if args.transcripts is not None:
+            batches = _write_transcripts(batches, args.transcripts)
+        report = summarize(config, scenario.entangler, batches)
 
-    if args.format == "json-lines":
-        text = report.to_json_line() + "\n"
-    elif args.format == "csv":
-        text = report.to_csv()
-    else:
-        text = report.to_text()
+        if args.format == "json-lines":
+            text = report.to_json_line() + "\n"
+        elif args.format == "csv":
+            text = report.to_csv()
+        else:
+            text = report.to_text()
+        out.write(text)
 
     if report.first_detection_pass_rate < 1.0:
         # Every supported attack kind escapes detection; a failure here means
@@ -336,9 +369,11 @@ DEFAULT_GRID = SweepGrid(
 
 def cmd_sweep(args) -> tuple[int, str]:
     scenario = load_scenario(args.config)
-    _check_out(args.out)
-    grid = scenario.grid or DEFAULT_GRID
-    return EXIT_OK, sweep_table(grid, sweep(grid))
+    with _OutFile(args.out) as out:
+        grid = scenario.grid or DEFAULT_GRID
+        text = sweep_table(grid, sweep(grid))
+        out.write(text)
+    return EXIT_OK, text
 
 
 @dataclass(frozen=True)
@@ -524,8 +559,12 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    if getattr(args, "out", None) is not None:
+        # The command has written its output to the --out file.
+        return code
     try:
-        _write_output(text, getattr(args, "out", None))
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except BrokenPipeError:
         # The reader of stdout has exited (`qsslab sweep ... | head -n 1`).
         _discard_stdout()
@@ -533,10 +572,6 @@ def main(argv=None) -> int:
         # Stdout took no output (`qsslab sweep ... > /dev/full`).
         _discard_stdout()
         print(f"config error: stdout: {exc.strerror}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        # The --out file opened before the run but took no output (a full disk).
-        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return code
 

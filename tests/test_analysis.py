@@ -67,6 +67,23 @@ def test_indistinguishability_stack_independent(rng):
     assert counterfactual_joint_distance(specs, thetas).tolist() == joint
 
 
+def test_single_dimension_rows_are_the_bytes_of_a_mixed_call(rng):
+    # A call whose specs share one ancilla dimension returns the kernel's
+    # own result; a mixed call gathers each dimension's rows. Both give the
+    # same bytes, signed zeros included, with own or shared angles.
+    specs = [random_entangler_spec(rng, ancilla_dim=(2, 4, 8)[i % 3]) for i in range(12)]
+    thetas = np.concatenate([np.zeros((12, 1)), rng.uniform(0, 2 * np.pi, (12, 6))], axis=1)
+    for angles in (thetas, thetas[0]):
+        mixed = indistinguishability(specs, angles)
+        for dim in (2, 4, 8):
+            idx = [i for i, spec in enumerate(specs) if spec.ancilla_dim == dim]
+            own = angles[idx] if angles.ndim == 2 else angles
+            single = indistinguishability([specs[i] for i in idx], own)
+            assert single.dtype == np.float64 and single.shape == (len(idx), 7)
+            assert single.flags.writeable and single.flags.c_contiguous
+            assert single.tobytes() == mixed[idx].tobytes()
+
+
 def test_counterfactual_pipeline_is_sensitive(rng):
     # Keeping the photon (no inverse entangler) the bit is visible: this
     # confirms the indistinguishability test could detect a broken pipeline.
@@ -179,6 +196,15 @@ def test_sweep_full_grid():
 def test_sweep_single_point():
     tds = sweep(SweepGrid((0.5,), (0.5,), (1.0,)))
     assert tds.shape == (1, 1)
+
+
+@pytest.mark.parametrize("n_theta", [3, 200])
+def test_sweep_returns_a_writeable_float64_table(n_theta):
+    grid = SweepGrid((0.3, 1.2), (0.25, 0.5, 1.0), tuple(np.linspace(0.0, 6.0, n_theta)), 4)
+    tds = sweep(grid)
+    assert tds.dtype == np.float64 and tds.shape == (6, n_theta)
+    assert tds.flags.writeable
+    tds[0, 0] = 1.0
 
 
 def test_sweep_order_independent():

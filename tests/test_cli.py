@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsslab import cli
+from qsslab import analysis, cli
 from qsslab.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -24,7 +24,7 @@ from qsslab.cli import (
     parse_scenario,
 )
 from qsslab.protocol import ConfigError
-from qsslab.quantum import State, basis_state
+from qsslab.quantum import InvariantError, State, basis_state
 
 
 def honest_doc(**proto):
@@ -513,6 +513,124 @@ def test_transcript_write_failing_mid_campaign_exit1(tmp_path, capsys):
     assert err == f"config error: --transcripts {log}: {os.strerror(errno.EISDIR)}\n"
     assert (tdir / "trial_00000.log").stat().st_size > 0
     assert not out.exists()
+
+
+def command_doc(command):
+    return sweep_doc() if command == "sweep" else qgwz_doc()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_is_opened_once_and_never_removed(tmp_path, monkeypatch, command):
+    out = str(tmp_path / "out.txt")
+    opened, removed = [], []
+
+    def counting_open(file, *args, **kwargs):
+        if file == out:
+            opened.append(args)
+        return open(file, *args, **kwargs)
+
+    class CountingOs:
+        """``os`` as qsslab.cli sees it, with removals counted."""
+
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        def remove(self, path, *args, **kwargs):
+            removed.append(path)
+            return os.remove(path, *args, **kwargs)
+
+        unlink = remove
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(cli, "os", CountingOs())
+    assert main([command, write(tmp_path, command_doc(command)), "--out", out]) == EXIT_OK
+    assert len(opened) == 1
+    assert removed == []
+    assert os.path.getsize(out) > 0
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_replaces_a_longer_file_exactly(tmp_path, command):
+    path = write(tmp_path, command_doc(command))
+    fresh, old = tmp_path / "fresh.txt", tmp_path / "old.txt"
+    old.write_bytes(b"an earlier, longer report\n" * 4000)
+    assert main([command, path, "--out", str(fresh)]) == EXIT_OK
+    assert main([command, path, "--out", str(old)]) == EXIT_OK
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def taken_transcript(tmp_path, monkeypatch):
+    # The second trial's log name is taken by a directory.
+    tdir = tmp_path / "transcripts"
+    (tdir / "trial_00001.log").mkdir(parents=True)
+    return ["--trials", "3", "--transcripts", str(tdir)]
+
+
+def failing_kernel(error):
+    def setup(tmp_path, monkeypatch):
+        def kernel(specs, thetas):
+            raise error
+
+        monkeypatch.setattr(analysis, "_ancilla_distances", kernel)
+        return []
+
+    return setup
+
+
+# (command, failure set-up, exit code or the exception that propagates):
+# failures that come after the --out file is opened.
+FAILURES_AFTER_OPEN = [
+    pytest.param("run", taken_transcript, EXIT_CONFIG, id="run-transcript-taken"),
+    pytest.param("run", failing_kernel(InvariantError("injected")), EXIT_INVARIANT,
+                 id="run-invariant"),
+    pytest.param("sweep", failing_kernel(InvariantError("injected")), EXIT_INVARIANT,
+                 id="sweep-invariant"),
+    pytest.param("run", failing_kernel(RuntimeError("injected")), RuntimeError,
+                 id="run-unexpected"),
+    pytest.param("sweep", failing_kernel(RuntimeError("injected")), RuntimeError,
+                 id="sweep-unexpected"),
+]
+
+
+@pytest.mark.parametrize("before", [b"an earlier report\n" * 50, None], ids=["existing", "fresh"])
+@pytest.mark.parametrize("command, fail, expected", FAILURES_AFTER_OPEN)
+def test_failure_after_the_open_leaves_out_as_it_was(
+    tmp_path, capsys, monkeypatch, command, fail, expected, before
+):
+    out = tmp_path / "out.txt"
+    if before is not None:
+        out.write_bytes(before)
+    argv = [command, write(tmp_path, command_doc(command)), *fail(tmp_path, monkeypatch),
+            "--out", str(out)]
+    if isinstance(expected, int):
+        assert main(argv) == expected
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    else:
+        with pytest.raises(expected, match="injected"):
+            main(argv)
+    if before is None:
+        assert not os.path.lexists(out)
+    else:
+        assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("command, doc, options, message", [
+    pytest.param("run", {"protocol": {"agents": "x"}}, [],
+                 "protocol.agents must be an integer, got 'x'", id="run-scenario"),
+    pytest.param("sweep", {"protocol": {"agents": "x"}}, [],
+                 "protocol.agents must be an integer, got 'x'", id="sweep-scenario"),
+    pytest.param("run", honest_doc(), ["--trials", "0"], "--trials must be >= 1, got 0",
+                 id="run-option"),
+])
+def test_scenario_and_option_errors_win_over_an_unusable_out(
+    tmp_path, capsys, command, doc, options, message
+):
+    argv = [command, write(tmp_path, doc), *options,
+            "--out", str(tmp_path / "missing" / "r.txt")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 JSON_VALUES = st.recursive(
