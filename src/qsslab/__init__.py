@@ -29,7 +29,6 @@ from .protocol import (
     NullAdversary,
     ProtocolConfig,
     RunResult,
-    Transcript,
     run_protocol,
     run_protocol_batch,
 )
@@ -42,6 +41,7 @@ from .quantum import (
     rotation_operator,
     tensor,
 )
+from .transcript import Transcript, render_transcripts
 
 __all__ = [
     "BatchResult",
@@ -68,6 +68,7 @@ __all__ = [
     "qgwz_fixture",
     "qgwz_spec",
     "random_entangler_spec",
+    "render_transcripts",
     "rotation_operator",
     "run_batch",
     "run_batches",

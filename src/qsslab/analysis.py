@@ -21,7 +21,6 @@ from .protocol import (
     ProtocolConfig,
     RunResult,
     config_to_dict,
-    format_floats,
     run_protocol_batch,
 )
 from .quantum import (
@@ -32,6 +31,7 @@ from .quantum import (
     apply_unitary,  # noqa: F401
     basis_state,
 )
+from .transcript import format_floats
 
 REPORT_FIELDS = (
     "trials",

@@ -23,6 +23,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import stat
 import sys
 from collections.abc import Iterable, Iterator
@@ -52,7 +53,6 @@ from .protocol import (
     BatchResult,
     ConfigError,
     ProtocolConfig,
-    render_transcripts,
     with_seed,
 )
 from .quantum import (
@@ -64,6 +64,7 @@ from .quantum import (
     overlap,
     rotation_operator,
 )
+from .transcript import render_transcripts
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -306,6 +307,14 @@ class _OutFile:
                 os.remove(self.path)
 
 
+def _check_out_is_no_transcript(out: str, directory: str, trials: int) -> None:
+    """Refuse an ``--out`` path that resolves to a transcript the campaign writes."""
+    real = os.path.realpath(out)
+    trial = re.fullmatch("trial_([0-9]{5}|[1-9][0-9]{5,})[.]log", os.path.basename(real))
+    if trial and int(trial[1]) < trials and os.path.samefile(os.path.dirname(real), directory):
+        raise ConfigError(f"--out {out} is the transcript of trial {int(trial[1])}")
+
+
 def _write_transcripts(
     batches: Iterable[BatchResult], directory: str
 ) -> Iterator[BatchResult]:
@@ -339,6 +348,8 @@ def cmd_run(args) -> tuple[int, str]:
                 os.makedirs(args.transcripts, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"--transcripts {args.transcripts}: {exc.strerror}")
+            if args.out is not None:
+                _check_out_is_no_transcript(args.out, args.transcripts, trials)
 
         batches = run_batches(config, scenario.entangler, scenario.rule, trials)
         if args.transcripts is not None:

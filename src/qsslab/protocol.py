@@ -19,16 +19,13 @@ axis. Each run still draws from its own generators, exactly what it draws
 alone. A batch's results stay arrays with the same trial axis
 (``BatchResult``), both detection verdicts among them, each decided once by
 the engine; one run's ``RunResult`` is built from them only when it is
-read. Transcripts are rendered from the same columns, run by run
-(``render_transcripts``), or from one run's fields when its ``transcript``
-is first read.
+read; the ``transcript`` module renders transcripts from the same columns.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,15 +39,6 @@ from .quantum import (
     check_norms,
     measure_photons_z,
     rotate_photons,
-)
-
-PHASES = (
-    "preparation",
-    "encryption",
-    "first-detection",
-    "encoding",
-    "recovery",
-    "second-detection",
 )
 
 DISCRETE_ANGLES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
@@ -141,52 +129,6 @@ class ProtocolConfig:
         return self.num_agents // 2
 
 
-class Transcript:
-    """The rendered key=value lines of one protocol run, one event per line."""
-
-    # The fields that records() parses, and their types.
-    _FIELD_TYPES = {"photon": int, "outcome": int, "angle": float, "probability": float}
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def to_lines(self) -> list[str]:
-        return self.text.splitlines()
-
-    def serialize(self) -> str:
-        return self.text
-
-    def records(self) -> list[dict]:
-        """Each line as a dict of its fields: ``photon`` and ``outcome`` as
-        int, ``angle`` and ``probability`` as float (exact, since they are
-        written as ``.17g``), every other value as its string."""
-        records = []
-        for line in self.to_lines():
-            record = dict(field.split("=", 1) for field in line.split(" "))
-            for key in self._FIELD_TYPES.keys() & record.keys():
-                record[key] = self._FIELD_TYPES[key](record[key])
-            records.append(record)
-        return records
-
-    def check_phase_order(self) -> None:
-        last = 0
-        for line in self.to_lines():
-            phase = line.partition(" ")[0].removeprefix("phase=")
-            idx = PHASES.index(phase)
-            if idx < last:
-                raise InvariantPhaseError(
-                    f"event in phase {phase!r} after phase {PHASES[last]!r}"
-                )
-            last = idx
-
-    def __eq__(self, other):
-        return isinstance(other, Transcript) and self.text == other.text
-
-
-class InvariantPhaseError(Exception):
-    pass
-
-
 def disclosed_angles(ledger: np.ndarray, trials, photon_ids: np.ndarray) -> np.ndarray:
     """Every agent's disclosed angles for ``photon_ids`` (one row per trial of
     ``trials``), shape (agents, t, p), from a batch's canonical angle ledger
@@ -261,15 +203,6 @@ class RunResult:
     message_photon_ids: tuple[int, ...]
     check_positions: tuple[int, ...]
     recovery_probabilities: tuple[float, ...] = ()
-    # What the transcript is rendered from, besides the fields above.
-    num_photons: int = 0
-    announcements: tuple[tuple[float, ...], ...] = ()  # per check photon, per agent
-    payload_ids: tuple[int, ...] = ()
-    decoded_payload: tuple[int, ...] = ()
-
-    @cached_property
-    def transcript(self) -> Transcript:
-        return render_transcript(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +261,6 @@ class BatchResult(Sequence):
                 "first-detection", not failed, failed, tuple(zip(ids, outcomes, probs))
             ),
             guesses=guesses,
-            num_photons=self.num_photons,
-            announcements=tuple(map(tuple, self.announcements[t].tolist())),
             **second,
         )
 
@@ -346,8 +277,6 @@ class BatchResult(Sequence):
             message_photon_ids=tuple(self.payload_ids[i, is_message].tolist()),
             check_positions=tuple(self.check_positions[i].tolist()),
             recovery_probabilities=tuple(self.recovery_probabilities[i].tolist()),
-            payload_ids=tuple(self.payload_ids[i].tolist()),
-            decoded_payload=tuple(self.decoded_payload[i].tolist()),
         )
 
     def counts(self) -> tuple[int, int, int, int, int, int]:
@@ -370,212 +299,6 @@ class BatchResult(Sequence):
             guessed,
             correct,
         )
-
-
-def render_transcript(r: RunResult) -> Transcript:
-    """The run's key=value lines, in protocol order, from its recorded
-    outcomes: the row renderer of ``render_transcripts`` on the run's own
-    fields."""
-    ids, outcomes, probs = map(np.array, zip(*r.first_detection.outcomes))
-    recovery = None
-    if r.second_detection is not None:
-        recovery = (
-            np.array(r.payload_ids, dtype=int),
-            np.array(r.decoded_payload, dtype=int),
-            format_floats(r.recovery_probabilities),
-            r.second_detection.failed_photons,
-        )
-    return _render_run(
-        r.config.num_agents, r.num_photons, ids, outcomes, format_floats(probs),
-        format_floats(r.announcements), recovery,
-    )
-
-
-def render_transcripts(batch: BatchResult) -> Iterator[Transcript]:
-    """Each run's transcript, in trial order, straight from the batch's
-    arrays, without building a ``RunResult``.
-
-    The floats of a few runs at a time, about ``_FORMAT_CHUNK`` of them,
-    are formatted together, each distinct one once (``format_floats``), so
-    the strings held never grow with the batch.
-    """
-    n_checks, n_payload = batch.check_ids.shape[1], batch.payload_ids.shape[1]
-    step = max(1, _FORMAT_CHUNK // (n_checks * (batch.config.num_agents + 1) + n_payload))
-    i = 0  # the live row of the next trial that passed the first detection
-    for start in range(0, len(batch), step):
-        stop = min(start + step, len(batch))
-        n_live = np.count_nonzero(batch.first_passed[start:stop])
-        angles = format_floats(batch.announcements[start:stop])
-        probs = format_floats(batch.check_probabilities[start:stop])
-        recovery_probs = iter(format_floats(batch.recovery_probabilities[i:i + n_live]))
-        for t in range(start, stop):
-            recovery = None
-            if batch.first_passed[t]:
-                recovery = (
-                    batch.payload_ids[i],
-                    batch.decoded_payload[i],
-                    next(recovery_probs),
-                    batch.check_positions[i, batch.check_mismatched[i]].tolist(),
-                )
-                i += 1
-            yield _render_run(
-                batch.config.num_agents, batch.num_photons, batch.check_ids[t],
-                batch.check_outcomes[t], probs[t - start], angles[t - start], recovery,
-            )
-
-
-# Floats that render_transcripts formats at once: enough to share the
-# distinct probabilities of a few runs, and under 0.1 MB of strings.
-_FORMAT_CHUNK = 1024
-
-
-def format_floats(values) -> np.ndarray:
-    """``'%.17g' % x`` of every element of ``values``, as an object array of
-    the same shape.
-
-    Each distinct bit pattern is formatted once and its string shared, so
-    the cost is one ``%`` per distinct value; -0.0 and 0.0, and NaNs with
-    different payloads, are told apart.
-    """
-    values = np.ascontiguousarray(values, dtype=float)
-    codes = values.view(np.uint64).ravel()
-    # A sort and a search rather than np.unique(..., return_inverse=True),
-    # whose argsort pages in about 0.2 MB more of numpy's code.
-    keys = np.sort(codes)
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    strings = np.empty(len(keys), dtype=object)
-    strings[:] = ["%.17g" % x for x in keys.view(float).tolist()]
-    return strings[np.searchsorted(keys, codes)].reshape(values.shape)
-
-
-# Outcome bits as the strings a transcript writes.
-_BITS = np.array(["0", "1"], dtype=object)
-
-
-def _render_run(num_agents, num_photons, ids, outcomes, probs, angles, recovery) -> Transcript:
-    """One run's transcript from its rows.
-
-    ``ids`` and ``outcomes`` are the check photons' int arrays, ``probs``
-    (checks,) and ``angles`` (checks, agents) their ``format_floats``
-    strings. ``recovery`` is None for a run that failed the first detection,
-    and otherwise its payload ids, decoded bits, ``format_floats`` strings
-    of the recovery probabilities, and the second-check positions that
-    mismatched. The preparation and encryption lines come from a one-entry
-    cache; every later phase is its per-photon template, repeated, with the
-    run's strings joined into its gaps.
-    """
-    labels = _photon_labels(num_photons)
-    check, recovered = _templates(num_agents)
-    labelled = labels[ids].tolist()
-    # Fields per photon: photon; photon and angle per agent; photon, outcome
-    # and probability.
-    columns = [labelled]
-    for column in angles.T.tolist():
-        columns += [labelled, column]
-    columns += [labelled, _BITS[outcomes].tolist(), probs.tolist()]
-    parts = [
-        _prefix(num_agents, num_photons),
-        _fill(check, columns),
-        _verdict_line("first-detection", ids[outcomes != 0].tolist()),
-    ]
-    if recovery is not None:
-        payload_ids, decoded, recovery_probs, mismatched = recovery
-        labelled = labels[payload_ids].tolist()
-        parts += [
-            _fill(_ENCODED, [labelled]),
-            _fill(recovered, [labelled, labelled, _BITS[decoded].tolist(), recovery_probs.tolist()]),
-            _verdict_line("second-detection", mismatched),
-        ]
-    return Transcript("".join(parts))
-
-
-def _agent_names(num_agents: int) -> list[str]:
-    return [agent_name(k, num_agents) for k in range(num_agents)]
-
-
-def _template(text: str) -> list:
-    """A per-photon line template with ``%s`` gaps, as its literal pieces
-    with a None slot between each two: the form ``_fill`` takes."""
-    pieces = text.split("%s")
-    template = [None] * (2 * len(pieces) - 1)
-    template[::2] = pieces
-    return template
-
-
-def _fill(template: list, columns: list[list[str]]) -> str:
-    """The template repeated once per row of the equal-length ``columns``,
-    with column i's strings in gap i."""
-    flat = template * len(columns[0])
-    for i, column in enumerate(columns):
-        flat[2 * i + 1::len(template)] = column
-    return "".join(flat)
-
-
-_ENCODED = _template("phase=encoding kind=Encoded party=Alice photon=%s\n")
-
-
-@lru_cache(maxsize=1)
-def _photon_labels(num_photons: int) -> np.ndarray:
-    """The photon ids of a run of this size as strings, in an object array."""
-    labels = np.empty(num_photons, dtype=object)
-    labels[:] = [str(j) for j in range(num_photons)]
-    return labels
-
-
-@lru_cache(maxsize=1)
-def _templates(num_agents: int) -> tuple[list, list]:
-    """The per-photon first-detection and recovery templates (``_template``),
-    with the party names filled in."""
-    names = _agent_names(num_agents)
-    check = "".join(
-        ["phase=first-detection kind=AnnouncementRequested party=Alice photon=%s\n"] + [
-            f"phase=first-detection kind=Announced party={name} photon=%s angle=%s\n"
-            for name in names
-        ] + [
-            "phase=first-detection kind=Measured party=Alice photon=%s basis=Z "
-            "outcome=%s probability=%s\n"
-        ]
-    )
-    receiver = names[-1]
-    recovery = (
-        f"phase=recovery kind=Sent party=Alice photon=%s to={receiver}\n"
-        f"phase=recovery kind=Measured party={receiver} photon=%s basis=Z "
-        "outcome=%s probability=%s\n"
-    )
-    return _template(check), _template(recovery)
-
-
-@lru_cache(maxsize=1)
-def _prefix(num_agents: int, num_photons: int) -> str:
-    """The preparation and encryption lines of every run of this size.
-
-    A campaign renders runs of one config, so one entry serves it all; a
-    run of the largest size has a prefix of about 17 MB.
-    """
-    names = _agent_names(num_agents)
-    # Alice sends each photon to the first agent, and each agent rotates it and
-    # passes it on. The angle is committed to the ledger but never logged in clear.
-    encryption = "".join(
-        [f"phase=encryption kind=Sent party=Alice photon={{0}} to={names[0]}\n"] + [
-            f"phase=encryption kind=Rotated party={name} photon={{0}}\n"
-            f"phase=encryption kind=Sent party={name} photon={{0}} to={dest}\n"
-            for name, dest in zip(names, names[1:] + ["Alice"])
-        ]
-    )
-    photons = range(num_photons)
-    return "".join(
-        [f"phase=preparation kind=Prepared party=Alice photon={j}\n" for j in photons]
-        + [encryption.format(j) for j in photons]
-    )
-
-
-def _verdict_line(phase: str, failed) -> str:
-    result = "fail" if failed else "pass"
-    failed = ",".join(map(str, failed)) or "-"
-    return f"phase={phase} kind=Verdict party=Alice result={result} failed={failed}\n"
 
 
 def required_sequence_length(n_payload: int, check_fraction: float) -> int:

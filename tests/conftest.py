@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State
+from qsslab.transcript import Transcript, render_transcripts
+
+
+def transcript_of(config: ProtocolConfig, adversary_factory=None) -> Transcript:
+    """The transcript of ``config``'s run at its own seed: the run's row of
+    ``render_transcripts`` on a batch of one."""
+    return next(render_transcripts(run_protocol_batch(config, [config.seed], adversary_factory)))
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> State:

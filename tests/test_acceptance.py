@@ -9,7 +9,7 @@ verify`` runs too.
 import numpy as np
 import pytest
 
-from qsslab.analysis import monte_carlo, run_batch, run_trials, summarize
+from qsslab.analysis import monte_carlo, run_batch, run_batches, summarize
 from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
@@ -20,7 +20,9 @@ from qsslab.attack import (
 from qsslab.cli import FIXTURES
 from qsslab.protocol import ProtocolConfig, run_protocol
 from qsslab.quantum import State, basis_state, tensor
+from qsslab.transcript import render_transcripts
 
+from conftest import transcript_of
 from scalar_reference import apply_ccy
 
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -215,16 +217,16 @@ def test_criterion_8_determinism(capsys):
         num_agents=4, message_length=16, check_fraction_first=0.5,
         num_second_checks=2, seed=88,
     )
-    r1 = run_protocol(config, lambda rng: EntanglingAdversary(spec, rng))
-    r2 = run_protocol(config, lambda rng: EntanglingAdversary(spec, rng))
-    transcripts_ok = (
-        r1.transcript.serialize().encode() == r2.transcript.serialize().encode()
-    )
+    t1 = transcript_of(config, lambda rng: EntanglingAdversary(spec, rng))
+    t2 = transcript_of(config, lambda rng: EntanglingAdversary(spec, rng))
+    transcripts_ok = t1.serialize().encode() == t2.serialize().encode()
     rep_a = monte_carlo(config, attack=spec, trials=8)
     rep_b = monte_carlo(config, attack=spec, trials=8)
     reports_ok = rep_a.to_json_line().encode() == rep_b.to_json_line().encode()
-    logs_a = [r.transcript.serialize() for r in run_trials(config, spec, GuessRule(), 8)]
-    logs_b = [r.transcript.serialize() for r in run_trials(config, spec, GuessRule(), 8)]
+    logs_a = [t.serialize() for b in run_batches(config, spec, GuessRule(), 8)
+              for t in render_transcripts(b)]
+    logs_b = [t.serialize() for b in run_batches(config, spec, GuessRule(), 8)
+              for t in render_transcripts(b)]
     logs_ok = [l.encode() for l in logs_a] == [l.encode() for l in logs_b]
     reordered = summarize(
         config, spec, reversed([run_batch(config, [i], spec, GuessRule()) for i in range(8)])

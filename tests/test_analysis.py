@@ -10,7 +10,7 @@ from qsslab.analysis import (
     indistinguishability,
     monte_carlo,
     run_batch,
-    run_trials,
+    run_batches,
     summarize,
     sweep,
     sweep_table,
@@ -19,6 +19,7 @@ from qsslab.analysis import (
 from qsslab.attack import EntanglerSpec, GuessRule, qgwz_spec, random_entangler_spec
 from qsslab.protocol import ProtocolConfig
 from qsslab.quantum import State, basis_state
+from qsslab.transcript import render_transcripts
 
 from scalar_reference import counterfactual_joint_distance
 
@@ -154,8 +155,10 @@ def test_summarize_order_independent():
 
 def test_run_trials_transcripts_deterministic():
     rule = GuessRule()
-    ta = [r.transcript.serialize() for r in run_trials(honest_config(), None, rule, 5)]
-    tb = [r.transcript.serialize() for r in run_trials(honest_config(), None, rule, 5)]
+    ta = [t.serialize() for b in run_batches(honest_config(), None, rule, 5)
+          for t in render_transcripts(b)]
+    tb = [t.serialize() for b in run_batches(honest_config(), None, rule, 5)
+          for t in render_transcripts(b)]
     assert ta == tb
     assert len(ta) == 5
 

@@ -3,8 +3,12 @@
 The scalar gate layer is not part of the package: it lives in
 ``tests/scalar_reference.py``. ``apply_unitary`` stays importable from the
 four modules whose copies the benchmark's tracer patches
-(``qssbench/selftest.py``), and from nowhere else.
+(``qssbench/selftest.py``), and from nowhere else. Transcripts live in
+``qsslab.transcript``, which the engine (``qsslab.protocol``) does not
+import: a run's transcript is its row of ``render_transcripts(batch)``.
 """
+import ast
+import dataclasses
 import os
 import pathlib
 import re
@@ -14,7 +18,7 @@ import sys
 import pytest
 
 import qsslab
-from qsslab import analysis, attack, cli, protocol, quantum
+from qsslab import analysis, attack, cli, protocol, quantum, transcript
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -43,6 +47,7 @@ PUBLIC_NAMES = [
     "qgwz_fixture",
     "qgwz_spec",
     "random_entangler_spec",
+    "render_transcripts",
     "rotation_operator",
     "run_batch",
     "run_batches",
@@ -72,16 +77,36 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(qsslab, name) is not None
 
 
-@pytest.mark.parametrize("module", [qsslab, quantum, attack, analysis, protocol, cli])
+@pytest.mark.parametrize("module", [qsslab, quantum, attack, analysis, protocol, cli, transcript])
 def test_scalar_reference_is_not_in_the_package(module):
     assert [name for name in REFERENCE_NAMES if hasattr(module, name)] == []
 
 
 def test_apply_unitary_only_where_the_tracer_patches_it():
-    holders = [m for m in (qsslab, quantum, protocol, attack, analysis, cli)
+    holders = [m for m in (qsslab, quantum, protocol, attack, analysis, cli, transcript)
                if hasattr(m, "apply_unitary")]
     assert holders == [quantum, protocol, attack, analysis]
     assert all(m.apply_unitary is quantum.apply_unitary for m in holders)
+
+
+def test_transcripts_are_not_in_the_engine():
+    moved = ["Transcript", "render_transcripts", "render_transcript", "format_floats", "_prefix"]
+    assert [name for name in moved if hasattr(protocol, name)] == []
+    removed = ["transcript", "num_photons", "announcements", "payload_ids", "decoded_payload"]
+    fields = {f.name for f in dataclasses.fields(protocol.RunResult)}
+    assert [name for name in removed if name in fields or hasattr(protocol.RunResult, name)] == []
+
+
+def test_protocol_imports_nothing_from_transcript():
+    tree = ast.parse(pathlib.Path(protocol.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "quantum.MINUS_I_SIGMA_Y" in imported
+    assert [name for name in imported if "transcript" in name.split(".")] == []
 
 
 def test_readme_library_sketch_runs():

@@ -2,8 +2,9 @@
 
 ``run_batch`` stacks the photons of many trials into one array; each trial
 still draws from its own generators. Every ``RunResult`` field, compared
-with ``==``, and every transcript byte must match the trial run as a batch
-of one, including trials that fail the first detection mid-batch.
+with ``==``, and every transcript byte (the run's row of
+``render_transcripts``) must match the trial run as a batch of one,
+including trials that fail the first detection mid-batch.
 """
 import numpy as np
 import pytest
@@ -13,15 +14,26 @@ from qsslab.analysis import derive_seed, run_batch, run_trials, summarize
 from qsslab.attack import EntanglerSpec, EntanglingAdversary, GuessRule, qgwz_spec
 from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State, basis_state
+from qsslab.transcript import render_transcripts
 
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
 
-def assert_same_runs(batch, singles):
-    assert len(batch) == len(singles)
-    for got, want in zip(batch, singles):
+def transcripts(batches):
+    """The text of every run's transcript, batch by batch, in trial order."""
+    return [t.serialize() for batch in batches for t in render_transcripts(batch)]
+
+
+def runs_of(batches):
+    """(run, transcript text) of every run of ``batches``, in order."""
+    return list(zip([r for batch in batches for r in batch], transcripts(batches)))
+
+
+def assert_same_runs(runs, singles):
+    assert len(runs) == len(singles)
+    for (got, got_text), (want, want_text) in zip(runs, singles):
         assert got == want
-        assert got.transcript.serialize() == want.transcript.serialize()
+        assert got_text == want_text
 
 
 def d8_spec():
@@ -50,13 +62,14 @@ CAMPAIGNS = {
 def test_batch_matches_batches_of_one(name):
     config, spec, rule = CAMPAIGNS[name]
     batch = run_batch(config, range(13), spec, rule)
-    assert_same_runs(batch, [run_batch(config, [i], spec, rule)[0] for i in range(13)])
+    runs = runs_of([batch])
+    assert_same_runs(runs, runs_of([run_batch(config, [i], spec, rule) for i in range(13)]))
     assert all(r.first_detection.passed for r in batch)
     if spec is not None:
         assert all(r.guesses for r in batch)
     # Any subset of trial indices, in any order.
     picked = [11, 2, 7]
-    assert_same_runs(run_batch(config, picked, spec, rule), [batch[i] for i in picked])
+    assert_same_runs(runs_of([run_batch(config, picked, spec, rule)]), [runs[i] for i in picked])
 
 
 def test_naive_batch_with_failed_first_detections():
@@ -71,7 +84,8 @@ def test_naive_batch_with_failed_first_detections():
         return EntanglingAdversary(naive, rngs, adaptive=False)
 
     batch = run_protocol_batch(config, seeds, factory)
-    assert_same_runs(batch, [run_protocol_batch(config, [s], factory)[0] for s in seeds])
+    assert_same_runs(runs_of([batch]), runs_of([run_protocol_batch(config, [s], factory)
+                                                for s in seeds]))
     passed = [r.first_detection.passed for r in batch]
     # Both verdicts occur, and a failed trial sits between passing ones.
     assert any(not p and True in passed[:i] and True in passed[i + 1:]
@@ -97,6 +111,6 @@ def test_campaign_over_several_batches_matches_single_trials(monkeypatch):
     batched = list(run_trials(config, spec, rule, 70))
     assert [len(b) for b in batches] == [33, 33, 4]
     singles = [run_batch(config, [i], spec, rule) for i in range(70)]
-    assert_same_runs(batched, [single[0] for single in singles])
+    assert_same_runs(list(zip(batched, transcripts(batches))), runs_of(singles))
     report = summarize(config, spec, batches).to_json_line()
     assert report == summarize(config, spec, singles).to_json_line()

@@ -515,6 +515,71 @@ def test_transcript_write_failing_mid_campaign_exit1(tmp_path, capsys):
     assert not out.exists()
 
 
+# --out paths that name, each in its own way, the transcript file of trial 1
+# of a 3-trial campaign into tdir. Each takes (tmp_path, tdir) and returns
+# the path.
+def transcript_as_named(tmp, tdir):
+    return str(tdir / "trial_00001.log")
+
+
+def transcript_through_dot(tmp, tdir):
+    return f"{tdir}/./trial_00001.log"
+
+
+def symlink_to_transcript(tmp, tdir):
+    (tmp / "link.txt").symlink_to(tdir / "trial_00001.log")
+    return str(tmp / "link.txt")
+
+
+@pytest.mark.parametrize("out_path", [
+    transcript_as_named, transcript_through_dot, symlink_to_transcript,
+])
+def test_out_that_is_a_transcript_file_exit1(tmp_path, capsys, monkeypatch, out_path):
+    def refuse(*args):
+        raise AssertionError("the campaign started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_batches", refuse)
+    tdir = tmp_path / "transcripts"
+    tdir.mkdir()
+    before = b"an earlier report\n" * 50
+    (tdir / "trial_00001.log").write_bytes(before)
+    out = out_path(tmp_path, tdir)
+    argv = ["run", write(tmp_path, honest_doc()), "--trials", "3", "--transcripts", str(tdir),
+            "--out", out]
+    tree = sorted(tmp_path.rglob("*"))
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {out} is the transcript of trial 1\n"
+    assert (tdir / "trial_00001.log").read_bytes() == before
+    assert sorted(tmp_path.rglob("*")) == tree
+
+
+@pytest.mark.parametrize("out_path", [transcript_as_named, transcript_through_dot])
+def test_fresh_out_that_is_a_transcript_file_leaves_no_file(tmp_path, capsys, out_path):
+    tdir = tmp_path / "transcripts"
+    tdir.mkdir()
+    out = out_path(tmp_path, tdir)
+    argv = ["run", write(tmp_path, honest_doc()), "--trials", "3", "--transcripts", str(tdir),
+            "--out", out]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --out ")
+    assert list(tdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["trial_00003.log", "trial_1.log", "report.txt"])
+def test_out_beside_the_transcripts_is_written(tmp_path, name):
+    # Files in the transcripts directory that a 3-trial campaign never writes.
+    tdir = tmp_path / "transcripts"
+    tdir.mkdir()
+    argv = ["run", write(tmp_path, honest_doc()), "--trials", "3", "--transcripts", str(tdir),
+            "--out", str(tdir / name)]
+    assert main(argv) == EXIT_OK
+    assert (tdir / name).read_text().startswith("trials ")
+    assert sorted(p.name for p in tdir.iterdir()) == sorted(
+        [name] + [f"trial_{i:05d}.log" for i in range(3)]
+    )
+
+
 def command_doc(command):
     return sweep_doc() if command == "sweep" else qgwz_doc()
 

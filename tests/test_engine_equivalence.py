@@ -41,8 +41,9 @@ from qsslab.attack import (
     random_entangler_spec,
 )
 from qsslab.cli import main
-from qsslab.protocol import ProtocolConfig, run_protocol
+from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State
+from qsslab.transcript import render_transcripts
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "engine_golden.json"
@@ -154,7 +155,8 @@ def run_case(case):
                 spec, rngs, GuessRule(*case["rule"]), adaptive=case["adaptive"]))
             return adversaries[-1]
 
-    r = run_protocol(config, factory)
+    batch = run_protocol_batch(config, [config.seed], factory)
+    r = batch[0]
     first = r.first_detection
     out = {
         "message": list(r.message),
@@ -175,7 +177,7 @@ def run_case(case):
         ] if adversaries else [],
     }
     if case["transcript"]:
-        out["transcript"] = r.transcript.to_lines()
+        out["transcript"] = next(render_transcripts(batch)).to_lines()
     return out
 
 

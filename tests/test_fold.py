@@ -156,4 +156,4 @@ def test_guesses_mark_unguessed_photons():
         if not run.first_detection.passed:
             assert guessed == []
         else:
-            assert guessed == list(run.payload_ids)
+            assert guessed == batch.payload_ids[np.searchsorted(batch.live, t)].tolist()

@@ -8,18 +8,15 @@ from qsslab.protocol import (
     MAX_RUN_SIZE,
     ConfigError,
     DetectionVerdict,
-    InvariantPhaseError,
     MissingAngleError,
     NullAdversary,
     ProtocolConfig,
-    Transcript,
     disclosed_angles,
     encode_message,
     encryption_phase,
     first_detection,
     prepare_sequence,
     recovery_phase,
-    render_transcripts,
     required_sequence_length,
     run_protocol,
     run_protocol_batch,
@@ -33,7 +30,9 @@ from qsslab.quantum import (
     rotation_operator,
     rotate_photons,
 )
+from qsslab.transcript import InvariantPhaseError, Transcript, render_transcripts
 
+from conftest import transcript_of
 from scalar_reference import global_phase_equal
 
 
@@ -203,21 +202,20 @@ def test_second_detection_verdicts():
         last = ("phase=second-detection kind=Verdict party=Alice result=fail failed="
                 + ",".join(map(str, run.check_positions)))
         assert transcripts[t].to_lines()[-1] == last
-        assert run.transcript.to_lines()[-1] == last
     # Seed 1's second checks, pinned: they move only if the draws do.
     assert batch[0].check_positions == (3, 5, 10)
     # With no second checks the verdict passes vacuously, flips and all.
-    run = run_protocol(small_config(num_second_checks=0, seed=1), lambda rngs: PayloadFlipper())
+    config, flipper = small_config(num_second_checks=0, seed=1), lambda rngs: PayloadFlipper()
+    run = run_protocol(config, flipper)
     assert run.decoded_message == tuple(1 - bit for bit in run.message)
     assert run.second_detection == DetectionVerdict("second-detection", True, ())
-    assert run.transcript.to_lines()[-1] == (
+    assert transcript_of(config, flipper).to_lines()[-1] == (
         "phase=second-detection kind=Verdict party=Alice result=pass failed=-"
     )
 
 
 def test_transcript_phase_ordering():
-    result = run_protocol(small_config(seed=5))
-    result.transcript.check_phase_order()
+    transcript_of(small_config(seed=5)).check_phase_order()
 
 
 def test_check_phase_order_rejects_encryption_after_recovery():
@@ -246,15 +244,16 @@ TRANSCRIPT_RUNS = {
 @pytest.mark.parametrize("name", TRANSCRIPT_RUNS)
 def test_transcript_lines_match_run(name):
     config, factory, passes = TRANSCRIPT_RUNS[name]
-    r = run_protocol(config, factory)
+    batch = run_protocol_batch(config, [config.seed], factory)
+    r, transcript = batch[0], next(render_transcripts(batch))
     assert r.first_detection.passed == passes
-    lines = r.transcript.to_lines()
+    lines = transcript.to_lines()
     for line in lines:
         for token in line.split(" "):
             key, sep, value = token.partition("=")
             assert key and sep and value, line
-    fields = r.transcript.records()
-    n, k = r.num_photons, config.num_agents
+    fields = transcript.records()
+    n, k = batch.num_photons, config.num_agents
     checks, payload = len(r.first_detection.outcomes), config.payload_length()
     expected = {"preparation": n, "encryption": n * (2 * k + 1),
                 "first-detection": checks * (k + 2) + 1}
@@ -262,7 +261,7 @@ def test_transcript_lines_match_run(name):
         expected.update({"encoding": payload, "recovery": 2 * payload, "second-detection": 1})
     assert Counter(f["phase"] for f in fields) == expected
     assert [f["angle"] for f in fields if "angle" in f] == [
-        angle for row in r.announcements for angle in row
+        angle for row in batch.announcements[0].tolist() for angle in row
     ]
     assert [f["probability"] for f in fields if "probability" in f] == [
         p for _, _, p in r.first_detection.outcomes
@@ -272,14 +271,16 @@ def test_transcript_lines_match_run(name):
 def test_transcript_determinism():
     a = run_protocol(small_config(seed=6))
     b = run_protocol(small_config(seed=6))
-    assert a.transcript.serialize() == b.transcript.serialize()
+    assert transcript_of(small_config(seed=6)).serialize() == transcript_of(
+        small_config(seed=6)
+    ).serialize()
     assert a.decoded_message == b.decoded_message
 
 
 def test_null_hook_matches_no_hook():
-    a = run_protocol(small_config(seed=7))
-    b = run_protocol(small_config(seed=7), lambda rng: NullAdversary())
-    assert a.transcript.serialize() == b.transcript.serialize()
+    a = transcript_of(small_config(seed=7))
+    b = transcript_of(small_config(seed=7), lambda rng: NullAdversary())
+    assert a.serialize() == b.serialize()
 
 
 def test_first_detection_marks_roles_and_passes():
@@ -299,7 +300,6 @@ def test_first_detection_marks_roles_and_passes():
 
 
 def test_transcript_never_logs_ledger_angles_in_encryption():
-    result = run_protocol(small_config(seed=10))
-    for line in result.transcript.to_lines():
+    for line in transcript_of(small_config(seed=10)).to_lines():
         if "kind=Rotated" in line:
             assert "angle=" not in line

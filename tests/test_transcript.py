@@ -1,15 +1,15 @@
 """Transcript rendering against the reference renderer, and parsing back.
 
-One row renderer writes every transcript. ``render_transcripts`` feeds it a
-batch's arrays run by run, without building a ``RunResult``, and
-``render_transcript`` feeds it one run's own fields. It formats only what
-differs between runs: the preparation and encryption lines come from a
-one-entry cache keyed by (agents, photons), every float is written as
-``%.17g`` once per distinct bit pattern (``format_floats``), and each later
-phase is its per-photon template with the run's strings joined into its
-gaps. Its bytes must equal those of the reference renderer below, which
+One row renderer writes every transcript: ``render_transcripts`` feeds it a
+batch's arrays run by run, without building a ``RunResult``, and a run's
+transcript is its row of that batch. It formats only what differs between
+runs: the preparation and encryption lines come from a one-entry cache
+keyed by (agents, photons), every float is written as ``%.17g`` once per
+distinct bit pattern (``format_floats``), and each later phase is its
+per-photon template with the run's strings joined into its gaps. Its bytes must equal those of the reference renderer below, which
 formats every line of every run with ``str.format`` and f-strings.
 """
+import itertools
 import math
 import pathlib
 from collections import Counter
@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsslab import cli, protocol
-from qsslab.analysis import derive_seed, run_trials
+from qsslab import cli, transcript
+from qsslab.analysis import derive_seed, run_batches, run_trials
 from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
@@ -33,15 +33,11 @@ from qsslab.protocol import (
     BatchResult,
     DetectionVerdict,
     ProtocolConfig,
-    RunResult,
-    Transcript,
     agent_name,
-    format_floats,
-    render_transcript,
-    render_transcripts,
     run_protocol_batch,
 )
 from qsslab.quantum import State, basis_state
+from qsslab.transcript import InvariantPhaseError, Transcript, format_floats, render_transcripts
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -49,12 +45,14 @@ BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 NAIVE = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.8, 0.6, 1.1)
 
 
-def reference_transcript(r: RunResult) -> Transcript:
-    """The run's key=value lines, in protocol order, from its recorded outcomes.
+def reference_transcript(batch: BatchResult, t: int) -> Transcript:
+    """Run ``t``'s key=value lines, in protocol order, from its recorded
+    outcomes in ``batch``.
 
     Each phase has line templates with the party names filled in: one
     ``str.format`` or f-string per photon, floats written as ``.17g``.
     """
+    r = batch[t]
     names = [agent_name(k, r.config.num_agents) for k in range(r.config.num_agents)]
     receiver = names[-1]
     # Alice sends each photon to the first agent, and each agent rotates it and
@@ -76,25 +74,39 @@ def reference_transcript(r: RunResult) -> Transcript:
             f"outcome={{{len(names) + 1}}} probability={{{len(names) + 2}:.17g}}"
         ]
     )
-    photons = range(r.num_photons)
+    photons = range(batch.num_photons)
     lines = [f"phase=preparation kind=Prepared party=Alice photon={j}" for j in photons]
     lines += map(encryption.format, photons)
     first = r.first_detection
     lines += [
         check.format(j, *angles, outcome, prob)
-        for (j, outcome, prob), angles in zip(first.outcomes, r.announcements)
+        for (j, outcome, prob), angles in zip(first.outcomes, batch.announcements[t].tolist())
     ]
     lines.append(_reference_verdict_line(first))
     if r.second_detection is not None:
-        lines += [f"phase=encoding kind=Encoded party=Alice photon={j}" for j in r.payload_ids]
+        payload_ids, decoded = payload_rows(batch, t)
+        lines += [f"phase=encoding kind=Encoded party=Alice photon={j}" for j in payload_ids]
         lines += [
             f"phase=recovery kind=Sent party=Alice photon={j} to={receiver}\n"
             f"phase=recovery kind=Measured party={receiver} photon={j} basis=Z "
             f"outcome={outcome} probability={prob:.17g}"
-            for j, outcome, prob in zip(r.payload_ids, r.decoded_payload, r.recovery_probabilities)
+            for j, outcome, prob in zip(payload_ids, decoded, r.recovery_probabilities)
         ]
         lines.append(_reference_verdict_line(r.second_detection))
     return Transcript("\n".join(lines) + "\n")
+
+
+def payload_rows(batch: BatchResult, t: int) -> tuple[list[int], list[int]]:
+    """The payload photon ids and decoded payload bits of run ``t``: none
+    for a run that failed the first detection."""
+    if not batch.first_passed[t]:
+        return [], []
+    i = int(np.searchsorted(batch.live, t))
+    return batch.payload_ids[i].tolist(), batch.decoded_payload[i].tolist()
+
+
+def reference_transcripts(batch: BatchResult) -> list[Transcript]:
+    return [reference_transcript(batch, t) for t in range(len(batch))]
 
 
 def _reference_verdict_line(verdict: DetectionVerdict) -> str:
@@ -137,14 +149,19 @@ def campaigns():
 
 
 def test_render_matches_reference_on_random_configs(campaigns):
-    # Render the campaigns' runs round-robin, so consecutive renders mostly
-    # differ in (agents, photons) and the one-entry prefix cache turns over.
-    runs = [(r, what) for runs, what in campaigns for r in runs]
-    runs = runs[0::2] + runs[1::2]
+    # Render the campaigns' runs round-robin, one run of each in turn, so
+    # consecutive renders mostly differ in (agents, photons) and the
+    # one-entry prefix cache turns over.
+    renders = [
+        zip(itertools.repeat((batch, what)), enumerate(render_transcripts(batch)))
+        for batch, what in campaigns
+    ]
+    turns = itertools.chain.from_iterable(itertools.zip_longest(*renders))
     seen = Counter()
-    for r, what in runs:
-        text = render_transcript(r).serialize()
-        assert text == reference_transcript(r).serialize(), what
+    for (batch, what), (t, rendered) in filter(None, turns):
+        r = batch[t]
+        text = rendered.serialize()
+        assert text == reference_transcript(batch, t).serialize(), what
         seen.update(
             name for name in ("Agent8", "Agent9", "Zach") if f"party={name} " in text
         )
@@ -162,7 +179,7 @@ def test_render_matches_reference_on_random_configs(campaigns):
 def test_batch_render_matches_reference_on_random_configs(campaigns):
     for batch, what in campaigns:
         rendered = [t.serialize() for t in render_transcripts(batch)]
-        assert rendered == [reference_transcript(r).serialize() for r in batch], what
+        assert rendered == [t.serialize() for t in reference_transcripts(batch)], what
 
 
 @pytest.mark.parametrize("chunk", [1, 40, 10**6])
@@ -178,16 +195,17 @@ def test_batch_render_across_format_chunks(monkeypatch, chunk):
     )
     assert (batch.announcements[0].size, batch.payload_ids.shape[1]) == (9, 5)
     assert 0 < batch.first_passed.sum() < len(batch)
-    monkeypatch.setattr(protocol, "_FORMAT_CHUNK", chunk)
-    assert list(render_transcripts(batch)) == [reference_transcript(r) for r in batch]
+    monkeypatch.setattr(transcript, "_FORMAT_CHUNK", chunk)
+    assert list(render_transcripts(batch)) == reference_transcripts(batch)
 
 
 def test_cli_transcripts_build_no_run(monkeypatch, tmp_path):
     path = str(ROOT / "configs/honest.json")
     scenario = load_scenario(path)
     expected = [
-        reference_transcript(r).serialize()
-        for r in run_trials(scenario.protocol, scenario.entangler, scenario.rule, 3)
+        t.serialize()
+        for batch in run_batches(scenario.protocol, scenario.entangler, scenario.rule, 3)
+        for t in reference_transcripts(batch)
     ]
 
     def refuse(self, t):
@@ -239,12 +257,12 @@ def test_format_floats_is_percent_17g_once_per_bit_pattern(values, rows):
 def test_prefix_cache_holds_one_entry_and_refills():
     small = ProtocolConfig(num_agents=2, message_length=3, num_second_checks=0, seed=1)
     large = ProtocolConfig(num_agents=10, message_length=9, num_second_checks=2, seed=2)
-    runs = [run_protocol_batch(config, [5, 6])[i] for i in (0, 1) for config in (small, large)]
-    protocol._prefix.cache_clear()
-    for r in runs + runs:
-        assert render_transcript(r) == reference_transcript(r)
-        assert protocol._prefix.cache_info().currsize == 1
-    info = protocol._prefix.cache_info()
+    runs = [run_protocol_batch(config, [seed]) for seed in (5, 6) for config in (small, large)]
+    transcript._prefix.cache_clear()
+    for batch in runs + runs:
+        assert next(render_transcripts(batch)) == reference_transcript(batch, 0)
+        assert transcript._prefix.cache_info().currsize == 1
+    info = transcript._prefix.cache_info()
     assert info.maxsize == 1
     # Every render switched config, so none of them hit the cache.
     assert (info.hits, info.misses) == (0, len(runs) * 2)
@@ -252,8 +270,13 @@ def test_prefix_cache_holds_one_entry_and_refills():
 
 @pytest.fixture(scope="module", params=["configs/honest.json", "configs/qgwz.json"])
 def shipped_runs(request):
+    """Six runs of a shipped config, each as (its batch, its row, its transcript)."""
     scenario = load_scenario(str(ROOT / request.param))
-    return list(run_trials(scenario.protocol, scenario.entangler, scenario.rule, 6))
+    return [
+        (batch, t, rendered)
+        for batch in run_batches(scenario.protocol, scenario.entangler, scenario.rule, 6)
+        for t, rendered in enumerate(render_transcripts(batch))
+    ]
 
 
 def bits(values):
@@ -261,11 +284,12 @@ def bits(values):
 
 
 def test_records_parse_back_the_run_bit_for_bit(shipped_runs):
-    for r in shipped_runs:
-        records = r.transcript.records()
+    for batch, t, rendered in shipped_runs:
+        r = batch[t]
+        records = rendered.records()
         first = [f for f in records if f["phase"] == "first-detection"]
         assert bits(f["angle"] for f in first if "angle" in f) == bits(
-            angle for row in r.announcements for angle in row
+            angle for row in batch.announcements[t].tolist() for angle in row
         )
         measured = [(f["photon"], f["outcome"], f["probability"])
                     for f in first if f["kind"] == "Measured"]
@@ -273,7 +297,7 @@ def test_records_parse_back_the_run_bit_for_bit(shipped_runs):
         assert bits(p for _, _, p in measured) == bits(p for _, _, p in r.first_detection.outcomes)
         recovered = [f for f in records if f["phase"] == "recovery" and f["kind"] == "Measured"]
         assert [(f["photon"], f["outcome"]) for f in recovered] == list(
-            zip(r.payload_ids, r.decoded_payload)
+            zip(*payload_rows(batch, t))
         )
         assert bits(f["probability"] for f in recovered) == bits(r.recovery_probabilities)
         assert all(type(f["photon"]) is int for f in records if "photon" in f)
@@ -283,9 +307,35 @@ def test_records_render_back_to_the_same_text(shipped_runs):
     def field(key, value):
         return f"{key}={value:.17g}" if isinstance(value, float) else f"{key}={value}"
 
-    for r in shipped_runs:
+    for _, _, rendered in shipped_runs:
         text = "".join(
             " ".join(field(k, v) for k, v in record.items()) + "\n"
-            for record in r.transcript.records()
+            for record in rendered.records()
         )
-        assert text == r.transcript.serialize()
+        assert text == rendered.serialize()
+
+
+PREPARED = "phase=preparation kind=Prepared party=Alice photon=0"
+
+
+@pytest.mark.parametrize("line, parse, error, message", [
+    # The tail of a transcript cut mid-line, as when a report overwrote it.
+    pytest.param("ration kind=Prepared party=Alice photon=3", Transcript.records, ValueError,
+                 "line 2: malformed field 'ration'", id="records-not-key-value"),
+    pytest.param("", Transcript.records, ValueError,
+                 "line 2: malformed field ''", id="records-empty-line"),
+    pytest.param(PREPARED.replace("photon=0", "photon=x"), Transcript.records, ValueError,
+                 "line 2: malformed field 'photon=x'", id="records-int"),
+    pytest.param("phase=recovery kind=Measured party=Zach photon=1 basis=Z outcome=0 "
+                 "probability=p", Transcript.records, ValueError,
+                 "line 2: malformed field 'probability=p'", id="records-float"),
+    pytest.param("ration kind=Prepared party=Alice photon=3", Transcript.check_phase_order,
+                 InvariantPhaseError, "line 2: unknown phase 'ration'", id="order-no-phase"),
+    pytest.param(PREPARED.replace("preparation", "decryption"), Transcript.check_phase_order,
+                 InvariantPhaseError, "line 2: unknown phase 'phase=decryption'",
+                 id="order-unknown-phase"),
+])
+def test_malformed_line_names_its_line_and_field(line, parse, error, message):
+    with pytest.raises(error) as exc:
+        parse(Transcript(f"{PREPARED}\n{line}\n{PREPARED}\n"))
+    assert str(exc.value) == message
