@@ -218,6 +218,28 @@ def _span_outcomes(probs: np.ndarray, r: np.ndarray, refusal: str) -> np.ndarray
     return outcomes
 
 
+def _outer_column(scale, photons: np.ndarray, out: np.ndarray) -> None:
+    """``out`` (n, 2) = ``scale`` times ``photons`` (n, 2), where ``scale`` is
+    one amplitude or a column (n, 1). Each product runs down a whole column
+    of n rows rather than row by row along the 2-long photon axis."""
+    np.multiply(scale, photons, out=out, order="F")
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``terms`` (n, k), k <= MAX_ANCILLA_DIM, added
+    column by column in numpy's order for a last-axis sum: one after another
+    for k < 8, in pairs of pairs for k = 8. So it has the bits of
+    ``np.sum(terms, axis=1)``."""
+    cols = list(terms.T)
+    if len(cols) == 8:
+        pairs = [cols[i] + cols[i + 1] for i in range(0, 8, 2)]
+        return (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    total = cols[0]
+    for col in cols[1:]:
+        total = total + col
+    return total
+
+
 class EntanglingAdversary:
     """Adversary hook running the entangling attack inside a batch of
     protocol runs, with one generator per run in ``rngs``.
@@ -261,9 +283,16 @@ class EntanglingAdversary:
         if amps.shape[-1] != 2:
             raise InvariantError("attack expects a bare single-photon state on the channel")
         self.final_outcomes = np.full(photon_ids.shape, -1)
-        joint = self.spec.epsilon.amps[:, None] * amps[..., None, :]
-        rows = joint.reshape(-1, 2 * self.spec.ancilla_dim)
-        return (rows @ self.entangler.T).reshape(*amps.shape[:-1], -1)
+        photons = amps.reshape(-1, 2)
+        # The output is allocated before the temporary |eps> (x) photon
+        # rows, so that the temporary, freed first, goes back to the top of
+        # the heap instead of leaving a hole below the output.
+        out = np.empty((len(photons), 2 * self.spec.ancilla_dim), dtype=complex)
+        joint = np.empty((len(photons), self.spec.ancilla_dim, 2), dtype=complex)
+        for a, eps_a in enumerate(self.spec.epsilon.amps):
+            _outer_column(eps_a, photons, joint[:, a])
+        np.matmul(joint.reshape(len(photons), -1), self.entangler.T, out=out)
+        return out.reshape(*amps.shape[:-1], -1)
 
     def on_check_announcement(
         self, photon_ids: np.ndarray, honest_angles: np.ndarray, amps: np.ndarray
@@ -280,9 +309,14 @@ class EntanglingAdversary:
             np.concatenate([rng.random(amps.shape[1]) for rng in self.rngs]),
             "residual outcome outside span(eps, eps_perp) with probability",
         )
-        rows = np.arange(len(photon))
-        kept = photon[rows, outcomes] / np.sqrt(probs[rows, outcomes])[:, None]
-        collapsed = (self._kets[outcomes][:, :, None] * kept[:, None, :]).reshape(amps.shape)
+        eps_side = outcomes == 0
+        p = np.where(eps_side, probs[:, 0], probs[:, 1])
+        kept = np.where(eps_side[:, None], photon[:, 0], photon[:, 1]) / np.sqrt(p)[:, None]
+        kets = self._kets[outcomes]
+        collapsed = np.empty((len(kept), self.spec.ancilla_dim, 2), dtype=complex)
+        for a in range(self.spec.ancilla_dim):
+            _outer_column(kets[:, a, None], kept, collapsed[:, a])
+        collapsed = collapsed.reshape(amps.shape)
         check_norms(collapsed)
         shifted = canonical_angles(honest_angles + self.spec.theta_prime)
         announced = np.where(outcomes.reshape(honest_angles.shape) == 0, honest_angles, shifted)
@@ -298,13 +332,14 @@ class EntanglingAdversary:
         # <eps| (x) I splits the photon off; its norm is the Schmidt weight
         # on |eps>, and anything short of 1 is residual entanglement.
         photon = np.einsum("a,nab->nb", self.spec.epsilon.amps.conj(), separated)
-        weight = np.sqrt(np.sum(np.abs(photon) ** 2, axis=1))
+        squares = np.abs(photon) ** 2
+        weight = np.sqrt(squares[:, 0] + squares[:, 1])
         if np.any(weight < 1.0 - 1e-8):
             raise InvariantError(
                 f"state is not a product with |eps> (Schmidt weight {weight.min()})"
             )
         ancilla = np.einsum("nab,nb->na", separated, photon.conj())
-        ancilla /= np.linalg.norm(ancilla, axis=1, keepdims=True)
+        ancilla /= np.sqrt(_row_sums((ancilla.conj() * ancilla).real))[:, None]
         check_norms(photon)
         self._returned = (np.asarray(trials), np.asarray(photon_ids), ancilla)
         return photon.reshape(*amps.shape[:-1], 2)

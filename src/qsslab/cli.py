@@ -307,12 +307,23 @@ class _OutFile:
                 os.remove(self.path)
 
 
-def _check_out_is_no_transcript(out: str, directory: str, trials: int) -> None:
-    """Refuse an ``--out`` path that resolves to a transcript the campaign writes."""
-    real = os.path.realpath(out)
-    trial = re.fullmatch("trial_([0-9]{5}|[1-9][0-9]{5,})[.]log", os.path.basename(real))
-    if trial and int(trial[1]) < trials and os.path.samefile(os.path.dirname(real), directory):
-        raise ConfigError(f"--out {out} is the transcript of trial {int(trial[1])}")
+def _check_out_is_no_transcript(out: _OutFile, directory: str, trials: int) -> None:
+    """Refuse an open ``--out`` file that is a transcript the campaign writes:
+    by its path, through a symbolic link either way, or as a hard link."""
+    opened = os.fstat(out.fh.fileno())
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            trial = re.fullmatch("trial_([0-9]{5}|[1-9][0-9]{5,})[.]log", entry.name)
+            if not trial or int(trial[1]) >= trials:
+                continue
+            try:
+                same = os.path.samestat(entry.stat(), opened)
+            except OSError:
+                # An entry that cannot be stat'ed, such as a dangling link,
+                # is not the open --out file.
+                continue
+            if same:
+                raise ConfigError(f"--out {out.path} is the transcript of trial {int(trial[1])}")
 
 
 def _write_transcripts(
@@ -349,7 +360,7 @@ def cmd_run(args) -> tuple[int, str]:
             except OSError as exc:
                 raise ConfigError(f"--transcripts {args.transcripts}: {exc.strerror}")
             if args.out is not None:
-                _check_out_is_no_transcript(args.out, args.transcripts, trials)
+                _check_out_is_no_transcript(out, args.transcripts, trials)
 
         batches = run_batches(config, scenario.entangler, scenario.rule, trials)
         if args.transcripts is not None:

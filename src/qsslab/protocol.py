@@ -351,7 +351,9 @@ def encryption_phase(
                 np.broadcast_to(np.arange(n), (trials, n)), photons
             )
     check_norms(photons)
-    return photons, canonical_angles(angles.transpose(0, 2, 1))
+    # Uniform draws and DISCRETE_ANGLES already lie in [0, 2*pi): the ledger
+    # is canonical as drawn.
+    return photons, angles.transpose(0, 2, 1)
 
 
 def first_detection(
@@ -372,7 +374,9 @@ def first_detection(
     """
     trials, n = photons.shape[:2]
     n_checks = math.ceil(config.check_fraction_first * n)
-    check_ids = np.stack([np.sort(rng.choice(n, size=n_checks, replace=False)) for rng in rngs])
+    check_ids = np.sort(
+        np.stack([rng.choice(n, size=n_checks, replace=False) for rng in rngs]), axis=1
+    )
     batch = np.arange(trials)
     announced = disclosed_angles(ledger, batch, check_ids)
     adv_pos = config.default_adversary_position()
@@ -445,10 +449,12 @@ def run_protocol_batch(
 
     The runs differ only in their seeds, so they share every shape: each
     phase is one set of array operations on the stacked photons of all
-    runs. Each run draws from its own ``SeedSequence(seed).spawn(2)``
-    generators exactly what it draws alone, in the same order, so its
-    result does not depend on the batch. A run that fails the first
-    detection leaves the batch and draws nothing more.
+    runs. Each run draws from its own two generators, the streams of
+    ``SeedSequence(seed, spawn_key=(0,))`` for the protocol and
+    ``spawn_key=(1,)`` for the adversary (the children of
+    ``SeedSequence(seed).spawn(2)``), exactly what it draws alone, in the
+    same order, so its result does not depend on the batch. A run that
+    fails the first detection leaves the batch and draws nothing more.
 
     ``adversary_factory`` takes the runs' dedicated adversary generators,
     one per run, and returns an adversary hook for the whole batch.
@@ -457,10 +463,9 @@ def run_protocol_batch(
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("a batch needs at least one seed")
-    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
-    rngs = [np.random.default_rng(proto_ss) for proto_ss, _ in streams]
+    rngs = _spawned_generators(seeds, 0)
     if adversary_factory:
-        adversary = adversary_factory([np.random.default_rng(adv_ss) for _, adv_ss in streams])
+        adversary = adversary_factory(_spawned_generators(seeds, 1))
     else:
         adversary = NullAdversary()
 
@@ -483,6 +488,12 @@ def run_protocol_batch(
         config, seeds, n_total, messages, check_ids, outcomes, probs, announced,
         first_passed, live, *second, adversary.on_finish(),
     )
+
+
+def _spawned_generators(seeds, k: int) -> list[np.random.Generator]:
+    """Generator ``k`` of each seed: the stream of ``SeedSequence(seed).spawn(2)[k]``,
+    built without spawning its sibling."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for seed in seeds]
 
 
 # The RunResult fields of a run that stops at the first detection.

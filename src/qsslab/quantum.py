@@ -194,7 +194,10 @@ def apply_photon_op(amps: np.ndarray, op: np.ndarray) -> np.ndarray:
 def check_norms(amps: np.ndarray) -> None:
     """The ``State`` norm invariant, checked on every row of a batch (..., D) at once."""
     rows = amps.reshape(-1, amps.shape[-1])
-    drift = np.abs(np.sum(rows.real**2 + rows.imag**2, axis=1) - 1.0)
+    # One pass over the real and imaginary parts of each row. The sum only
+    # feeds the check, so its order is free.
+    parts = np.ascontiguousarray(rows, dtype=complex).view(float)
+    drift = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0)
     if len(drift) and not drift.max() <= 2 * ATOL_STATE:
         # argmax lands on the first NaN, if any, else on the worst drift.
         worst = rows[np.argmax(drift)]
@@ -208,9 +211,14 @@ def sample_outcomes(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
     rounding leaves the total below ``r``, picks the last outcome with
     positive probability, never one that cannot occur.
     """
-    hit = r[:, None] < np.cumsum(probs, axis=1)
-    outcomes = np.argmax(hit, axis=1)
-    missed = ~hit.any(axis=1)
+    # Column by column: the running sums are the bits of np.cumsum(probs, axis=1).
+    cumulative = [probs[:, 0]]
+    for j in range(1, probs.shape[1]):
+        cumulative.append(cumulative[-1] + probs[:, j])
+    outcomes = np.full(len(r), -1)
+    for j in range(probs.shape[1] - 1, -1, -1):
+        outcomes = np.where(r < cumulative[j], j, outcomes)
+    missed = outcomes < 0
     if missed.any():
         possible = probs[missed] > 0
         outcomes[missed] = probs.shape[1] - 1 - np.argmax(possible[:, ::-1], axis=1)
@@ -222,11 +230,17 @@ def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.n
     with uniforms ``r``. Returns (outcomes, outcome probabilities); the
     collapsed rows are norm-checked and dropped."""
     m = amps.reshape(len(amps), -1, 2)
-    weights = np.sum(np.abs(m) ** 2, axis=1)
+    # The weights of |0> and |1>, summed over the ancilla slices in order:
+    # the bits of np.sum(np.abs(m) ** 2, axis=1).
+    squares = np.abs(m) ** 2
+    weights = squares[:, 0]
+    for j in range(1, m.shape[1]):
+        weights = weights + squares[:, j]
     outcomes = sample_outcomes(weights, r)
     p0 = weights[:, 0]
-    probs = np.where(outcomes == 0, p0, 1.0 - p0)
-    kept = np.take_along_axis(m, outcomes[:, None, None], axis=2)[:, :, 0]
+    zero = outcomes == 0
+    probs = np.where(zero, p0, 1.0 - p0)
+    kept = np.where(zero[:, None], m[:, :, 0], m[:, :, 1])
     check_norms(kept / np.sqrt(probs)[:, None])
     return outcomes, probs
 

@@ -531,8 +531,23 @@ def symlink_to_transcript(tmp, tdir):
     return str(tmp / "link.txt")
 
 
+def transcript_symlinks_to_out(tmp, tdir):
+    # The transcript entry is a relative link to the --out file.
+    log = tdir / "trial_00001.log"
+    (tmp / "out.txt").write_bytes(log.read_bytes())
+    log.unlink()
+    log.symlink_to(os.path.join("..", "out.txt"))
+    return str(tmp / "out.txt")
+
+
+def transcript_hard_links_to_out(tmp, tdir):
+    os.link(tdir / "trial_00001.log", tmp / "out.txt")
+    return str(tmp / "out.txt")
+
+
 @pytest.mark.parametrize("out_path", [
     transcript_as_named, transcript_through_dot, symlink_to_transcript,
+    transcript_symlinks_to_out, transcript_hard_links_to_out,
 ])
 def test_out_that_is_a_transcript_file_exit1(tmp_path, capsys, monkeypatch, out_path):
     def refuse(*args):
@@ -551,6 +566,7 @@ def test_out_that_is_a_transcript_file_exit1(tmp_path, capsys, monkeypatch, out_
     err = capsys.readouterr().err
     assert err == f"config error: --out {out} is the transcript of trial 1\n"
     assert (tdir / "trial_00001.log").read_bytes() == before
+    assert pathlib.Path(out).read_bytes() == before
     assert sorted(tmp_path.rglob("*")) == tree
 
 

@@ -3,8 +3,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qsslab.analysis import derive_seed
 from qsslab.attack import EntanglingAdversary, GuessRule, qgwz_spec
 from qsslab.protocol import (
+    DISCRETE_ANGLES,
     MAX_RUN_SIZE,
     ConfigError,
     DetectionVerdict,
@@ -24,8 +26,10 @@ from qsslab.protocol import (
 )
 from qsslab.quantum import (
     MINUS_I_SIGMA_Y,
+    TWO_PI,
     State,
     apply_photon_op,
+    canonical_angles,
     ket0,
     rotation_operator,
     rotate_photons,
@@ -303,3 +307,38 @@ def test_transcript_never_logs_ledger_angles_in_encryption():
     for line in transcript_of(small_config(seed=10)).to_lines():
         if "kind=Rotated" in line:
             assert "angle=" not in line
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "discrete"])
+def test_drawn_ledger_is_canonical(distribution):
+    # The encryption phase returns its draws as the ledger, without a
+    # canonical_angles pass: the pass must be a no-op on them, bit for bit.
+    config = ProtocolConfig(num_agents=4, message_length=200, angle_distribution=distribution)
+    n = config.sequence_length()
+    rngs = [np.random.default_rng([21, t]) for t in range(6)]
+    photons = prepare_sequence(6 * n).reshape(6, n, 2)
+    _, ledger = encryption_phase(photons, config, rngs, NullAdversary())
+    assert ledger.shape == (6, 4, n)
+    assert np.array_equal(ledger.view(np.uint64), canonical_angles(ledger).view(np.uint64))
+
+
+def test_angle_draws_lie_below_two_pi():
+    # Generator.uniform(0, 2 pi) returns 2 pi times a uniform of at most
+    # 1 - 2**-53, which rounds below 2 pi; the discrete angles are below it too.
+    assert 2 * np.pi * (1.0 - 2.0**-53) < TWO_PI
+    assert np.array_equal(DISCRETE_ANGLES.view(np.uint64),
+                          canonical_angles(DISCRETE_ANGLES).view(np.uint64))
+
+
+def test_spawn_key_streams_are_the_spawned_children():
+    # Each run's generators are built as SeedSequence(seed, spawn_key=(k,)),
+    # the k-th child of SeedSequence(seed).spawn(2), without the sibling.
+    seeds = [*range(100), *(derive_seed(11, i) for i in range(200)), 2**32, 2**63 + 5]
+    for seed in seeds:
+        children = np.random.SeedSequence(seed).spawn(2)
+        for k, child in enumerate(children):
+            alone = np.random.SeedSequence(seed, spawn_key=(k,))
+            assert np.array_equal(alone.generate_state(4, np.uint64),
+                                  child.generate_state(4, np.uint64))
+            assert (np.random.default_rng(alone).random(3).tolist()
+                    == np.random.default_rng(child).random(3).tolist())
