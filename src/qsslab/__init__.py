@@ -9,7 +9,6 @@ from .analysis import (
     monte_carlo,
     run_batch,
     run_batches,
-    run_trials,
     summarize,
     sweep,
 )
@@ -25,11 +24,8 @@ from .attack import (
 from .protocol import (
     BatchResult,
     ConfigError,
-    MissingAngleError,
     NullAdversary,
     ProtocolConfig,
-    RunResult,
-    run_protocol,
     run_protocol_batch,
 )
 from .quantum import (
@@ -50,10 +46,8 @@ __all__ = [
     "EntanglingAdversary",
     "GuessRule",
     "InvariantError",
-    "MissingAngleError",
     "NullAdversary",
     "ProtocolConfig",
-    "RunResult",
     "ScenarioReport",
     "State",
     "SweepGrid",
@@ -72,9 +66,7 @@ __all__ = [
     "rotation_operator",
     "run_batch",
     "run_batches",
-    "run_protocol",
     "run_protocol_batch",
-    "run_trials",
     "summarize",
     "sweep",
     "tensor",

@@ -19,7 +19,6 @@ from .protocol import (
     MAX_RUN_SIZE,
     BatchResult,
     ProtocolConfig,
-    RunResult,
     config_to_dict,
     run_protocol_batch,
 )
@@ -224,18 +223,6 @@ def run_batches(
     per_batch = max(1, MAX_RUN_SIZE // (config.sequence_length() * config.num_agents))
     for start in range(0, trials, per_batch):
         yield run_batch(config, range(start, min(start + per_batch, trials)), attack, rule)
-
-
-def run_trials(
-    config: ProtocolConfig,
-    attack: EntanglerSpec | None,
-    rule: GuessRule,
-    trials: int,
-) -> Iterator[RunResult]:
-    """Yield the runs of trials 0 .. trials-1, in order, each built when it
-    is yielded from its batch (``run_batches``)."""
-    for batch in run_batches(config, attack, rule, trials):
-        yield from batch
 
 
 def summarize(

@@ -16,15 +16,14 @@ photon: D is 2 on an honest channel and 2*d once an adversary has attached
 a d-dimensional ancilla. Every phase is a few array operations on that
 array, and adversary hooks take and return batches with the same trial
 axis. Each run still draws from its own generators, exactly what it draws
-alone. A batch's results stay arrays with the same trial axis
+alone. A batch's results are arrays with the same trial axis
 (``BatchResult``), both detection verdicts among them, each decided once by
-the engine; one run's ``RunResult`` is built from them only when it is
-read; the ``transcript`` module renders transcripts from the same columns.
+the engine; the ``transcript`` module renders transcripts from the same
+columns. A run alone is a batch of one seed.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,10 +50,6 @@ MAX_RUN_SIZE = 100_000
 
 class ConfigError(Exception):
     """Invalid protocol or scenario configuration."""
-
-
-class MissingAngleError(Exception):
-    """An agent withheld its rotation angles; decoding is refused."""
 
 
 def agent_name(k: int, num_agents: int) -> str:
@@ -132,18 +127,8 @@ class ProtocolConfig:
 def disclosed_angles(ledger: np.ndarray, trials, photon_ids: np.ndarray) -> np.ndarray:
     """Every agent's disclosed angles for ``photon_ids`` (one row per trial of
     ``trials``), shape (agents, t, p), from a batch's canonical angle ledger
-    (trial, agent, photon). NaN in the ledger marks a withheld angle; any
-    withheld angle is refused."""
-    trials = np.asarray(trials)
-    out = ledger.transpose(1, 0, 2)[:, trials[:, None], photon_ids]
-    missing = np.argwhere(np.isnan(out))
-    if missing.size:
-        agent, row, col = missing[0]
-        raise MissingAngleError(
-            f"agent {agent} disclosed no angle for photon {photon_ids[row][col]} "
-            f"of trial {trials[row]}"
-        )
-    return out
+    (trial, agent, photon)."""
+    return ledger.transpose(1, 0, 2)[:, np.asarray(trials)[:, None], photon_ids]
 
 
 def sum_angles(angles) -> np.ndarray:
@@ -183,36 +168,12 @@ class NullAdversary:
         return None
 
 
-@dataclass(frozen=True)
-class DetectionVerdict:
-    phase: str
-    passed: bool
-    failed_photons: tuple[int, ...]
-    # (photon id, outcome, Born probability of that outcome)
-    outcomes: tuple[tuple[int, int, float], ...] = ()
-
-
-@dataclass(frozen=True)
-class RunResult:
-    config: ProtocolConfig
-    message: tuple[int, ...]
-    decoded_message: tuple[int, ...] | None
-    first_detection: DetectionVerdict
-    second_detection: DetectionVerdict | None
-    guesses: dict[int, int]
-    message_photon_ids: tuple[int, ...]
-    check_positions: tuple[int, ...]
-    recovery_probabilities: tuple[float, ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
-class BatchResult(Sequence):
-    """The runs of one batch (``run_protocol_batch``) as arrays with a
-    leading trial axis.
-
-    As a sequence it holds one ``RunResult`` per seed: ``len``, indexing and
-    iteration build run t's ``RunResult`` from row t when it is read, so a
-    consumer that only counts (``counts``) builds none.
+class BatchResult:
+    """The runs of one batch (``run_protocol_batch``), one per seed, as
+    arrays with a leading trial axis: row t of each trial column is run t,
+    and row i of each live column is run ``live[i]``. The arrays are the
+    only result; ``len`` is the number of runs.
     """
 
     config: ProtocolConfig
@@ -240,44 +201,6 @@ class BatchResult(Sequence):
 
     def __len__(self) -> int:
         return len(self.seeds)
-
-    def __getitem__(self, t: int) -> RunResult:
-        t = range(len(self))[t]
-        ids, outcomes, probs = (
-            a[t].tolist() for a in (self.check_ids, self.check_outcomes, self.check_probabilities)
-        )
-        failed = tuple(j for j, o in zip(ids, outcomes) if o != 0)
-        guesses = {}
-        if self.guesses is not None:
-            (guessed,) = np.nonzero(self.guesses[t] >= 0)
-            guesses = dict(zip(guessed.tolist(), self.guesses[t, guessed].tolist()))
-        second = _FAILED_FIRST_DETECTION if failed else self._second_fields(
-            int(np.searchsorted(self.live, t))
-        )
-        return RunResult(
-            with_seed(self.config, self.seeds[t]),
-            tuple(self.messages[t].tolist()),
-            first_detection=DetectionVerdict(
-                "first-detection", not failed, failed, tuple(zip(ids, outcomes, probs))
-            ),
-            guesses=guesses,
-            **second,
-        )
-
-    def __iter__(self) -> Iterator[RunResult]:
-        return map(self.__getitem__, range(len(self)))
-
-    def _second_fields(self, i: int) -> dict:
-        """The RunResult fields of live row ``i`` after the first detection."""
-        is_message = self.is_message[i]
-        mismatched = tuple(self.check_positions[i, self.check_mismatched[i]].tolist())
-        return dict(
-            decoded_message=tuple(self.decoded_payload[i, is_message].tolist()),
-            second_detection=DetectionVerdict("second-detection", not mismatched, mismatched),
-            message_photon_ids=tuple(self.payload_ids[i, is_message].tolist()),
-            check_positions=tuple(self.check_positions[i].tolist()),
-            recovery_probabilities=tuple(self.recovery_probabilities[i].tolist()),
-        )
 
     def counts(self) -> tuple[int, int, int, int, int, int]:
         """(trials, first-detection passes, decoded message bits, correctly
@@ -434,14 +357,6 @@ def recovery_phase(
     return outcomes.reshape(photon_ids.shape), probs.reshape(photon_ids.shape)
 
 
-def run_protocol(config: ProtocolConfig, adversary_factory=None) -> RunResult:
-    """Execute one full protocol run; deterministic given ``config.seed``.
-
-    A batch of one (``run_protocol_batch``).
-    """
-    return run_protocol_batch(config, [config.seed], adversary_factory)[0]
-
-
 def run_protocol_batch(
     config: ProtocolConfig, seeds, adversary_factory=None
 ) -> BatchResult:
@@ -453,8 +368,9 @@ def run_protocol_batch(
     ``SeedSequence(seed, spawn_key=(0,))`` for the protocol and
     ``spawn_key=(1,)`` for the adversary (the children of
     ``SeedSequence(seed).spawn(2)``), exactly what it draws alone, in the
-    same order, so its result does not depend on the batch. A run that
-    fails the first detection leaves the batch and draws nothing more.
+    same order, so its rows of the result do not depend on the batch: a run
+    alone is ``run_protocol_batch(config, [seed])``. A run that fails the
+    first detection leaves the batch and draws nothing more.
 
     ``adversary_factory`` takes the runs' dedicated adversary generators,
     one per run, and returns an adversary hook for the whole batch.
@@ -494,12 +410,6 @@ def _spawned_generators(seeds, k: int) -> list[np.random.Generator]:
     """Generator ``k`` of each seed: the stream of ``SeedSequence(seed).spawn(2)[k]``,
     built without spawning its sibling."""
     return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for seed in seeds]
-
-
-# The RunResult fields of a run that stops at the first detection.
-_FAILED_FIRST_DETECTION = dict(
-    decoded_message=None, second_detection=None, message_photon_ids=(), check_positions=()
-)
 
 
 def _second_phase(photons, live, check_ids, messages, ledger, rngs, adversary, config) -> tuple:

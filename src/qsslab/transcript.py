@@ -79,7 +79,7 @@ class InvariantPhaseError(Exception):
 
 def render_transcripts(batch: BatchResult) -> Iterator[Transcript]:
     """Each run's transcript, in trial order, straight from the batch's
-    arrays, without building a ``RunResult``.
+    arrays.
 
     The floats of a few runs at a time, about ``_FORMAT_CHUNK`` of them,
     are formatted together, each distinct one once (``format_floats``), so

@@ -18,7 +18,7 @@ from qsslab.attack import (
     qgwz_spec,
 )
 from qsslab.cli import FIXTURES
-from qsslab.protocol import ProtocolConfig, run_protocol
+from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State, basis_state, tensor
 from qsslab.transcript import render_transcripts
 
@@ -40,25 +40,23 @@ def test_criterion_1_honest_protocol_correctness(capsys):
     runs = 1000
     worst_prob_dev = 0.0
     ok = True
-    for seed in range(runs):
+    # Seed s runs with 3 + s % 3 agents: one batch per agent count.
+    for extra in range(3):
         config = ProtocolConfig(
-            num_agents=3 + seed % 3,
+            num_agents=3 + extra,
             message_length=32,
             check_fraction_first=0.5,
             num_second_checks=4,
             angle_distribution="uniform",
-            seed=seed,
         )
-        r = run_protocol(config)
-        ok &= r.decoded_message == r.message
-        ok &= r.first_detection.passed and r.second_detection.passed
-        for _, outcome, prob in r.first_detection.outcomes:
-            ok &= outcome == 0
-            worst_prob_dev = max(worst_prob_dev, abs(1.0 - prob))
-        for prob in r.recovery_probabilities:
-            worst_prob_dev = max(worst_prob_dev, abs(1.0 - prob))
-        if not ok:
-            break
+        batch = run_protocol_batch(config, range(extra, runs, 3))
+        ok &= bool(batch.first_passed.all()) and not batch.check_outcomes.any()
+        ok &= not batch.check_mismatched.any()
+        messages = batch.messages[batch.live]
+        ok &= np.array_equal(batch.decoded_payload[batch.is_message].reshape(messages.shape),
+                             messages)
+        for probs in (batch.check_probabilities, batch.recovery_probabilities):
+            worst_prob_dev = max(worst_prob_dev, float(np.abs(1.0 - probs).max(initial=0.0)))
     ok &= worst_prob_dev <= 1e-12
     verdict(
         capsys, "criterion-1 honest-protocol correctness", ok,
@@ -107,33 +105,30 @@ def test_criterion_4_detection_escape_and_naive_failure(capsys):
     the non-adaptive control fails per check photon at |beta|^2 sin^2(theta')."""
     spec = qgwz_spec(BELL)
     runs = 1000
-    worst_prob_dev = 0.0
-    adaptive_ok = True
-    for seed in range(runs):
-        config = ProtocolConfig(
-            num_agents=3, message_length=4, check_fraction_first=0.5,
-            num_second_checks=0, seed=seed,
-        )
-        r = run_protocol(config, lambda rng: EntanglingAdversary(spec, rng, adaptive=True))
-        adaptive_ok &= r.first_detection.passed
-        for _, outcome, prob in r.first_detection.outcomes:
-            adaptive_ok &= outcome == 0
-            worst_prob_dev = max(worst_prob_dev, abs(1.0 - prob))
+    config = ProtocolConfig(
+        num_agents=3, message_length=4, check_fraction_first=0.5, num_second_checks=0,
+    )
+    batch = run_protocol_batch(
+        config, range(runs), lambda rngs: EntanglingAdversary(spec, rngs, adaptive=True)
+    )
+    adaptive_ok = bool(batch.first_passed.all()) and not batch.check_outcomes.any()
+    worst_prob_dev = float(np.abs(1.0 - batch.check_probabilities).max(initial=0.0))
     adaptive_ok &= worst_prob_dev <= 1e-10
 
     # Non-adaptive control: a 0.8/0.6 superposition with a generic rotation,
     # so the expected per-check failure rate is neither 0 nor 1/2.
     naive = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.8, 0.6, 1.1)
     expected = abs(naive.beta) ** 2 * np.sin(naive.theta_prime) ** 2
-    samples = failures = 0
-    for seed in range(100):  # 100 runs x 1000 check photons = 1e5 samples
-        config = ProtocolConfig(
-            num_agents=2, message_length=250, check_fraction_first=0.8,
-            num_second_checks=0, seed=10_000 + seed,
-        )
-        r = run_protocol(config, lambda rng: EntanglingAdversary(naive, rng, adaptive=False))
-        samples += len(r.first_detection.outcomes)
-        failures += sum(1 for _, outcome, _ in r.first_detection.outcomes if outcome != 0)
+    config = ProtocolConfig(
+        num_agents=2, message_length=250, check_fraction_first=0.8, num_second_checks=0,
+    )
+    # 100 runs x 1000 check photons = 1e5 samples.
+    batch = run_protocol_batch(
+        config, range(10_000, 10_100),
+        lambda rngs: EntanglingAdversary(naive, rngs, adaptive=False),
+    )
+    samples = batch.check_outcomes.size
+    failures = int(np.count_nonzero(batch.check_outcomes))
     assert samples == 100_000
     rate = failures / samples
     sigma = np.sqrt(expected * (1 - expected) / samples)

@@ -6,9 +6,10 @@ four modules whose copies the benchmark's tracer patches
 (``qssbench/selftest.py``), and from nowhere else. Transcripts live in
 ``qsslab.transcript``, which the engine (``qsslab.protocol``) does not
 import: a run's transcript is its row of ``render_transcripts(batch)``.
+A batch's arrays are its only result: the row view, one record per run,
+lives in ``tests/row_view.py``.
 """
 import ast
-import dataclasses
 import os
 import pathlib
 import re
@@ -29,10 +30,8 @@ PUBLIC_NAMES = [
     "EntanglingAdversary",
     "GuessRule",
     "InvariantError",
-    "MissingAngleError",
     "NullAdversary",
     "ProtocolConfig",
-    "RunResult",
     "ScenarioReport",
     "State",
     "SweepGrid",
@@ -51,12 +50,19 @@ PUBLIC_NAMES = [
     "rotation_operator",
     "run_batch",
     "run_batches",
-    "run_protocol",
     "run_protocol_batch",
-    "run_trials",
     "summarize",
     "sweep",
     "tensor",
+]
+
+ROW_VIEW_NAMES = [
+    "RunResult",
+    "DetectionVerdict",
+    "run_protocol",
+    "run_trials",
+    "_FAILED_FIRST_DETECTION",
+    "MissingAngleError",
 ]
 
 REFERENCE_NAMES = [
@@ -82,6 +88,19 @@ def test_scalar_reference_is_not_in_the_package(module):
     assert [name for name in REFERENCE_NAMES if hasattr(module, name)] == []
 
 
+@pytest.mark.parametrize("module", [qsslab, quantum, attack, analysis, protocol, cli, transcript])
+def test_row_view_is_not_in_the_package(module):
+    assert [name for name in ROW_VIEW_NAMES if hasattr(module, name)] == []
+
+
+def test_batch_result_is_its_arrays():
+    # No indexing or iteration by run; len counts the runs.
+    row_methods = ["__getitem__", "__iter__", "_second_fields"]
+    assert [name for name in row_methods if hasattr(protocol.BatchResult, name)] == []
+    assert protocol.BatchResult.__bases__ == (object,)
+    assert "__len__" in vars(protocol.BatchResult)
+
+
 def test_apply_unitary_only_where_the_tracer_patches_it():
     holders = [m for m in (qsslab, quantum, protocol, attack, analysis, cli, transcript)
                if hasattr(m, "apply_unitary")]
@@ -92,9 +111,6 @@ def test_apply_unitary_only_where_the_tracer_patches_it():
 def test_transcripts_are_not_in_the_engine():
     moved = ["Transcript", "render_transcripts", "render_transcript", "format_floats", "_prefix"]
     assert [name for name in moved if hasattr(protocol, name)] == []
-    removed = ["transcript", "num_photons", "announcements", "payload_ids", "decoded_payload"]
-    fields = {f.name for f in dataclasses.fields(protocol.RunResult)}
-    assert [name for name in removed if name in fields or hasattr(protocol.RunResult, name)] == []
 
 
 def test_protocol_imports_nothing_from_transcript():

@@ -12,7 +12,7 @@ from qsslab.attack import (
     qgwz_spec,
     random_entangler_spec,
 )
-from qsslab.protocol import ProtocolConfig, run_protocol
+from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import (
     MINUS_I_SIGMA_Y,
     InvariantError,
@@ -374,42 +374,44 @@ def test_guess_outcome_always_epsilon(rng):
         adversaries.append(adv)
         return adv
 
-    result = run_protocol(config, factory)
-    assert result.decoded_message == result.message
+    batch = run_protocol_batch(config, [config.seed], factory)
+    assert batch.first_passed.all()
+    decoded = batch.decoded_payload[batch.is_message].reshape(batch.messages.shape)
+    assert np.array_equal(decoded, batch.messages)
     adv = adversaries[0]
     measured = adv.final_outcomes[0][adv.final_outcomes[0] >= 0]
     assert measured.size  # attack ran
     assert all(o == 0 for o in measured.tolist())
     # Default rule therefore guesses all zeros.
-    assert all(g == 0 for g in result.guesses.values())
+    guesses = batch.guesses[batch.guesses >= 0]
+    assert guesses.size and not guesses.any()
 
 
 def test_guess_accuracy_near_half(rng):
     spec = qgwz_spec(BELL)
-    correct = total = 0
-    for seed in range(20):
-        config = ProtocolConfig(num_agents=3, message_length=50, num_second_checks=0,
-                                check_fraction_first=0.2, seed=100 + seed)
-        result = run_protocol(config, lambda arng: EntanglingAdversary(spec, arng))
-        for pid, bit in zip(result.message_photon_ids, result.message):
-            total += 1
-            correct += result.guesses[pid] == bit
+    config = ProtocolConfig(num_agents=3, message_length=50, num_second_checks=0,
+                            check_fraction_first=0.2)
+    batch = run_protocol_batch(
+        config, range(100, 120), lambda arngs: EntanglingAdversary(spec, arngs)
+    )
+    assert batch.first_passed.all()
+    # Every message photon is guessed: its guess against its bit.
+    message_ids = batch.payload_ids[batch.is_message].reshape(batch.messages.shape)
+    guesses = np.take_along_axis(batch.guesses, message_ids, axis=1)
+    assert (guesses >= 0).all()
+    total, correct = guesses.size, int(np.count_nonzero(guesses == batch.messages))
     sigma = 0.5 / np.sqrt(total)
     assert abs(correct / total - 0.5) <= 4 * sigma
 
 
 def test_naive_attack_fails_detection_at_known_rate():
     spec = qgwz_spec(BELL)  # |beta|^2 = 1/2, theta' = pi/2 -> fail prob 1/2
-    fails = total = 0
-    for seed in range(10):
-        config = ProtocolConfig(num_agents=3, message_length=40, num_second_checks=0,
-                                check_fraction_first=0.5, seed=300 + seed)
-        result = run_protocol(
-            config, lambda arng: EntanglingAdversary(spec, arng, adaptive=False)
-        )
-        for _, outcome, _ in result.first_detection.outcomes:
-            total += 1
-            fails += outcome != 0
+    config = ProtocolConfig(num_agents=3, message_length=40, num_second_checks=0,
+                            check_fraction_first=0.5)
+    batch = run_protocol_batch(
+        config, range(300, 310), lambda arngs: EntanglingAdversary(spec, arngs, adaptive=False)
+    )
+    total, fails = batch.check_outcomes.size, int(np.count_nonzero(batch.check_outcomes))
     p = 0.5
     sigma = np.sqrt(p * (1 - p) / total)
     assert abs(fails / total - p) <= 4 * sigma

@@ -1,18 +1,19 @@
 """A batch of trials gives each trial exactly the run it gets alone.
 
 ``run_batch`` stacks the photons of many trials into one array; each trial
-still draws from its own generators. Every ``RunResult`` field, compared
-with ``==``, and every transcript byte (the run's row of
-``render_transcripts``) must match the trial run as a batch of one,
+still draws from its own generators. Every column of a batch, bit for bit,
+and every transcript byte (the run's row of ``render_transcripts``) must
+equal those of its trials run as batches of one and stacked in trial order,
 including trials that fail the first detection mid-batch.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qsslab import analysis
-from qsslab.analysis import derive_seed, run_batch, run_trials, summarize
+from qsslab.analysis import derive_seed, run_batch, run_batches, summarize
 from qsslab.attack import EntanglerSpec, EntanglingAdversary, GuessRule, qgwz_spec
-from qsslab.protocol import ProtocolConfig, run_protocol_batch
+from qsslab.protocol import BatchResult, ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State, basis_state
 from qsslab.transcript import render_transcripts
 
@@ -24,16 +25,32 @@ def transcripts(batches):
     return [t.serialize() for batch in batches for t in render_transcripts(batch)]
 
 
-def runs_of(batches):
-    """(run, transcript text) of every run of ``batches``, in order."""
-    return list(zip([r for batch in batches for r in batch], transcripts(batches)))
+def columns(batches):
+    """Every column of ``batches`` stacked along the trial axis, in order, and
+    the text of every transcript: what one batch of all their trials holds.
+    ``live`` counts the trials of the batches before each one."""
+    offsets = np.cumsum([0] + [len(batch) for batch in batches])
+    out = {
+        "seeds": sum((batch.seeds for batch in batches), ()),
+        "live": np.concatenate([batch.live + offset for batch, offset in zip(batches, offsets)]),
+        "transcripts": transcripts(batches),
+    }
+    for field in dataclasses.fields(BatchResult):
+        if field.name not in ("config", "num_photons", *out):
+            rows = [getattr(batch, field.name) for batch in batches]
+            out[field.name] = None if rows[0] is None else np.concatenate(rows)
+    return out
 
 
-def assert_same_runs(runs, singles):
-    assert len(runs) == len(singles)
-    for (got, got_text), (want, want_text) in zip(runs, singles):
-        assert got == want
-        assert got_text == want_text
+def assert_same_runs(batches, singles):
+    got, want = columns(batches), columns(singles)
+    assert got.keys() == want.keys()
+    for key, value in got.items():
+        if isinstance(value, np.ndarray):
+            assert (value.dtype, value.shape) == (want[key].dtype, want[key].shape), key
+            assert value.tobytes() == want[key].tobytes(), key
+        else:
+            assert value == want[key], key
 
 
 def d8_spec():
@@ -62,14 +79,14 @@ CAMPAIGNS = {
 def test_batch_matches_batches_of_one(name):
     config, spec, rule = CAMPAIGNS[name]
     batch = run_batch(config, range(13), spec, rule)
-    runs = runs_of([batch])
-    assert_same_runs(runs, runs_of([run_batch(config, [i], spec, rule) for i in range(13)]))
-    assert all(r.first_detection.passed for r in batch)
+    singles = [run_batch(config, [i], spec, rule) for i in range(13)]
+    assert_same_runs([batch], singles)
+    assert batch.first_passed.all()
     if spec is not None:
-        assert all(r.guesses for r in batch)
+        assert (batch.guesses >= 0).any(axis=1).all()
     # Any subset of trial indices, in any order.
     picked = [11, 2, 7]
-    assert_same_runs(runs_of([run_batch(config, picked, spec, rule)]), [runs[i] for i in picked])
+    assert_same_runs([run_batch(config, picked, spec, rule)], [singles[i] for i in picked])
 
 
 def test_naive_batch_with_failed_first_detections():
@@ -84,33 +101,25 @@ def test_naive_batch_with_failed_first_detections():
         return EntanglingAdversary(naive, rngs, adaptive=False)
 
     batch = run_protocol_batch(config, seeds, factory)
-    assert_same_runs(runs_of([batch]), runs_of([run_protocol_batch(config, [s], factory)
-                                                for s in seeds]))
-    passed = [r.first_detection.passed for r in batch]
+    assert_same_runs([batch], [run_protocol_batch(config, [s], factory) for s in seeds])
+    passed = batch.first_passed.tolist()
     # Both verdicts occur, and a failed trial sits between passing ones.
     assert any(not p and True in passed[:i] and True in passed[i + 1:]
                for i, p in enumerate(passed))
-    for r in batch:
-        if not r.first_detection.passed:
-            assert r.decoded_message is None and r.guesses == {}
+    # A failed trial has no decoded row and guesses nothing.
+    assert batch.live.tolist() == [t for t, p in enumerate(passed) if p]
+    assert (batch.guesses[~batch.first_passed] < 0).all()
 
 
-def test_campaign_over_several_batches_matches_single_trials(monkeypatch):
+def test_campaign_over_several_batches_matches_single_trials():
     # Criterion 5's config: 1000 photons x 3 agents a trial, so a batch
     # holds 100 000 // 3000 = 33 trials and 70 trials take three batches.
     config = ProtocolConfig(num_agents=3, message_length=500, check_fraction_first=0.5,
                             num_second_checks=0, seed=55)
     spec, rule = qgwz_spec(BELL), GuessRule()
-    batches = []
-
-    def recording_run_batch(config, trial_indices, attack, rule):
-        batches.append(run_batch(config, trial_indices, attack, rule))
-        return batches[-1]
-
-    monkeypatch.setattr(analysis, "run_batch", recording_run_batch)
-    batched = list(run_trials(config, spec, rule, 70))
+    batches = list(run_batches(config, spec, rule, 70))
     assert [len(b) for b in batches] == [33, 33, 4]
     singles = [run_batch(config, [i], spec, rule) for i in range(70)]
-    assert_same_runs(list(zip(batched, transcripts(batches))), runs_of(singles))
+    assert_same_runs(batches, singles)
     report = summarize(config, spec, batches).to_json_line()
     assert report == summarize(config, spec, singles).to_json_line()

@@ -44,6 +44,7 @@ from qsslab.cli import main
 from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State
 from qsslab.transcript import render_transcripts
+from row_view import run_of
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "engine_golden.json"
@@ -140,7 +141,8 @@ def _spec(attack):
 
 
 def run_case(case):
-    """Outcomes of one recorded run, as JSON-ready values."""
+    """Outcomes of one recorded run, as JSON-ready values, read from its
+    record (``tests/row_view.py``)."""
     proto = dict(case["protocol"])
     if proto.get("message_bits") is not None:
         proto["message_bits"] = tuple(proto["message_bits"])
@@ -156,7 +158,7 @@ def run_case(case):
             return adversaries[-1]
 
     batch = run_protocol_batch(config, [config.seed], factory)
-    r = batch[0]
+    r = run_of(batch, 0)
     first = r.first_detection
     out = {
         "message": list(r.message),

@@ -1,27 +1,23 @@
-"""A batch folds to the report its runs fold to, and a campaign that only
-counts builds no ``RunResult``.
+"""A batch folds to the report its runs fold to.
 
 ``summarize`` adds up six integer counts per batch, which ``BatchResult``
 gives by array reductions over its columns. ``run_counts`` below counts one
-run bit by bit, as the reference: on every kind of batch the batch's counts
-must equal its runs' summed, and the batch must fold to the report its
-trials fold to as batches of one, byte for byte.
+run bit by bit from its record (``tests/row_view.py``), as the reference: on
+every kind of batch the batch's counts must equal its runs' summed, and the
+batch must fold to the report its trials fold to as batches of one, byte
+for byte.
 """
 import functools
-import pathlib
 
 import numpy as np
 import pytest
 
-from qsslab import protocol
-from qsslab.analysis import derive_seed, monte_carlo, run_batch, summarize
+from qsslab.analysis import derive_seed, run_batch, summarize
 from qsslab.attack import EntanglerSpec, EntanglingAdversary, GuessRule, qgwz_spec
-from qsslab.cli import EXIT_OK, main
-from qsslab.protocol import BatchResult, NullAdversary, ProtocolConfig, run_protocol_batch
+from qsslab.protocol import NullAdversary, ProtocolConfig, run_protocol_batch
 from qsslab.quantum import basis_state
+from row_view import runs_of
 from test_batch import BELL, CAMPAIGNS
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 NAIVE = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.8, 0.6, 1.1)
 NAIVE_CONFIG = ProtocolConfig(num_agents=3, message_length=4, check_fraction_first=0.3,
@@ -104,7 +100,7 @@ BATCHES = {
 @pytest.mark.parametrize("name", BATCHES)
 def test_batch_fold_matches_run_fold(name):
     config, spec, batch = BATCHES[name]()
-    assert batch.counts() == tuple(map(sum, zip(*(run_counts(r) for r in batch))))
+    assert batch.counts() == tuple(map(sum, zip(*map(run_counts, runs_of(batch)))))
     singles = [BATCHES[name]([i])[2] for i in range(len(batch))]
     folded, reference = summarize(config, spec, [batch]), summarize(config, spec, singles)
     assert folded.to_json_line() == reference.to_json_line()
@@ -119,30 +115,6 @@ def test_naive_batch_fails_first_detection_mid_batch():
                for i, p in enumerate(passed))
 
 
-def test_batch_is_a_sequence_of_runs():
-    config, spec, rule = CAMPAIGNS["qgwz-adaptive"]
-    batch = run_batch(config, range(4), spec, rule)
-    assert isinstance(batch, BatchResult) and len(batch) == 4
-    assert list(batch) == [batch[t] for t in range(4)]
-    assert batch[-1] == batch[3]
-    with pytest.raises(IndexError):
-        batch[4]
-
-
-def test_campaign_without_transcripts_builds_no_run(monkeypatch, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a RunResult was built")
-
-    monkeypatch.setattr(protocol, "RunResult", refuse)
-    config, spec, rule = CAMPAIGNS["qgwz-adaptive"]
-    assert monte_carlo(config, spec, rule, trials=5).trials == 5
-    qgwz = str(ROOT / "configs" / "qgwz.json")
-    assert main(["run", qgwz, "--trials", "3", "--out", str(tmp_path / "r.txt")]) == EXIT_OK
-    # The patch is live: reading a run builds it.
-    with pytest.raises(AssertionError, match="RunResult was built"):
-        run_batch(config, range(2), spec, rule)[0]
-
-
 def test_empty_batch_is_refused():
     with pytest.raises(ValueError):
         run_protocol_batch(CAMPAIGNS["honest"][0], [])
@@ -150,10 +122,9 @@ def test_empty_batch_is_refused():
 
 def test_guesses_mark_unguessed_photons():
     config, spec, batch = _naive()
-    for t, run in enumerate(batch):
+    for t in range(len(batch)):
         guessed = np.flatnonzero(batch.guesses[t] >= 0).tolist()
-        assert guessed == sorted(run.guesses)
-        if not run.first_detection.passed:
+        if not batch.first_passed[t]:
             assert guessed == []
         else:
             assert guessed == batch.payload_ids[np.searchsorted(batch.live, t)].tolist()

@@ -9,8 +9,6 @@ from qsslab.protocol import (
     DISCRETE_ANGLES,
     MAX_RUN_SIZE,
     ConfigError,
-    DetectionVerdict,
-    MissingAngleError,
     NullAdversary,
     ProtocolConfig,
     disclosed_angles,
@@ -20,7 +18,6 @@ from qsslab.protocol import (
     prepare_sequence,
     recovery_phase,
     required_sequence_length,
-    run_protocol,
     run_protocol_batch,
     sum_angles,
 )
@@ -45,6 +42,18 @@ def small_config(**kw):
                     check_fraction_first=0.5, seed=0)
     defaults.update(kw)
     return ProtocolConfig(**defaults)
+
+
+def run_alone(config, adversary_factory=None):
+    """``config``'s run at its own seed: a batch of one."""
+    return run_protocol_batch(config, [config.seed], adversary_factory)
+
+
+def decoded_messages(batch):
+    """The decoded message bits of each run that passed the first detection,
+    one row per ``batch.live``."""
+    bits = batch.messages.shape[1]
+    return batch.decoded_payload[batch.is_message].reshape(len(batch.live), bits)
 
 
 def test_config_validation():
@@ -119,26 +128,24 @@ def test_ledger_sum_property():
 def test_honest_runs_decode_exactly():
     for seed in range(30):
         config = small_config(seed=seed, num_agents=2 + seed % 3)
-        result = run_protocol(config)
-        assert result.first_detection.passed
-        assert result.second_detection.passed
-        assert result.decoded_message == result.message
-        for _, _, prob in result.first_detection.outcomes:
-            assert prob >= 1 - 1e-12
-        for prob in result.recovery_probabilities:
-            assert prob >= 1 - 1e-12
+        batch = run_alone(config)
+        assert batch.first_passed.all()
+        assert not batch.check_mismatched.any()
+        assert np.array_equal(decoded_messages(batch), batch.messages)
+        assert (batch.check_probabilities >= 1 - 1e-12).all()
+        assert (batch.recovery_probabilities >= 1 - 1e-12).all()
 
 
 def test_discrete_angle_distribution_decodes():
-    result = run_protocol(small_config(angle_distribution="discrete", seed=4))
-    assert result.decoded_message == result.message
+    batch = run_alone(small_config(angle_distribution="discrete", seed=4))
+    assert np.array_equal(decoded_messages(batch), batch.messages)
 
 
 def test_fixed_message_bits_respected():
-    bits = (1, 0, 1, 1, 0, 0, 1, 0)
-    result = run_protocol(small_config(message_bits=bits))
-    assert result.message == bits
-    assert result.decoded_message == bits
+    bits = [1, 0, 1, 1, 0, 0, 1, 0]
+    batch = run_alone(small_config(message_bits=tuple(bits)))
+    assert batch.messages.tolist() == [bits]
+    assert decoded_messages(batch).tolist() == [bits]
 
 
 def test_encode_message_examples():
@@ -160,29 +167,6 @@ def test_encode_length_mismatch():
         encode_message(prepare_sequence(2), (1,))
 
 
-def test_recovery_refuses_with_missing_agent():
-    config = small_config(seed=9)
-    rng = np.random.default_rng(np.random.SeedSequence(9))
-    photons, ledger = encryption_phase(prepare_sequence(4)[None], config, [rng], NullAdversary())
-    for withheld in range(config.num_agents):
-        partial = ledger.copy()
-        partial[:, withheld] = np.nan
-        with pytest.raises(MissingAngleError):
-            recovery_phase(photons, np.arange(4)[None], [0], partial, [rng], NullAdversary())
-
-
-def test_first_detection_refuses_with_missing_agent():
-    # A withheld angle is refused at the announcement, before Alice measures.
-    config = small_config(seed=9)
-    rng = np.random.default_rng(np.random.SeedSequence(9))
-    photons, ledger = encryption_phase(prepare_sequence(4)[None], config, [rng], NullAdversary())
-    for withheld in range(config.num_agents):
-        partial = ledger.copy()
-        partial[:, withheld] = np.nan
-        with pytest.raises(MissingAngleError, match=f"agent {withheld} disclosed no angle"):
-            first_detection(photons, partial, config, [rng], NullAdversary())
-
-
 class PayloadFlipper(NullAdversary):
     """A tampering agent: flips every payload photon on its way back."""
 
@@ -197,22 +181,18 @@ def test_second_detection_verdicts():
     batch = run_protocol_batch(config, [1, 2, 3], lambda rngs: PayloadFlipper())
     assert batch.first_passed.all()
     assert batch.check_mismatched.shape == (3, 3) and batch.check_mismatched.all()
-    transcripts = list(render_transcripts(batch))
-    for t, run in enumerate(batch):
-        assert run.decoded_message == tuple(1 - bit for bit in run.message)
-        assert run.second_detection == DetectionVerdict(
-            "second-detection", False, run.check_positions
-        )
+    assert np.array_equal(decoded_messages(batch), 1 - batch.messages)
+    for positions, transcript in zip(batch.check_positions.tolist(), render_transcripts(batch)):
         last = ("phase=second-detection kind=Verdict party=Alice result=fail failed="
-                + ",".join(map(str, run.check_positions)))
-        assert transcripts[t].to_lines()[-1] == last
+                + ",".join(map(str, positions)))
+        assert transcript.to_lines()[-1] == last
     # Seed 1's second checks, pinned: they move only if the draws do.
-    assert batch[0].check_positions == (3, 5, 10)
+    assert batch.check_positions[0].tolist() == [3, 5, 10]
     # With no second checks the verdict passes vacuously, flips and all.
     config, flipper = small_config(num_second_checks=0, seed=1), lambda rngs: PayloadFlipper()
-    run = run_protocol(config, flipper)
-    assert run.decoded_message == tuple(1 - bit for bit in run.message)
-    assert run.second_detection == DetectionVerdict("second-detection", True, ())
+    batch = run_alone(config, flipper)
+    assert np.array_equal(decoded_messages(batch), 1 - batch.messages)
+    assert batch.check_mismatched.shape == (1, 0)
     assert transcript_of(config, flipper).to_lines()[-1] == (
         "phase=second-detection kind=Verdict party=Alice result=pass failed=-"
     )
@@ -248,9 +228,9 @@ TRANSCRIPT_RUNS = {
 @pytest.mark.parametrize("name", TRANSCRIPT_RUNS)
 def test_transcript_lines_match_run(name):
     config, factory, passes = TRANSCRIPT_RUNS[name]
-    batch = run_protocol_batch(config, [config.seed], factory)
-    r, transcript = batch[0], next(render_transcripts(batch))
-    assert r.first_detection.passed == passes
+    batch = run_alone(config, factory)
+    transcript = next(render_transcripts(batch))
+    assert batch.first_passed.tolist() == [passes]
     lines = transcript.to_lines()
     for line in lines:
         for token in line.split(" "):
@@ -258,7 +238,7 @@ def test_transcript_lines_match_run(name):
             assert key and sep and value, line
     fields = transcript.records()
     n, k = batch.num_photons, config.num_agents
-    checks, payload = len(r.first_detection.outcomes), config.payload_length()
+    checks, payload = batch.check_ids.shape[1], config.payload_length()
     expected = {"preparation": n, "encryption": n * (2 * k + 1),
                 "first-detection": checks * (k + 2) + 1}
     if passes:
@@ -267,18 +247,18 @@ def test_transcript_lines_match_run(name):
     assert [f["angle"] for f in fields if "angle" in f] == [
         angle for row in batch.announcements[0].tolist() for angle in row
     ]
-    assert [f["probability"] for f in fields if "probability" in f] == [
-        p for _, _, p in r.first_detection.outcomes
-    ] + list(r.recovery_probabilities)
+    assert [f["probability"] for f in fields if "probability" in f] == (
+        batch.check_probabilities[0].tolist() + batch.recovery_probabilities.ravel().tolist()
+    )
 
 
 def test_transcript_determinism():
-    a = run_protocol(small_config(seed=6))
-    b = run_protocol(small_config(seed=6))
+    a = run_alone(small_config(seed=6))
+    b = run_alone(small_config(seed=6))
     assert transcript_of(small_config(seed=6)).serialize() == transcript_of(
         small_config(seed=6)
     ).serialize()
-    assert a.decoded_message == b.decoded_message
+    assert np.array_equal(decoded_messages(a), decoded_messages(b))
 
 
 def test_null_hook_matches_no_hook():

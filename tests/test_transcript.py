@@ -1,13 +1,14 @@
 """Transcript rendering against the reference renderer, and parsing back.
 
 One row renderer writes every transcript: ``render_transcripts`` feeds it a
-batch's arrays run by run, without building a ``RunResult``, and a run's
-transcript is its row of that batch. It formats only what differs between
-runs: the preparation and encryption lines come from a one-entry cache
-keyed by (agents, photons), every float is written as ``%.17g`` once per
-distinct bit pattern (``format_floats``), and each later phase is its
-per-photon template with the run's strings joined into its gaps. Its bytes must equal those of the reference renderer below, which
-formats every line of every run with ``str.format`` and f-strings.
+batch's arrays run by run, and a run's transcript is its row of that batch.
+It formats only what differs between runs: the preparation and encryption
+lines come from a one-entry cache keyed by (agents, photons), every float is
+written as ``%.17g`` once per distinct bit pattern (``format_floats``), and
+each later phase is its per-photon template with the run's strings joined
+into its gaps. Its bytes must equal those of the reference renderer below,
+which formats every line of every run with ``str.format`` and f-strings,
+from the run's record (``tests/row_view.py``).
 """
 import itertools
 import math
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsslab import cli, transcript
-from qsslab.analysis import derive_seed, run_batches, run_trials
+from qsslab.analysis import derive_seed, run_batches
 from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
@@ -29,15 +30,10 @@ from qsslab.attack import (
     random_entangler_spec,
 )
 from qsslab.cli import load_scenario
-from qsslab.protocol import (
-    BatchResult,
-    DetectionVerdict,
-    ProtocolConfig,
-    agent_name,
-    run_protocol_batch,
-)
+from qsslab.protocol import BatchResult, ProtocolConfig, agent_name, run_protocol_batch
 from qsslab.quantum import State, basis_state
 from qsslab.transcript import InvariantPhaseError, Transcript, format_floats, render_transcripts
+from row_view import DetectionVerdict, run_of
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -52,7 +48,7 @@ def reference_transcript(batch: BatchResult, t: int) -> Transcript:
     Each phase has line templates with the party names filled in: one
     ``str.format`` or f-string per photon, floats written as ``.17g``.
     """
-    r = batch[t]
+    r = run_of(batch, t)
     names = [agent_name(k, r.config.num_agents) for k in range(r.config.num_agents)]
     receiver = names[-1]
     # Alice sends each photon to the first agent, and each agent rotates it and
@@ -159,16 +155,16 @@ def test_render_matches_reference_on_random_configs(campaigns):
     turns = itertools.chain.from_iterable(itertools.zip_longest(*renders))
     seen = Counter()
     for (batch, what), (t, rendered) in filter(None, turns):
-        r = batch[t]
+        config, passed = batch.config, batch.first_passed[t]
         text = rendered.serialize()
         assert text == reference_transcript(batch, t).serialize(), what
         seen.update(
             name for name in ("Agent8", "Agent9", "Zach") if f"party={name} " in text
         )
-        seen["failed first detection"] += not r.first_detection.passed
-        seen["no second checks"] += r.config.num_second_checks == 0 and r.first_detection.passed
-        seen["fixed message"] += r.config.message_bits is not None
-        seen["discrete"] += r.config.angle_distribution == "discrete"
+        seen["failed first detection"] += not passed
+        seen["no second checks"] += config.num_second_checks == 0 and passed
+        seen["fixed message"] += config.message_bits is not None
+        seen["discrete"] += config.angle_distribution == "discrete"
     # Every case the renderer must cover occurs.
     assert all(seen[case] for case in (
         "Agent8", "Agent9", "Zach", "failed first detection", "no second checks",
@@ -199,7 +195,7 @@ def test_batch_render_across_format_chunks(monkeypatch, chunk):
     assert list(render_transcripts(batch)) == reference_transcripts(batch)
 
 
-def test_cli_transcripts_build_no_run(monkeypatch, tmp_path):
+def test_cli_transcripts_build_no_run(tmp_path):
     path = str(ROOT / "configs/honest.json")
     scenario = load_scenario(path)
     expected = [
@@ -207,13 +203,6 @@ def test_cli_transcripts_build_no_run(monkeypatch, tmp_path):
         for batch in run_batches(scenario.protocol, scenario.entangler, scenario.rule, 3)
         for t in reference_transcripts(batch)
     ]
-
-    def refuse(self, t):
-        raise AssertionError("a RunResult was built")
-
-    monkeypatch.setattr(BatchResult, "__getitem__", refuse)
-    with pytest.raises(AssertionError, match="RunResult was built"):
-        list(run_trials(scenario.protocol, scenario.entangler, scenario.rule, 1))
     assert cli.main(["run", path, "--trials", "3", "--transcripts", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"trial_{i:05d}.log" for i in range(3)]
     assert [(tmp_path / f"trial_{i:05d}.log").read_text() for i in range(3)] == expected
@@ -285,7 +274,6 @@ def bits(values):
 
 def test_records_parse_back_the_run_bit_for_bit(shipped_runs):
     for batch, t, rendered in shipped_runs:
-        r = batch[t]
         records = rendered.records()
         first = [f for f in records if f["phase"] == "first-detection"]
         assert bits(f["angle"] for f in first if "angle" in f) == bits(
@@ -293,13 +281,18 @@ def test_records_parse_back_the_run_bit_for_bit(shipped_runs):
         )
         measured = [(f["photon"], f["outcome"], f["probability"])
                     for f in first if f["kind"] == "Measured"]
-        assert [(j, o) for j, o, _ in measured] == [(j, o) for j, o, _ in r.first_detection.outcomes]
-        assert bits(p for _, _, p in measured) == bits(p for _, _, p in r.first_detection.outcomes)
+        assert [(j, o) for j, o, _ in measured] == list(
+            zip(batch.check_ids[t].tolist(), batch.check_outcomes[t].tolist())
+        )
+        assert bits(p for _, _, p in measured) == bits(batch.check_probabilities[t])
         recovered = [f for f in records if f["phase"] == "recovery" and f["kind"] == "Measured"]
         assert [(f["photon"], f["outcome"]) for f in recovered] == list(
             zip(*payload_rows(batch, t))
         )
-        assert bits(f["probability"] for f in recovered) == bits(r.recovery_probabilities)
+        live = batch.live == t
+        assert bits(f["probability"] for f in recovered) == bits(
+            batch.recovery_probabilities[live].ravel()
+        )
         assert all(type(f["photon"]) is int for f in records if "photon" in f)
 
 
