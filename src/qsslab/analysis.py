@@ -53,6 +53,15 @@ THETA_SAMPLES = 20
 # for a full chunk), whatever the size of the grid.
 _SWEEP_CHUNK_POINTS = 128
 
+# Largest sweep grid, in entangler specs (theta' x alpha^2 values) and in
+# points (specs x theta values). A sweep builds and evaluates one entangler
+# per spec, so its time follows the spec count. Measured with `qsslab sweep`
+# at d = 8 (Xeon, 2 cores, Python 3.11, numpy 2.4): 100 x 100 x 1, the most
+# specs, took 14.4 s at a peak RSS of 36 MB; 100 x 100 x 100, the most
+# points, took 24.4 s at 290 MB.
+MAX_SWEEP_SPECS = 10_000
+MAX_SWEEP_POINTS = 1_000_000
+
 
 def helstrom_bound(td):
     """Optimal success probability for distinguishing two equiprobable states
@@ -291,6 +300,18 @@ class SweepGrid:
     def validate(self) -> None:
         if not (self.theta_prime_values and self.alpha_sq_values and self.theta_values):
             raise ValueError("sweep grid lists must be nonempty")
+        n_tp, n_a, n_t = map(len, (self.theta_prime_values, self.alpha_sq_values,
+                                   self.theta_values))
+        if n_tp * n_a > MAX_SWEEP_SPECS:
+            raise ValueError(
+                f"{n_tp} theta' x {n_a} alpha^2 values make {n_tp * n_a} entangler specs, "
+                f"more than MAX_SWEEP_SPECS = {MAX_SWEEP_SPECS}"
+            )
+        if n_tp * n_a * n_t > MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"{n_tp * n_a} specs x {n_t} theta values make {n_tp * n_a * n_t} grid "
+                f"points, more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
+            )
         if any(not 0.0 <= a <= 1.0 for a in self.alpha_sq_values):
             raise ValueError("alpha_sq values must lie in [0, 1]")
         if not all(map(math.isfinite, [*self.theta_prime_values, *self.theta_values])):

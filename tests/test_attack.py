@@ -12,6 +12,7 @@ from qsslab.attack import (
     qgwz_spec,
     random_entangler_spec,
 )
+from qsslab.cli import CCY_CIRCUIT
 from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import (
     MINUS_I_SIGMA_Y,
@@ -163,6 +164,7 @@ def test_qgwz_spec_bell_state():
 def test_qgwz_entangler_matches_direct_controlled_circuit(rng):
     # E on |eps> (x) |chi| reproduces the controlled-controlled gate applied
     # to the prepared ancilla (x) photon: the realized joint states coincide.
+    # The 8 x 8 matrix that criterion 7's fixture applies is the same gate.
     for _ in range(100):
         ancilla = random_state(rng, 2)
         spec = qgwz_spec(ancilla)
@@ -171,6 +173,8 @@ def test_qgwz_entangler_matches_direct_controlled_circuit(rng):
         via_entangler = ent @ tensor(spec.epsilon, chi).amps
         via_circuit = apply_ccy(tensor(ancilla, chi))
         assert np.max(np.abs(via_entangler - via_circuit.amps)) <= 1e-10
+        via_matrix = CCY_CIRCUIT @ tensor(ancilla, chi).amps
+        assert np.array_equal(via_matrix, via_circuit.amps)
 
 
 # --- adaptive announcement ---

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsslab import analysis, cli
+from qsslab import analysis, cli, protocol
 from qsslab.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -196,6 +196,38 @@ def test_cmd_sweep_deterministic(tmp_path):
     assert len(lines) == 5  # header + 4 rows
 
 
+def grid_doc(theta_primes, alpha_sqs, thetas):
+    doc = sweep_doc()
+    doc["run"]["sweep"] = {
+        "theta_prime": np.linspace(0.0, 4.0, theta_primes).tolist(),
+        "alpha_sq": np.linspace(0.0, 1.0, alpha_sqs).tolist(),
+        "theta": np.linspace(0.0, 6.0, thetas).tolist(),
+        "ancilla_dim": 8,
+    }
+    return doc
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((3000, 3000, 1), "3000 theta' x 3000 alpha^2 values make 9000000 entangler specs, "
+                      "more than MAX_SWEEP_SPECS = 10000"),
+    ((101, 100, 1), "101 theta' x 100 alpha^2 values make 10100 entangler specs, "
+                    "more than MAX_SWEEP_SPECS = 10000"),
+    ((100, 100, 101), "10000 specs x 101 theta values make 1010000 grid points, "
+                      "more than MAX_SWEEP_POINTS = 1000000"),
+])
+def test_oversized_sweep_grid_is_a_config_error(shape, message):
+    # Refused when the scenario is read, before any spec is built.
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(grid_doc(*shape))
+    assert str(err.value) == f"run.sweep: {message}"
+
+
+def test_sweep_grid_at_both_bounds_is_accepted():
+    grid = parse_scenario(grid_doc(100, 100, 100)).grid
+    assert len(grid.theta_prime_values) * len(grid.alpha_sq_values) == analysis.MAX_SWEEP_SPECS
+    assert analysis.MAX_SWEEP_SPECS * len(grid.theta_values) == analysis.MAX_SWEEP_POINTS
+
+
 def test_cmd_sweep_empty_grid_exit1(tmp_path):
     doc = qgwz_doc()
     doc["run"]["sweep"] = {"theta_prime": [], "alpha_sq": [0.5], "theta": [0.3]}
@@ -203,6 +235,8 @@ def test_cmd_sweep_empty_grid_exit1(tmp_path):
 
 
 def test_cmd_verify_passes(capsys):
+    # Every acceptance criterion is a group of the table, in order.
+    assert list(FIXTURES) == [1, 2, 3, 4, 5, 6, 7, 8]
     assert main(["verify"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     fixtures = [(criterion, fx) for criterion, group in FIXTURES.items() for fx in group()]
@@ -218,12 +252,14 @@ def test_cmd_verify_passes(capsys):
     names = {line.split()[1] for line in lines[:-1]}
     # Every identity that `qsslab verify` has checked stays in the table.
     assert {"rotation-additivity", "encoding-matrix", "encode-angle", "HT-norm", "HT-overlap",
-            "entangler-inverse", "ancilla-indistinguishability", "qgwz-theta-prime"} <= names
+            "entangler-inverse", "ancilla-indistinguishability", "qgwz-theta-prime",
+            "honest-decoding-errors", "naive-failure-rate-sigma", "guess-accuracy-01",
+            "entangler-vs-circuit", "reversed-fold"} <= names
 
 
 # sha256 of the whole `qsslab verify` stdout: every value to 17 significant
 # digits, so any change in the bits a fixture computes shows here.
-VERIFY_STDOUT_SHA256 = "de5c2cb4da0f4e7413a8521243ee66653d37493493c03cebd37a3357735f4283"
+VERIFY_STDOUT_SHA256 = "1f6ba321520d372d98522d26d219229d06ef8b070c5a3b1d964cdc0059e022e1"
 
 
 def test_cmd_verify_stdout_bytes(capsys):
@@ -245,6 +281,20 @@ def test_cmd_verify_refuses_entangled_attacker_fixture(capsys, monkeypatch):
         "invariant violation: state is not a product "
         "(leading Schmidt weight 0.7071067811865475)\n"
     )
+
+
+def test_cmd_verify_fails_a_broken_campaign(capsys, monkeypatch):
+    # An engine that encodes no message bit: the honest campaign of
+    # criterion 1 decodes wrong bits and fails its second checks, and verify
+    # says so line by line instead of stopping at the first failure.
+    monkeypatch.setattr(protocol, "encode_message", lambda photons, bits: photons.copy())
+    assert main(["verify"]) == EXIT_INVARIANT
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL ")] == [
+        "FAIL honest-detection-failures (criterion 1)",
+        "FAIL honest-decoding-errors (criterion 1)",
+    ]
+    assert lines[-1] == "2 fixture(s) failed"
 
 
 class ClosedPipe:
