@@ -17,7 +17,6 @@ from .attack import (
     EntanglingAdversary,
     GuessRule,
     build_entangler,
-    qgwz_fixture,
     qgwz_spec,
     random_entangler_spec,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "indistinguishability",
     "ket0",
     "monte_carlo",
-    "qgwz_fixture",
     "qgwz_spec",
     "random_entangler_spec",
     "render_transcripts",

@@ -228,7 +228,6 @@ def run_batches(
     A batch holds as many trials as fit in ``MAX_RUN_SIZE`` photons x
     agents, and at least one, so a campaign streams one batch at a time.
     """
-    config.validate()
     per_batch = max(1, MAX_RUN_SIZE // (config.sequence_length() * config.num_agents))
     for start in range(0, trials, per_batch):
         yield run_batch(config, range(start, min(start + per_batch, trials)), attack, rule)
@@ -292,12 +291,14 @@ def monte_carlo(
 
 @dataclass(frozen=True)
 class SweepGrid:
+    """The grid of ``sweep``, checked when it is built (``ValueError``)."""
+
     theta_prime_values: tuple[float, ...]
     alpha_sq_values: tuple[float, ...]
     theta_values: tuple[float, ...]
     ancilla_dim: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (self.theta_prime_values and self.alpha_sq_values and self.theta_values):
             raise ValueError("sweep grid lists must be nonempty")
         n_tp, n_a, n_t = map(len, (self.theta_prime_values, self.alpha_sq_values,
@@ -349,7 +350,6 @@ def sweep(grid: SweepGrid) -> np.ndarray:
     each one stacked ``indistinguishability`` call, so the peak memory of a
     sweep does not grow with its grid.
     """
-    grid.validate()
     specs = grid_specs(grid)
     thetas = np.asarray(grid.theta_values, dtype=float)
     tds = np.empty((len(specs), len(thetas)))

@@ -10,6 +10,9 @@ theta_c or theta_c + theta' depending on an ancilla measurement (escaping the
 first detection), applies E^-1 when the photon returns, and measures the
 ancilla to guess the encoded bit. The ancilla always comes back to |eps>
 whatever the bit was, so every guess rule is uninformative.
+
+The controlled-controlled -i*sigma_y special attack is ``qgwz_spec``; its
+circuit, ``cli.CCY_CIRCUIT``, is what criteria 3 and 7 of ``qsslab verify`` run.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ import numpy as np
 
 from .quantum import (
     ATOL_STATE,
-    MINUS_I_SIGMA_Y,
     InvariantError,
     State,
     # Not called in this module; kept importable because qssbench/selftest.py
@@ -35,7 +37,6 @@ from .quantum import (
     overlap,
     rotation_operator,
     sample_outcomes,
-    tensor,
 )
 
 # Largest ancilla dimension d of an attack or a sweep. An attacked photon's
@@ -379,16 +380,3 @@ def random_entangler_spec(rng: np.random.Generator, ancilla_dim: int | None = No
         theta_prime=float(rng.uniform(0.0, 2 * np.pi)),
     )
 
-
-def qgwz_fixture(theta: float) -> tuple[State, State, State, State]:
-    """Mid-attack joint states for both message bits in the controlled-gate attack.
-
-    Returns (state_bit0, state_bit1, ht_factor_0, ht_factor_1): the photon
-    carries the bit, while the attacker-held qubit pair factor is the same
-    for both bits and therefore carries no information.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    s_factor_0 = State(np.array([c, -s], dtype=complex))
-    s_factor_1 = State(MINUS_I_SIGMA_Y @ s_factor_0.amps)
-    ht = State(0.5 * np.array([1.0, -1.0, 1.0, 1.0], dtype=complex))  # |00>-|01>+|10>+|11>
-    return tensor(s_factor_0, ht), tensor(s_factor_1, ht), ht, ht

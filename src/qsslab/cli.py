@@ -48,7 +48,6 @@ from .attack import (
     EntanglingAdversary,
     GuessRule,
     build_entangler,
-    qgwz_fixture,
     qgwz_spec,
     random_entangler_spec,
 )
@@ -63,10 +62,12 @@ from .quantum import (
     MINUS_I_SIGMA_Y,
     InvariantError,
     State,
+    apply_photon_op,
     basis_state,
     canonical_angle,
     ket0,
     overlap,
+    rotate_photons,
     rotation_operator,
     tensor,
 )
@@ -182,7 +183,6 @@ def parse_scenario(doc: dict) -> Scenario:
         adversary_position=proto.get("adversary_position"),
         seed=_integer(proto.get("seed", 0), "protocol.seed", minimum=0),
     )
-    config.validate()
     if bits is not None and "message_length" in proto and config.message_length != len(bits):
         raise ConfigError(
             f"protocol.message_length is {config.message_length} but message_bits "
@@ -236,14 +236,13 @@ def parse_scenario(doc: dict) -> Scenario:
     if "sweep" in run:
         sw = _section(run, "sweep")
         _check_keys(sw, {"theta_prime", "alpha_sq", "theta", "ancilla_dim"}, "run.sweep")
-        grid = SweepGrid(
-            theta_prime_values=_numbers(sw.get("theta_prime", []), "run.sweep.theta_prime"),
-            alpha_sq_values=_numbers(sw.get("alpha_sq", []), "run.sweep.alpha_sq"),
-            theta_values=_numbers(sw.get("theta", []), "run.sweep.theta"),
-            ancilla_dim=_integer(sw.get("ancilla_dim", 2), "run.sweep.ancilla_dim"),
-        )
         try:
-            grid.validate()
+            grid = SweepGrid(
+                theta_prime_values=_numbers(sw.get("theta_prime", []), "run.sweep.theta_prime"),
+                alpha_sq_values=_numbers(sw.get("alpha_sq", []), "run.sweep.alpha_sq"),
+                theta_values=_numbers(sw.get("theta", []), "run.sweep.theta"),
+                ancilla_dim=_integer(sw.get("ancilla_dim", 2), "run.sweep.ancilla_dim"),
+            )
         except ValueError as exc:
             raise ConfigError(f"run.sweep: {exc}")
     return Scenario(config, kind, entangler, rule, trials, grid)
@@ -477,32 +476,50 @@ def _criterion_2() -> list[Fixture]:
     ]
 
 
-def _attacker_factor(joint: State) -> State:
-    """The attacker-held pair of a product state whose leading qubit is the
-    photon, from its Schmidt decomposition; ``InvariantError`` if the state
-    carries residual entanglement."""
-    _, s, vh = np.linalg.svd(joint.amps.reshape(2, -1))
-    if s[0] < 1.0 - 1e-8:
-        raise InvariantError(f"state is not a product (leading Schmidt weight {s[0]})")
-    return State(s[0] * vh[0])
+# The controlled-controlled -i*sigma_y circuit of the special case on
+# (ancilla pair, photon), as its 8 x 8 matrix: -i*sigma_y on the photon where
+# both ancilla qubits are 1, the identity elsewhere.
+CCY_CIRCUIT = (
+    np.kron(np.diag([1.0, 1.0, 1.0, 0.0]), np.eye(2))
+    + np.kron(np.diag([0.0, 0.0, 0.0, 1.0]), MINUS_I_SIGMA_Y)
+)
+
+
+def _attacker_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The attacker-held pair of each (ancilla pair, photon) row of ``rows``
+    (n, 8), and its leading Schmidt weight, from one batched SVD that splits
+    the photon off; ``InvariantError`` if a row carries residual
+    entanglement."""
+    u, s, _ = np.linalg.svd(rows.reshape(len(rows), 4, 2))
+    weights = s[:, 0]
+    if np.any(weights < 1.0 - 1e-8):
+        raise InvariantError(f"state is not a product (leading Schmidt weight {weights.min()})")
+    return u[:, :, 0], weights
 
 
 def _criterion_3() -> list[Fixture]:
-    """The attacker-held pair of the controlled-gate attack at 29 photon angles."""
+    """The special attack at 29 photon angles, run on the engine's row
+    kernels: the pair h_t and the photon U(theta)|0> go through
+    ``CCY_CIRCUIT``, a later agent's rotation R(phi), the encoding of bit 1,
+    and the circuit's inverse. The photon splits off, and the pair comes
+    back as h_t for both bits: it carries no information about the bit."""
+    ht = 0.5 * np.array([1.0, -1.0, 1.0, 1.0], dtype=complex)  # |00>-|01>+|10>+|11>
     rng = np.random.default_rng(3)
-    worst = 1.0
-    ht_norm = ht_overlap = 0.0
-    for theta in [0.0, np.pi / 4, np.pi / 2, np.pi] + list(rng.uniform(0, 2 * np.pi, 25)):
-        joint0, joint1, ht0, ht1 = qgwz_fixture(float(theta))
-        factor0 = _attacker_factor(joint0)
-        factor1 = _attacker_factor(joint1)
-        worst = min(worst, abs(overlap(factor0, factor1)))
-        ht_norm = max(ht_norm, abs(float(np.linalg.norm(ht0.amps)) - 1.0))
-        ht_overlap = max(ht_overlap, abs(abs(overlap(ht0, ht1)) - 1.0))
+    thetas = np.array([0.0, np.pi / 4, np.pi / 2, np.pi] + list(rng.uniform(0, 2 * np.pi, 25)))
+    # A later agent's angles, from their own generator: the thetas stay as drawn.
+    phis = np.random.default_rng(33).uniform(0, 2 * np.pi, len(thetas))
+    rows = rotate_photons(np.tile(np.kron(ht, [1.0, 0.0]), (len(thetas), 1)), thetas)
+    rows = rotate_photons(rows @ CCY_CIRCUIT.T, phis)
+    # A row times the conjugate of the circuit is the circuit's inverse on it.
+    pair0, weight0 = _attacker_factor(rows @ CCY_CIRCUIT.conj())
+    pair1, weight1 = _attacker_factor(apply_photon_op(rows, MINUS_I_SIGMA_Y) @ CCY_CIRCUIT.conj())
+    overlaps = np.abs(np.sum(pair0.conj() * pair1, axis=1))
+    weights = np.concatenate([weight0, weight1])
+    prepared = np.abs(np.concatenate([pair0, pair1]) @ ht.conj())
     return [
-        Fixture("attacker-factor-overlap", 1.0 - worst, 1e-12),
-        Fixture("HT-norm", ht_norm, 1e-12),
-        Fixture("HT-overlap", ht_overlap, 1e-12),
+        Fixture("attacker-factor-overlap", 1.0 - float(overlaps.min()), 1e-12),
+        Fixture("HT-norm", float(np.abs(weights - 1.0).max()), 1e-12),
+        Fixture("HT-overlap", float(np.abs(prepared - 1.0).max()), 1e-12),
     ]
 
 
@@ -593,15 +610,6 @@ def _criterion_6() -> list[Fixture]:
             1e-12,
         ),
     ]
-
-
-# The controlled-controlled -i*sigma_y circuit of the special case on
-# (ancilla pair, photon), as its 8 x 8 matrix: -i*sigma_y on the photon where
-# both ancilla qubits are 1, the identity elsewhere.
-CCY_CIRCUIT = (
-    np.kron(np.diag([1.0, 1.0, 1.0, 0.0]), np.eye(2))
-    + np.kron(np.diag([0.0, 0.0, 0.0, 1.0]), MINUS_I_SIGMA_Y)
-)
 
 
 def _criterion_7() -> list[Fixture]:

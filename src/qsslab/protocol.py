@@ -62,6 +62,8 @@ def agent_name(k: int, num_agents: int) -> str:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """The setup of a protocol run, checked when it is built (``ConfigError``)."""
+
     num_agents: int
     message_length: int = 32
     message_bits: tuple[int, ...] | None = None
@@ -71,7 +73,7 @@ class ProtocolConfig:
     adversary_position: int | None = None  # defaults to the middle agent
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_agents < 2:
             raise ConfigError("num_agents must be >= 2 (secret sharing needs >= 2 agents)")
         if self.message_bits is not None:
@@ -113,7 +115,7 @@ class ProtocolConfig:
 
     def sequence_length(self) -> int:
         """Photons Alice prepares for one run: the payload plus the first
-        detection's checks. Call only on a validated config."""
+        detection's checks."""
         return required_sequence_length(self.payload_length(), self.check_fraction_first)
 
     def default_adversary_position(self) -> int:
@@ -375,7 +377,6 @@ def run_protocol_batch(
     ``adversary_factory`` takes the runs' dedicated adversary generators,
     one per run, and returns an adversary hook for the whole batch.
     """
-    config.validate()
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("a batch needs at least one seed")

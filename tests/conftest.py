@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsslab.cli import FIXTURES
 from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State
 from qsslab.transcript import Transcript, render_transcripts
@@ -31,3 +32,10 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def fixture_table():
+    """Every group of the fixture table ``qsslab.cli.FIXTURES``, evaluated
+    once per session: {criterion: [Fixture, ...]}."""
+    return {criterion: group() for criterion, group in FIXTURES.items()}

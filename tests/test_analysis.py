@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,8 +230,17 @@ def test_sweep_order_independent():
 
 
 def test_sweep_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        sweep(SweepGrid((), (0.5,), (1.0,)))
+    with pytest.raises(ValueError, match="sweep grid lists must be nonempty"):
+        SweepGrid((), (0.5,), (1.0,))
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3, 6, 16])
+def test_sweep_grid_refuses_an_ancilla_dim_when_built(dim):
+    # Not a power of 2 in [2, MAX_ANCILLA_DIM]: refused by the grid itself,
+    # before grid_specs could round d = 3 up to 4-dimensional specs.
+    message = f"ancilla_dim must be a power of 2 in [2, 8], got {dim}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepGrid((0.3,), (0.5,), (0.1,), ancilla_dim=dim)
 
 
 @pytest.mark.parametrize("theta_prime, theta", [
@@ -239,10 +250,11 @@ def test_sweep_rejects_empty_grid():
     ((np.inf, 0.5), (1.0,)),
 ])
 def test_sweep_rejects_non_finite_angles(theta_prime, theta):
-    # A library caller gets the documented ValueError, as the CLI gives a
-    # config error, never rows of nan or an error from a spec.
+    # A library caller gets the documented ValueError when the grid is
+    # built, as the CLI gives a config error, never rows of nan or an error
+    # from a spec.
     with pytest.raises(ValueError, match="must be finite"):
-        sweep(SweepGrid(theta_prime, (0.5,), theta, 2))
+        SweepGrid(theta_prime, (0.5,), theta, 2)
 
 
 def test_sweep_table_format():

@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "indistinguishability",
     "ket0",
     "monte_carlo",
-    "qgwz_fixture",
     "qgwz_spec",
     "random_entangler_spec",
     "render_transcripts",

@@ -8,7 +8,6 @@ from qsslab.attack import (
     EntanglingAdversary,
     GuessRule,
     build_entangler,
-    qgwz_fixture,
     qgwz_spec,
     random_entangler_spec,
 )
@@ -427,33 +426,3 @@ def test_guess_rule_validation_and_mapping():
     with pytest.raises(ValueError):
         GuessRule(2, 0)
 
-
-# --- corrected mid-attack fixture ---
-
-def test_fixture_ht_factor_normalized_with_quarter_amplitudes():
-    _, _, ht0, _ = qgwz_fixture(0.8)
-    assert np.linalg.norm(ht0.amps) == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(np.abs(ht0.amps), 0.5, atol=1e-15)
-
-
-def test_fixture_ht_factors_identical():
-    for theta in (0.0, 0.8, 2.4, 5.1):
-        _, _, ht0, ht1 = qgwz_fixture(theta)
-        assert abs(abs(overlap(ht0, ht1)) - 1.0) <= 1e-12
-
-
-def test_fixture_measurements_cannot_distinguish_bits(rng):
-    state0, state1, _, _ = qgwz_fixture(1.1)
-    # Any measurement on the attacker-held pair: identical statistics.
-    rho0 = partial_trace(state0, [1, 2])
-    rho1 = partial_trace(state1, [1, 2])
-    assert trace_distance(rho0, rho1) <= 1e-12
-
-
-def test_fixture_photon_factor_matches_construction():
-    theta = 0.9
-    state0, state1, ht, _ = qgwz_fixture(theta)
-    expected0 = np.kron([np.cos(theta), -np.sin(theta)], ht.amps)
-    assert np.max(np.abs(state0.amps - expected0)) <= 1e-12
-    expected1 = np.kron(MINUS_I_SIGMA_Y @ np.array([np.cos(theta), -np.sin(theta)]), ht.amps)
-    assert np.max(np.abs(state1.amps - expected1)) <= 1e-12

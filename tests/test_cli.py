@@ -1,8 +1,11 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,7 +27,7 @@ from qsslab.cli import (
     parse_scenario,
 )
 from qsslab.protocol import ConfigError
-from qsslab.quantum import InvariantError, State, basis_state
+from qsslab.quantum import InvariantError
 
 
 def honest_doc(**proto):
@@ -234,12 +237,22 @@ def test_cmd_sweep_empty_grid_exit1(tmp_path):
     assert main(["sweep", write(tmp_path, doc)]) == EXIT_CONFIG
 
 
-def test_cmd_verify_passes(capsys):
+@pytest.fixture(scope="module")
+def verify_run():
+    """The exit code and the stdout of one `qsslab verify`, shared by the
+    tests that read its output."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify"])
+    return code, out.getvalue()
+
+
+def test_cmd_verify_passes(verify_run, fixture_table):
     # Every acceptance criterion is a group of the table, in order.
     assert list(FIXTURES) == [1, 2, 3, 4, 5, 6, 7, 8]
-    assert main(["verify"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    fixtures = [(criterion, fx) for criterion, group in FIXTURES.items() for fx in group()]
+    code, out = verify_run
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    fixtures = [(criterion, fx) for criterion, group in fixture_table.items() for fx in group]
     expected = [f"PASS {fx.name} (criterion {criterion}):" for criterion, fx in fixtures]
     # One line per table entry, in table order, then the summary.
     assert [line.split(" value=")[0] for line in lines[:-1]] == expected
@@ -259,28 +272,36 @@ def test_cmd_verify_passes(capsys):
 
 # sha256 of the whole `qsslab verify` stdout: every value to 17 significant
 # digits, so any change in the bits a fixture computes shows here.
-VERIFY_STDOUT_SHA256 = "1f6ba321520d372d98522d26d219229d06ef8b070c5a3b1d964cdc0059e022e1"
+VERIFY_STDOUT_SHA256 = "204c5949eb3e9d0e3f3c8ea7bc73da9dffecb99d8b3cd2fa6b3f4549b77f8874"
 
 
-def test_cmd_verify_stdout_bytes(capsys):
-    assert main(["verify"]) == EXIT_OK
-    out = capsys.readouterr().out
+def test_cmd_verify_stdout_bytes(verify_run):
+    code, out = verify_run
+    assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
 
 
 def test_cmd_verify_refuses_entangled_attacker_fixture(capsys, monkeypatch):
-    # Criterion 3 factors the photon off each joint state; an entangled
-    # fixture (here GHZ, for both bits) is an invariant violation, not a value.
-    ghz = State(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2))
-    pair = basis_state(2, 0)
-    monkeypatch.setattr(cli, "qgwz_fixture", lambda theta: (ghz, ghz, pair, pair))
+    # Criterion 3 runs the special attack through cli.CCY_CIRCUIT and splits
+    # the photon off each returned row. A controlled-controlled Hadamard does
+    # not commute with a later agent's rotation, so the pair comes back
+    # entangled with the photon: an invariant violation, not a value.
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    monkeypatch.setattr(cli, "CCY_CIRCUIT", (
+        np.kron(np.diag([1.0, 1.0, 1.0, 0.0]), np.eye(2))
+        + np.kron(np.diag([0.0, 0.0, 0.0, 1.0]), hadamard)
+    ))
     assert main(["verify"]) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "invariant violation: state is not a product "
-        "(leading Schmidt weight 0.7071067811865475)\n"
+    refusal = re.fullmatch(
+        r"invariant violation: state is not a product \(leading Schmidt weight (.*)\)\n",
+        captured.err,
     )
+    # The worst row's leading Schmidt weight: h_t has weight 3/4 on the
+    # branches where the photon ends rotated by R(phi), and 1/4 on |11>,
+    # where H R(phi) H = R(-phi) acts instead.
+    assert refusal and float(refusal[1]) == pytest.approx(0.87088183, abs=1e-6)
 
 
 def test_cmd_verify_fails_a_broken_campaign(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,25 +59,31 @@ def decoded_messages(batch):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ProtocolConfig(num_agents=1).validate()
-    with pytest.raises(ConfigError):
-        small_config(check_fraction_first=1.0).validate()
-    with pytest.raises(ConfigError):
-        small_config(angle_distribution="gaussian").validate()
-    with pytest.raises(ConfigError):
-        small_config(message_bits=(0, 2)).validate()
-    with pytest.raises(ConfigError):
-        small_config(adversary_position=1.5).validate()
-    small_config().validate()
+    # A config checks itself when it is built, so no method meets an
+    # unchecked one.
+    with pytest.raises(ConfigError, match=re.escape("num_agents must be >= 2 (secret sharing")):
+        ProtocolConfig(num_agents=1)
+    # With every photon a first-detection check, sequence_length would
+    # never return.
+    with pytest.raises(ConfigError, match=re.escape("check_fraction_first must lie in (0, 1)")):
+        ProtocolConfig(num_agents=3, check_fraction_first=1.0)
+    with pytest.raises(ConfigError, match="unknown angle_distribution 'gaussian'"):
+        small_config(angle_distribution="gaussian")
+    with pytest.raises(ConfigError, match="message_bits must contain only 0/1"):
+        small_config(message_bits=(0, 2))
+    with pytest.raises(ConfigError, match="adversary_position must be an integer, got 1.5"):
+        small_config(adversary_position=1.5)
+    small_config()
     # Photons x agents of a run is capped before anything is allocated; the
     # acceptance runs (at most 1000 photons x 3 agents) stay inside the cap.
-    with pytest.raises(ConfigError):
-        small_config(message_length=MAX_RUN_SIZE).validate()
-    small_config(num_agents=3, message_length=500, num_second_checks=0).validate()
+    with pytest.raises(ConfigError, match="a run of 3 agents, 100002 payload photons"):
+        small_config(message_length=MAX_RUN_SIZE)
+    small_config(num_agents=3, message_length=500, num_second_checks=0)
     # An integral float from a scenario file names the same agent.
-    small_config(adversary_position=1.0).validate()
     assert small_config(adversary_position=1.0).default_adversary_position() == 1
+    # A copy made with dataclasses.replace is checked too.
+    with pytest.raises(ConfigError, match="num_agents must be >= 2"):
+        replace(small_config(), num_agents=1)
 
 
 def test_required_sequence_length():
@@ -83,7 +91,7 @@ def test_required_sequence_length():
         for f in (0.1, 0.5, 0.9):
             n = required_sequence_length(payload, f)
             assert n - int(np.ceil(f * n)) == payload
-            # The bound ProtocolConfig.validate puts on the size of a run.
+            # The bound a ProtocolConfig puts on the size of a run when it is built.
             assert n <= (payload + 1) / (1 - f)
 
 

@@ -77,7 +77,6 @@ def grid_spec(grid: SweepGrid, theta_prime: float, alpha_sq: float) -> Entangler
 
 
 def sweep(grid: SweepGrid) -> list[SweepRow]:
-    grid.validate()
     rows = []
     for tp in grid.theta_prime_values:
         for a2 in grid.alpha_sq_values:
