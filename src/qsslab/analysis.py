@@ -18,7 +18,11 @@ from .attack import (
 from .protocol import (
     MAX_RUN_SIZE,
     BatchResult,
+    ConfigError,
     ProtocolConfig,
+    as_integer,
+    as_number,
+    as_tuple,
     config_to_dict,
     run_protocol_batch,
 )
@@ -291,7 +295,8 @@ def monte_carlo(
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The grid of ``sweep``, checked when it is built (``ValueError``)."""
+    """The grid of ``sweep``, checked when it is built (``ConfigError``); its
+    values are stored as tuples of floats and ``ancilla_dim`` as an int."""
 
     theta_prime_values: tuple[float, ...]
     alpha_sq_values: tuple[float, ...]
@@ -299,29 +304,28 @@ class SweepGrid:
     ancilla_dim: int = 2
 
     def __post_init__(self):
+        for name in ("theta_prime_values", "alpha_sq_values", "theta_values"):
+            object.__setattr__(self, name, as_tuple(getattr(self, name), name, as_number))
+        object.__setattr__(self, "ancilla_dim", as_integer(self.ancilla_dim, "ancilla_dim"))
         if not (self.theta_prime_values and self.alpha_sq_values and self.theta_values):
-            raise ValueError("sweep grid lists must be nonempty")
+            raise ConfigError("sweep grid lists must be nonempty")
         n_tp, n_a, n_t = map(len, (self.theta_prime_values, self.alpha_sq_values,
                                    self.theta_values))
         if n_tp * n_a > MAX_SWEEP_SPECS:
-            raise ValueError(
+            raise ConfigError(
                 f"{n_tp} theta' x {n_a} alpha^2 values make {n_tp * n_a} entangler specs, "
                 f"more than MAX_SWEEP_SPECS = {MAX_SWEEP_SPECS}"
             )
         if n_tp * n_a * n_t > MAX_SWEEP_POINTS:
-            raise ValueError(
+            raise ConfigError(
                 f"{n_tp * n_a} specs x {n_t} theta values make {n_tp * n_a * n_t} grid "
                 f"points, more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
             )
         if any(not 0.0 <= a <= 1.0 for a in self.alpha_sq_values):
-            raise ValueError("alpha_sq values must lie in [0, 1]")
-        if not all(map(math.isfinite, [*self.theta_prime_values, *self.theta_values])):
-            raise ValueError("theta_prime and theta values must be finite")
+            raise ConfigError("alpha_sq values must lie in [0, 1]")
         d = self.ancilla_dim
         if not 2 <= d <= MAX_ANCILLA_DIM or d & (d - 1):
-            raise ValueError(
-                f"ancilla_dim must be a power of 2 in [2, {MAX_ANCILLA_DIM}], got {d}"
-            )
+            raise ConfigError(f"ancilla_dim must be a power of 2 in [2, {MAX_ANCILLA_DIM}], got {d}")
 
 
 def grid_specs(grid: SweepGrid) -> list[EntanglerSpec]:

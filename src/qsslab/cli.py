@@ -52,9 +52,13 @@ from .attack import (
     random_entangler_spec,
 )
 from .protocol import (
+    CONFIG_KEYS,
     BatchResult,
     ConfigError,
     ProtocolConfig,
+    as_integer,
+    as_number,
+    as_tuple,
     run_protocol_batch,
     with_seed,
 )
@@ -86,60 +90,47 @@ def _section(doc: dict, key: str, default=None) -> dict:
     return value
 
 
-def _integer(value, key: str, minimum: int | None = None) -> int:
-    """A JSON integer, or a float with an integral value, as an int."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    """A finite JSON number as a float."""
-    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # The comparison is exact for ints of any size and false for NaN.
-    if not (numeric and abs(value) <= sys.float_info.max):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _list(value, key: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
-
-
-def _numbers(value, key: str) -> tuple[float, ...]:
-    return tuple(_number(v, key) for v in _list(value, key))
-
-
 def _complex_from_pair(value, key: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{key}: expected a [re, im] pair, got {value!r}")
-    return complex(_number(value[0], key), _number(value[1], key))
+    return complex(as_number(value[0], key), as_number(value[1], key))
 
 
 def _state_from_pairs(value, key: str) -> State:
-    amps = np.array([_complex_from_pair(v, key) for v in _list(value, key)], dtype=complex)
+    amps = np.array(as_tuple(value, key, _complex_from_pair), dtype=complex)
     try:
         return State(amps)
     except (InvariantError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}")
 
 
-def _check_keys(section: dict, allowed: set[str], name: str) -> None:
-    unknown = set(section) - allowed
+def _check_keys(section: dict, allowed, name: str) -> None:
+    unknown = section.keys() - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {name!r} section: {', '.join(sorted(unknown))}")
+
+
+# Each key of a ``run.sweep`` section, with the SweepGrid field it sets.
+SWEEP_FIELDS = {"theta_prime": "theta_prime_values", "alpha_sq": "alpha_sq_values",
+                "theta": "theta_values", "ancilla_dim": "ancilla_dim"}
+
+
+def _build(cls, fields: dict[str, str], section: dict, name: str, required: tuple[str, ...]):
+    """``cls`` built from section ``name``'s values as given, each key mapped to its
+    field by ``fields``; the ConfigError of ``cls`` gets ``name`` as a prefix."""
+    _check_keys(section, fields, name)
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{name}: missing required key {key!r}")
+    try:
+        return cls(**{fields[key]: value for key, value in section.items()})
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 @dataclass
 class Scenario:
     protocol: ProtocolConfig
-    attack_kind: str  # none | qgwz | general
     entangler: EntanglerSpec | None
     rule: GuessRule
     trials: int
@@ -149,8 +140,10 @@ class Scenario:
 def parse_scenario(doc: dict) -> Scenario:
     """Check a scenario document and build its Scenario; ConfigError if malformed.
 
-    Every field is checked for its JSON type here: integers (an integral
-    float is accepted), finite numbers, lists and objects.
+    The JSON side is checked here: sections, their keys, and the lists of
+    [re, im] pairs of amplitudes. ``ProtocolConfig``, ``SweepGrid`` and
+    ``GuessRule`` get their values as given, and check their types and
+    values and fill in their defaults themselves.
     """
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be an object")
@@ -158,36 +151,8 @@ def parse_scenario(doc: dict) -> Scenario:
 
     if "protocol" not in doc:
         raise ConfigError("missing required section 'protocol'")
-    proto = _section(doc, "protocol")
-    _check_keys(
-        proto,
-        {"agents", "message_bits", "message_length", "check_fraction_first",
-         "second_checks", "angle_distribution", "adversary_position", "seed"},
-        "protocol",
-    )
-    if "agents" not in proto:
-        raise ConfigError("protocol: missing required key 'agents'")
-    bits = proto.get("message_bits")
-    if bits is not None:
-        key = "protocol.message_bits"
-        bits = tuple(_integer(b, key) for b in _list(bits, key))
-    config = ProtocolConfig(
-        num_agents=_integer(proto["agents"], "protocol.agents"),
-        message_length=_integer(proto.get("message_length", 32), "protocol.message_length"),
-        message_bits=bits,
-        check_fraction_first=_number(
-            proto.get("check_fraction_first", 0.5), "protocol.check_fraction_first"
-        ),
-        num_second_checks=_integer(proto.get("second_checks", 4), "protocol.second_checks"),
-        angle_distribution=proto.get("angle_distribution", "uniform"),
-        adversary_position=proto.get("adversary_position"),
-        seed=_integer(proto.get("seed", 0), "protocol.seed", minimum=0),
-    )
-    if bits is not None and "message_length" in proto and config.message_length != len(bits):
-        raise ConfigError(
-            f"protocol.message_length is {config.message_length} but message_bits "
-            f"has {len(bits)} bits"
-        )
+    config = _build(ProtocolConfig, CONFIG_KEYS, _section(doc, "protocol"), "protocol",
+                    ("agents",))
 
     attack = _section(doc, "attack", {"kind": "none"})
     _check_keys(
@@ -214,38 +179,31 @@ def parse_scenario(doc: dict) -> Scenario:
                 epsilon_perp=_state_from_pairs(attack["epsilon_perp"], "attack.epsilon_perp"),
                 alpha=_complex_from_pair(attack["alpha"], "attack.alpha"),
                 beta=_complex_from_pair(attack["beta"], "attack.beta"),
-                theta_prime=_number(attack["theta_prime"], "attack.theta_prime"),
+                theta_prime=as_number(attack["theta_prime"], "attack.theta_prime"),
             )
         else:
             entangler = None
     except InvariantError as exc:
         raise ConfigError(f"attack: {exc}")
 
-    rule_doc = attack.get("guess_rule", [0, 1])
-    if not (isinstance(rule_doc, (list, tuple)) and len(rule_doc) == 2):
-        raise ConfigError("attack.guess_rule must be a [eps_bit, eps_perp_bit] pair")
-    try:
-        rule = GuessRule(*(_integer(b, "attack.guess_rule") for b in rule_doc))
-    except ValueError as exc:
-        raise ConfigError(f"attack.guess_rule: {exc}")
+    rule = GuessRule()
+    if "guess_rule" in attack:
+        pair = attack["guess_rule"]
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ConfigError("attack.guess_rule must be a [eps_bit, eps_perp_bit] pair")
+        try:
+            rule = GuessRule(*pair)
+        except ConfigError as exc:
+            raise ConfigError(f"attack.guess_rule: {exc}") from None
 
     run = _section(doc, "run", {})
     _check_keys(run, {"trials", "sweep"}, "run")
-    trials = _integer(run.get("trials", 100), "run.trials", minimum=1)
+    trials = as_integer(run.get("trials", 100), "run.trials", minimum=1)
     grid = None
     if "sweep" in run:
-        sw = _section(run, "sweep")
-        _check_keys(sw, {"theta_prime", "alpha_sq", "theta", "ancilla_dim"}, "run.sweep")
-        try:
-            grid = SweepGrid(
-                theta_prime_values=_numbers(sw.get("theta_prime", []), "run.sweep.theta_prime"),
-                alpha_sq_values=_numbers(sw.get("alpha_sq", []), "run.sweep.alpha_sq"),
-                theta_values=_numbers(sw.get("theta", []), "run.sweep.theta"),
-                ancilla_dim=_integer(sw.get("ancilla_dim", 2), "run.sweep.ancilla_dim"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"run.sweep: {exc}")
-    return Scenario(config, kind, entangler, rule, trials, grid)
+        grid = _build(SweepGrid, SWEEP_FIELDS, _section(run, "sweep"), "run.sweep",
+                      ("theta_prime", "alpha_sq", "theta"))
+    return Scenario(config, entangler, rule, trials, grid)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -354,10 +312,10 @@ def cmd_run(args) -> tuple[int, str]:
     scenario = load_scenario(args.config)
     config = scenario.protocol
     if args.seed is not None:
-        config = with_seed(config, _integer(args.seed, "--seed", minimum=0))
+        config = with_seed(config, args.seed)
     trials = scenario.trials
     if args.trials is not None:
-        trials = _integer(args.trials, "--trials", minimum=1)
+        trials = as_integer(args.trials, "--trials", minimum=1)
     with _OutFile(args.out) as out:
         if args.transcripts is not None:
             try:

@@ -24,6 +24,7 @@ columns. A run alone is a batch of one seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,8 +49,46 @@ DISCRETE_ANGLES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 MAX_RUN_SIZE = 100_000
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid protocol or scenario configuration."""
+
+
+def as_integer(value, key: str, minimum: int | None = None) -> int:
+    """An int, a numpy integer or an integral float as an int; else ConfigError."""
+    if type(value) is not int:
+        if not (isinstance(value, np.integer)
+                or isinstance(value, (float, np.floating)) and value.is_integer()):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def as_number(value, key: str) -> float:
+    """A finite real number as a float; else ConfigError."""
+    real = type(value) is float or (
+        isinstance(value, (int, np.integer, np.floating)) and not isinstance(value, bool))
+    # The comparison is exact for ints of any size and false for NaN.
+    if not (real and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def as_tuple(values, key: str, rule) -> tuple:
+    """A list or tuple as the tuple of ``rule(value, key)`` of each value; else ConfigError."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return tuple([rule(v, key) for v in values])
+
+
+# Each key of a scenario's protocol section and a report's config: its field.
+CONFIG_KEYS = {
+    "agents": "num_agents", "message_bits": "message_bits", "message_length": "message_length",
+    "check_fraction_first": "check_fraction_first", "second_checks": "num_second_checks",
+    "angle_distribution": "angle_distribution", "adversary_position": "adversary_position",
+    "seed": "seed",
+}
 
 
 def agent_name(k: int, num_agents: int) -> str:
@@ -62,10 +101,11 @@ def agent_name(k: int, num_agents: int) -> str:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """The setup of a protocol run, checked when it is built (``ConfigError``)."""
+    """The setup of a protocol run, checked when it is built (``ConfigError``).
+    An integral float such as 1.0 is stored as the int 1, a list of bits as a tuple."""
 
     num_agents: int
-    message_length: int = 32
+    message_length: int | None = None  # the number of message_bits, else 32
     message_bits: tuple[int, ...] | None = None
     check_fraction_first: float = 0.5
     num_second_checks: int = 4
@@ -74,19 +114,34 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
+        bits, length, pos = self.message_bits, self.message_length, self.adversary_position
+        if bits is not None:
+            bits = as_tuple(bits, "message_bits", as_integer)
+            if any(b not in (0, 1) for b in bits):
+                raise ConfigError("message_bits must contain only 0/1")
+            if not bits:
+                raise ConfigError("message_bits must be nonempty")
+        if length is None:
+            length = 32 if bits is None else len(bits)
+        for name, value in {
+            "num_agents": as_integer(self.num_agents, "num_agents"),
+            "message_length": as_integer(length, "message_length", minimum=1),
+            "message_bits": bits,
+            "check_fraction_first": as_number(self.check_fraction_first, "check_fraction_first"),
+            "num_second_checks": as_integer(self.num_second_checks, "num_second_checks", minimum=0),
+            "adversary_position": None if pos is None else as_integer(pos, "adversary_position"),
+            "seed": as_integer(self.seed, "seed", minimum=0),
+        }.items():
+            object.__setattr__(self, name, value)
+
         if self.num_agents < 2:
             raise ConfigError("num_agents must be >= 2 (secret sharing needs >= 2 agents)")
-        if self.message_bits is not None:
-            if any(b not in (0, 1) for b in self.message_bits):
-                raise ConfigError("message_bits must contain only 0/1")
-            if len(self.message_bits) < 1:
-                raise ConfigError("message_bits must be nonempty")
-        elif self.message_length < 1:
-            raise ConfigError("message_length must be >= 1")
+        if bits is not None and self.message_length != len(bits):
+            raise ConfigError(
+                f"message_length is {self.message_length} but message_bits has {len(bits)} bits"
+            )
         if not 0.0 < self.check_fraction_first < 1.0:
             raise ConfigError("check_fraction_first must lie in (0, 1)")
-        if self.num_second_checks < 0:
-            raise ConfigError("num_second_checks must be >= 0")
         # A run has at most (payload + 1) / (1 - f) photons (see
         # required_sequence_length), so this bounds it before any allocation.
         n_payload = self.payload_length()
@@ -97,21 +152,13 @@ class ProtocolConfig:
             )
         if self.angle_distribution not in ("uniform", "discrete"):
             raise ConfigError(f"unknown angle_distribution {self.angle_distribution!r}")
-        pos = self.adversary_position
-        if pos is not None and (
-            isinstance(pos, bool)
-            or not isinstance(pos, (int, float, np.integer, np.floating))
-            or (isinstance(pos, (float, np.floating)) and not float(pos).is_integer())
-        ):
-            raise ConfigError(f"adversary_position must be an integer, got {pos!r}")
         pos = self.default_adversary_position()
         if not 0 <= pos < self.num_agents:
             raise ConfigError(f"adversary_position {pos} out of range")
 
     def payload_length(self) -> int:
         """Photons left after the first detection: message bits plus second checks."""
-        n_bits = self.message_length if self.message_bits is None else len(self.message_bits)
-        return n_bits + self.num_second_checks
+        return self.message_length + self.num_second_checks
 
     def sequence_length(self) -> int:
         """Photons Alice prepares for one run: the payload plus the first
@@ -119,11 +166,7 @@ class ProtocolConfig:
         return required_sequence_length(self.payload_length(), self.check_fraction_first)
 
     def default_adversary_position(self) -> int:
-        # An integral float such as 1.0 from a scenario file names an agent;
-        # it is indexed as an int and echoed in reports as given.
-        if self.adversary_position is not None:
-            return int(self.adversary_position)
-        return self.num_agents // 2
+        return self.num_agents // 2 if self.adversary_position is None else self.adversary_position
 
 
 def disclosed_angles(ledger: np.ndarray, trials, photon_ids: np.ndarray) -> np.ndarray:
@@ -454,16 +497,10 @@ def _second_phase(photons, live, check_ids, messages, ledger, rngs, adversary, c
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:
-    return {
-        "agents": config.num_agents,
-        "message_bits": list(config.message_bits) if config.message_bits is not None else None,
-        "message_length": config.message_length,
-        "check_fraction_first": config.check_fraction_first,
-        "second_checks": config.num_second_checks,
-        "angle_distribution": config.angle_distribution,
-        "adversary_position": config.adversary_position,
-        "seed": config.seed,
-    }
+    out = {key: getattr(config, name) for key, name in CONFIG_KEYS.items()}
+    if config.message_bits is not None:
+        out["message_bits"] = list(config.message_bits)
+    return out
 
 
 def with_seed(config: ProtocolConfig, seed: int) -> ProtocolConfig:

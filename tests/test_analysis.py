@@ -5,7 +5,6 @@ import pytest
 
 from qsslab import attack
 from qsslab.analysis import (
-    ScenarioReport,
     SweepGrid,
     grid_specs,
     helstrom_bound,
@@ -19,7 +18,7 @@ from qsslab.analysis import (
     wilson_interval,
 )
 from qsslab.attack import EntanglerSpec, GuessRule, qgwz_spec, random_entangler_spec
-from qsslab.protocol import ProtocolConfig
+from qsslab.protocol import ConfigError, ProtocolConfig
 from qsslab.quantum import State, basis_state
 from qsslab.transcript import render_transcripts
 
@@ -250,10 +249,10 @@ def test_sweep_grid_refuses_an_ancilla_dim_when_built(dim):
     ((np.inf, 0.5), (1.0,)),
 ])
 def test_sweep_rejects_non_finite_angles(theta_prime, theta):
-    # A library caller gets the documented ValueError when the grid is
+    # A library caller gets the documented ConfigError when the grid is
     # built, as the CLI gives a config error, never rows of nan or an error
     # from a spec.
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ConfigError, match="must be a finite number"):
         SweepGrid(theta_prime, (0.5,), theta, 2)
 
 

@@ -133,3 +133,29 @@ def test_readme_library_sketch_runs():
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """``file:line name`` for each name that ``path`` imports and never
+    reads; an import line marked ``# noqa: F401`` is kept on purpose."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # The package's __init__ imports its public names to export them.
+    paths = sorted((ROOT / "src" / "qsslab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    paths = [p for p in paths if p.name != "__init__.py"]
+    assert len(paths) > 20
+    assert [name for path in paths for name in unused_imports(path)] == []

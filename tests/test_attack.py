@@ -3,7 +3,6 @@ import pytest
 
 from qsslab import attack
 from qsslab.attack import (
-    ENCODING_SHIFT,
     EntanglerSpec,
     EntanglingAdversary,
     GuessRule,

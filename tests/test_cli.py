@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from qsslab.cli import (
     FIXTURES,
     Fixture,
     Scenario,
-    load_scenario,
     main,
     parse_scenario,
 )
-from qsslab.protocol import ConfigError
+from qsslab.analysis import SweepGrid
+from qsslab.attack import GuessRule
+from qsslab.protocol import ConfigError, ProtocolConfig
 from qsslab.quantum import InvariantError
 
 
@@ -81,7 +83,6 @@ def write(tmp_path, doc, name="scenario.json"):
 def test_parse_honest_scenario():
     s = parse_scenario(honest_doc())
     assert s.protocol.num_agents == 3
-    assert s.attack_kind == "none"
     assert s.entangler is None
     assert s.trials == 10
 
@@ -106,6 +107,16 @@ def test_message_length_may_repeat_the_bits_length():
     doc = honest_doc(message_bits=bits)
     del doc["protocol"]["message_length"]
     assert parse_scenario(doc).protocol.message_bits == (1, 0, 1)
+
+
+def test_run_report_echoes_the_length_of_the_message_bits(tmp_path):
+    doc = honest_doc(message_bits=[1, 0, 1])
+    del doc["protocol"]["message_length"]
+    out = tmp_path / "report.jsonl"
+    assert main(["run", write(tmp_path, doc), "--trials", "2", "--format", "json-lines",
+                 "--out", str(out)]) == EXIT_OK
+    config = json.loads(out.read_text())["config"]
+    assert (config["message_bits"], config["message_length"]) == ([1, 0, 1], 3)
 
 
 def test_unknown_keys_rejected():
@@ -769,9 +780,9 @@ def test_failure_after_the_open_leaves_out_as_it_was(
 
 @pytest.mark.parametrize("command, doc, options, message", [
     pytest.param("run", {"protocol": {"agents": "x"}}, [],
-                 "protocol.agents must be an integer, got 'x'", id="run-scenario"),
+                 "protocol: num_agents must be an integer, got 'x'", id="run-scenario"),
     pytest.param("sweep", {"protocol": {"agents": "x"}}, [],
-                 "protocol.agents must be an integer, got 'x'", id="sweep-scenario"),
+                 "protocol: num_agents must be an integer, got 'x'", id="sweep-scenario"),
     pytest.param("run", honest_doc(), ["--trials", "0"], "--trials must be >= 1, got 0",
                  id="run-option"),
 ])
@@ -822,3 +833,29 @@ def test_parse_scenario_returns_scenario_or_config_error(doc):
     except ConfigError:
         return
     assert isinstance(scenario, Scenario)
+
+
+# Each type that a scenario section builds, with values for its required fields.
+CONFIG_TYPES = {
+    ProtocolConfig: {"num_agents": 3},
+    SweepGrid: {"theta_prime_values": (0.5,), "alpha_sq_values": (0.5,), "theta_values": (0.1,)},
+    GuessRule: {},
+}
+CONFIG_FIELDS = [
+    *((ProtocolConfig, f.name) for f in fields(ProtocolConfig)),
+    *((SweepGrid, f.name) for f in fields(SweepGrid)),
+    (GuessRule, "eps_bit"),
+    (GuessRule, "eps_perp_bit"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONFIG_FIELDS), JSON_VALUES)
+def test_config_types_take_any_json_value_or_raise_config_error(field, value):
+    # The library's own boundary: any JSON value in any one field either
+    # builds or is refused with a ConfigError, never another exception.
+    cls, name = field
+    try:
+        cls(**{**CONFIG_TYPES[cls], name: value})
+    except ConfigError:
+        pass

@@ -1,11 +1,12 @@
 import re
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from qsslab.analysis import derive_seed
+from qsslab.analysis import SweepGrid, derive_seed, grid_specs
 from qsslab.attack import EntanglingAdversary, GuessRule, qgwz_spec
 from qsslab.protocol import (
     DISCRETE_ANGLES,
@@ -18,10 +19,10 @@ from qsslab.protocol import (
     encryption_phase,
     first_detection,
     prepare_sequence,
-    recovery_phase,
     required_sequence_length,
     run_protocol_batch,
     sum_angles,
+    with_seed,
 )
 from qsslab.quantum import (
     MINUS_I_SIGMA_Y,
@@ -84,6 +85,47 @@ def test_config_validation():
     # A copy made with dataclasses.replace is checked too.
     with pytest.raises(ConfigError, match="num_agents must be >= 2"):
         replace(small_config(), num_agents=1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (partial(ProtocolConfig, num_agents=3.5), "num_agents must be an integer, got 3.5"),
+    (partial(ProtocolConfig, num_agents="3"), "num_agents must be an integer, got '3'"),
+    (partial(ProtocolConfig, 3, message_length=4.5), "message_length must be an integer, got 4.5"),
+    (partial(ProtocolConfig, 3, num_second_checks=1.5),
+     "num_second_checks must be an integer, got 1.5"),
+    (partial(ProtocolConfig, 3, seed=-1), "seed must be >= 0, got -1"),
+    (partial(ProtocolConfig, 3, seed=1.5), "seed must be an integer, got 1.5"),
+    (partial(ProtocolConfig, 3, check_fraction_first="0.5"),
+     "check_fraction_first must be a finite number, got '0.5'"),
+    (partial(ProtocolConfig, 3, message_bits=(True, False)),
+     "message_bits must be an integer, got True"),
+    (partial(ProtocolConfig, 3, message_bits=(1, 0), message_length=3),
+     "message_length is 3 but message_bits has 2 bits"),
+    (partial(SweepGrid, (0.5,), (0.5,), (0.1,), 2.5), "ancilla_dim must be an integer, got 2.5"),
+    (partial(GuessRule, True, False), "eps_bit must be an integer, got True"),
+])
+def test_library_values_of_the_wrong_type_are_refused_when_built(build, message):
+    # Each of these used to be accepted, or to fail later inside a run.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
+
+
+def test_integral_floats_are_stored_as_ints():
+    config = small_config(num_agents=3.0, message_length=8.0, adversary_position=1.0, seed=2.0)
+    values = (config.num_agents, config.message_length, config.adversary_position, config.seed)
+    assert values == (3, 8, 1, 2) and {type(v) for v in values} == {int}
+    grid = SweepGrid((0.5,), (0.5,), (0.1,), 4.0)
+    assert type(grid.ancilla_dim) is int and grid.ancilla_dim == 4
+    assert grid_specs(grid)[0].ancilla_dim == 4
+
+
+def test_message_length_follows_the_message_bits():
+    config = ProtocolConfig(num_agents=3, message_bits=[1, 0])
+    assert (config.message_bits, config.message_length) == ((1, 0), 2)
+    # A copy made with dataclasses.replace keeps the bits and their length.
+    copy = with_seed(config, 9)
+    assert (copy.message_bits, copy.message_length, copy.seed) == ((1, 0), 2, 9)
+    assert ProtocolConfig(num_agents=3).message_length == 32
 
 
 def test_required_sequence_length():
