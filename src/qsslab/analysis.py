@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -13,7 +12,8 @@ from .attack import (
     EntanglerSpec,
     EntanglingAdversary,
     GuessRule,
-    build_entangler,
+    build_entanglers,
+    spec_arrays,
 )
 from .protocol import (
     MAX_RUN_SIZE,
@@ -32,7 +32,7 @@ from .quantum import (
     # Not called in this module; kept importable because qssbench/selftest.py
     # checks that the benchmark's tracer patches it here.
     apply_unitary,  # noqa: F401
-    basis_state,
+    canonical_angles,
 )
 from .transcript import format_floats
 
@@ -57,13 +57,12 @@ THETA_SAMPLES = 20
 # for a full chunk), whatever the size of the grid.
 _SWEEP_CHUNK_POINTS = 128
 
-# Largest sweep grid, in entangler specs (theta' x alpha^2 values) and in
-# points (specs x theta values). A sweep builds and evaluates one entangler
-# per spec, so its time follows the spec count. Measured with `qsslab sweep`
-# at d = 8 (Xeon, 2 cores, Python 3.11, numpy 2.4): 100 x 100 x 1, the most
-# specs, took 14.4 s at a peak RSS of 36 MB; 100 x 100 x 100, the most
-# points, took 24.4 s at 290 MB.
-MAX_SWEEP_SPECS = 10_000
+# Largest sweep grid, in points (theta' x alpha^2 x theta values). A sweep
+# builds its entanglers chunk by chunk from the grid's values, so its time
+# follows its point count and its peak memory the size of its table.
+# Measured with `qsslab sweep --out` at d = 8 (Xeon, 2 cores, Python 3.11,
+# numpy 2.4): 1000 x 1000 x 1 took 13.9 s at a peak RSS of 196 MB, and
+# 100 x 100 x 100 took 5.0 s at 246 MB.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -84,20 +83,18 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _encoded_rows(specs: list[EntanglerSpec], thetas: np.ndarray):
-    """The stacked entanglers E, shape (S, 2d, 2d), and the joint (ancilla,
-    photon) rows E(|eps> (x) U(theta)|0>) with message bit 0 and bit 1 encoded
-    on the photon, shape (2, S, T, 2d), for S specs of one ancilla dimension
-    and their (S, T) angles."""
-    entanglers = np.stack([build_entangler(spec) for spec in specs])
-    eps = np.stack([spec.epsilon.amps for spec in specs])
+def _encoded_rows(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray):
+    """The joint (ancilla, photon) rows E(|eps> (x) U(theta)|0>) with message
+    bit 0 and bit 1 encoded on the photon, shape (2, S, T, 2d), for S specs
+    of one ancilla dimension given by their |eps> (S, d) and entanglers E
+    (S, 2d, 2d), and their (S, T) angles."""
     chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-    joint = (eps[:, None, :, None] * chi[:, :, None, :]).reshape(*thetas.shape, -1)
+    joint = (epsilon[:, None, :, None] * chi[:, :, None, :]).reshape(*thetas.shape, -1)
     # One matrix-vector product per row, as a batched matmul. The row form
     # ``joint @ E.T`` is one gemm whose results differ in the last bits, and
     # so would break the byte-pinned sweep tables and reports.
     bit0 = (entanglers[:, None] @ joint[..., None])[..., 0]
-    return entanglers, np.stack([bit0, apply_photon_op(bit0, MINUS_I_SIGMA_Y)])
+    return np.stack([bit0, apply_photon_op(bit0, MINUS_I_SIGMA_Y)])
 
 
 def _trace_distances(rho: np.ndarray) -> np.ndarray:
@@ -130,13 +127,20 @@ def _per_ancilla_dim(kernel, specs, thetas) -> np.ndarray:
     return out
 
 
-def _ancilla_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
-    entanglers, rows = _encoded_rows(specs, thetas)
+def _ancilla_distances(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The trace distances (S, T) of ``indistinguishability`` for S specs
+    given as in ``_encoded_rows``."""
+    rows = _encoded_rows(epsilon, entanglers, thetas)
     # E^-1 in the same matrix-vector form. Read as a d x 2 (ancilla, photon)
     # matrix M, each row gives the ancilla's reduced state M M^dagger.
     inverses = entanglers.conj().swapaxes(-1, -2)[:, None]
     m = (inverses @ rows[..., None]).reshape(*rows.shape[:3], -1, 2)
     return _trace_distances(m @ m.conj().swapaxes(-1, -2))
+
+
+def _spec_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
+    fields = spec_arrays(specs)
+    return _ancilla_distances(fields[0], build_entanglers(*fields), thetas)
 
 
 def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
@@ -145,7 +149,7 @@ def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
     ``specs`` at each photon angle: shape (S, T), for ``thetas`` one (T,)
     vector shared by every spec or one (S, T) row per spec.
     ``helstrom_bound`` of it is the best guessing probability."""
-    return _per_ancilla_dim(_ancilla_distances, specs, thetas)
+    return _per_ancilla_dim(_spec_distances, specs, thetas)
 
 
 @dataclass(frozen=True)
@@ -311,11 +315,6 @@ class SweepGrid:
             raise ConfigError("sweep grid lists must be nonempty")
         n_tp, n_a, n_t = map(len, (self.theta_prime_values, self.alpha_sq_values,
                                    self.theta_values))
-        if n_tp * n_a > MAX_SWEEP_SPECS:
-            raise ConfigError(
-                f"{n_tp} theta' x {n_a} alpha^2 values make {n_tp * n_a} entangler specs, "
-                f"more than MAX_SWEEP_SPECS = {MAX_SWEEP_SPECS}"
-            )
         if n_tp * n_a * n_t > MAX_SWEEP_POINTS:
             raise ConfigError(
                 f"{n_tp * n_a} specs x {n_t} theta values make {n_tp * n_a * n_t} grid "
@@ -328,42 +327,34 @@ class SweepGrid:
             raise ConfigError(f"ancilla_dim must be a power of 2 in [2, {MAX_ANCILLA_DIM}], got {d}")
 
 
-def grid_specs(grid: SweepGrid) -> list[EntanglerSpec]:
-    """The entangler spec of each (theta', alpha^2) pair of ``grid``, alpha^2
-    fastest: the rows of ``sweep(grid)``."""
-    n_anc = (grid.ancilla_dim - 1).bit_length()
-    epsilon, epsilon_perp = basis_state(n_anc, 0), basis_state(n_anc, 1)
-    return [
-        EntanglerSpec(
-            epsilon=epsilon,
-            epsilon_perp=epsilon_perp,
-            alpha=math.sqrt(a2),
-            beta=math.sqrt(1.0 - a2),
-            theta_prime=tp,
-        )
-        for tp in grid.theta_prime_values
-        for a2 in grid.alpha_sq_values
-    ]
-
-
 def sweep(grid: SweepGrid) -> np.ndarray:
     """Exact trace distance at every point of ``grid``, shape (S, T): one row
-    per spec of ``grid_specs(grid)``, one column per theta.
+    per (theta', alpha^2) pair, alpha^2 fastest, for the spec with |eps> = |0>,
+    |eps_perp> = |1>, alpha = sqrt(alpha^2) and beta = sqrt(1 - alpha^2); one
+    column per theta.
 
     The grid is evaluated in chunks of at most ``_SWEEP_CHUNK_POINTS`` points,
-    each one stacked ``indistinguishability`` call, so the peak memory of a
-    sweep does not grow with its grid.
+    each one stack of entanglers built from the grid's values, so the peak
+    memory of a sweep does not grow with its grid.
     """
-    specs = grid_specs(grid)
+    theta_primes = canonical_angles(np.asarray(grid.theta_prime_values, dtype=float))
+    alpha_sq = np.asarray(grid.alpha_sq_values, dtype=float)
     thetas = np.asarray(grid.theta_values, dtype=float)
-    tds = np.empty((len(specs), len(thetas)))
+    n_alpha = len(alpha_sq)
+    tds = np.empty((len(theta_primes) * n_alpha, len(thetas)))
     n_specs = max(1, _SWEEP_CHUNK_POINTS // len(thetas))
     n_thetas = min(len(thetas), _SWEEP_CHUNK_POINTS)
-    for s in range(0, len(specs), n_specs):
+    for s in range(0, len(tds), n_specs):
+        rows = np.arange(s, min(s + n_specs, len(tds)))
+        a2 = alpha_sq[rows % n_alpha]
+        kets = np.zeros((2, len(rows), grid.ancilla_dim), dtype=complex)
+        kets[0, :, 0] = kets[1, :, 1] = 1.0
+        entanglers = build_entanglers(
+            kets[0], kets[1], np.sqrt(a2), np.sqrt(1.0 - a2), theta_primes[rows // n_alpha]
+        )
         for t in range(0, len(thetas), n_thetas):
-            tds[s:s + n_specs, t:t + n_thetas] = indistinguishability(
-                specs[s:s + n_specs], thetas[t:t + n_thetas]
-            )
+            chunk = np.tile(thetas[t:t + n_thetas], (len(rows), 1))
+            tds[s:s + n_specs, t:t + n_thetas] = _ancilla_distances(kets[0], entanglers, chunk)
     return tds
 
 

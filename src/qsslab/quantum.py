@@ -13,21 +13,15 @@ once: an array of shape (..., D), such as (n_photons, D) or
 (trials, n_photons, D), whose rows are joint states with the photon as the
 last (least significant) qubit.
 Each operator is checked unitary once, where it is built: ``MINUS_I_SIGMA_Y``
-at import, a batch of rotations in ``rotate_photons`` and the entangler in
-``attack.build_entangler``. ``apply_photon_op`` takes its operator as
-already checked. The norm invariant is checked on every ``State`` and
-row-wise on a batch (``check_norms``).
-
-A ``State``'s identity is its amplitude bytes with -0.0 folded into +0.0,
-computed once, when the state is first compared or hashed. ``==`` and
-``hash`` both use that key, so equal states hash alike, and a cache keyed
-by states (such as the entangler cache of ``attack.build_entangler``) finds
-a freshly built one by one bytes compare.
+at import, a batch of rotations in ``rotate_photons`` and a stack of
+entanglers in ``attack.build_entanglers``. ``apply_photon_op`` takes its
+operator as already checked. The norm invariant is checked on every
+``State`` and row-wise on a batch (``check_norms``). A ``State`` has no
+value identity: ``==`` is ``is``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +74,7 @@ def _check_norm_sq(norm_sq: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Normalized pure state over ``num_qubits`` qubits (MSB-first indexing)."""
 
@@ -102,18 +96,6 @@ class State:
     def dim(self) -> int:
         return self.amps.size
 
-    @cached_property
-    def _key(self) -> bytes:
-        # Adding +0.0 folds -0.0 into +0.0, the one pair of distinct bit
-        # patterns that compare equal (the amplitudes are finite).
-        return (self.amps + 0.0).tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, State) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
 
 def basis_state(num_qubits: int, index: int) -> State:
     amps = np.zeros(2**num_qubits, dtype=complex)
@@ -130,14 +112,15 @@ def tensor(a: State, b: State) -> State:
 
 
 def check_unitary(op: np.ndarray) -> None:
-    """Raise ``InvariantError`` unless ``op`` is unitary within ``ATOL_STATE``.
+    """Raise ``InvariantError`` unless ``op``, one operator or a stack of
+    them (..., n, n), is unitary within ``ATOL_STATE``.
 
     Run once where an operator is built, never per application.
     """
     op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+    if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
         raise ValueError(f"operator shape {op.shape} is not square")
-    err = np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0])))
+    err = np.max(np.abs(op.conj().swapaxes(-1, -2) @ op - np.eye(op.shape[-1])), initial=0.0)
     if not err <= ATOL_STATE:
         raise InvariantError(f"operator is not unitary (max deviation {err:.3e})")
 

@@ -11,22 +11,32 @@ runs on the engine's own ``_encoded_rows``, ``_per_ancilla_dim`` and
 ``_trace_distances``, so it computes the same bits as it did inside
 ``qsslab.analysis``.
 
+``_complete_basis`` and ``_build_entangler`` are the earlier entangler
+builder, one spec at a time by Gram-Schmidt, kept verbatim but for the
+per-spec cache that sat on ``_build_entangler``; ``grid_specs`` is the
+earlier spec list of a sweep grid. The closed-form stack of
+``qsslab.attack.build_entanglers`` is checked against them.
+
 Tests import this module as they import ``conftest``.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
 
-from qsslab.analysis import _encoded_rows, _per_ancilla_dim, _trace_distances
-from qsslab.attack import EntanglerSpec
+from qsslab.analysis import SweepGrid, _encoded_rows, _per_ancilla_dim, _trace_distances
+from qsslab.attack import EntanglerSpec, build_entanglers, spec_arrays
 from qsslab.quantum import (
     ATOL_STATE,
     MINUS_I_SIGMA_Y,
     InvariantError,
     State,
+    basis_state,
+    check_unitary,
     overlap,
+    rotation_operator,
 )
 
 
@@ -112,7 +122,8 @@ def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
 
 
 def _joint_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
-    _, rows = _encoded_rows(specs, thetas)
+    fields = spec_arrays(specs)
+    rows = _encoded_rows(fields[0], build_entanglers(*fields), thetas)
     return _trace_distances(rows[..., :, None] * rows.conj()[..., None, :])
 
 
@@ -122,3 +133,59 @@ def counterfactual_joint_distance(specs: Iterable[EntanglerSpec], thetas) -> np.
     ``indistinguishability``. Nonzero for generic theta, which shows the
     indistinguishability test is sensitive."""
     return _per_ancilla_dim(_joint_distances, specs, thetas)
+
+
+def _complete_basis(seeds: list[np.ndarray], dim: int, reverse: bool = False) -> np.ndarray:
+    """Extend orthonormal ``seeds`` to a full basis (columns) via Gram-Schmidt."""
+    basis = [v.astype(complex) for v in seeds]
+    candidates = range(dim - 1, -1, -1) if reverse else range(dim)
+    for i in candidates:
+        if len(basis) == dim:
+            break
+        v = np.zeros(dim, dtype=complex)
+        v[i] = 1.0
+        for b in basis:
+            v -= np.vdot(b, v) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            basis.append(v / norm)
+    if len(basis) != dim:
+        raise InvariantError("failed to complete orthonormal basis")
+    return np.column_stack(basis)
+
+
+def _build_entangler(spec: EntanglerSpec, completion: str) -> np.ndarray:
+    dim = 2 * spec.ancilla_dim
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    e1 = np.array([0.0, 1.0], dtype=complex)
+    rot = rotation_operator(spec.theta_prime)
+    sources = [np.kron(spec.epsilon.amps, e0), np.kron(spec.epsilon.amps, e1)]
+    images = [
+        spec.alpha * np.kron(spec.epsilon.amps, chi)
+        + spec.beta * np.kron(spec.epsilon_perp.amps, rot @ chi)
+        for chi in (e0, e1)
+    ]
+    src = _complete_basis(sources, dim, reverse=(completion == "reversed"))
+    img = _complete_basis(images, dim, reverse=(completion == "reversed"))
+    entangler = img @ src.conj().T
+    check_unitary(entangler)
+    entangler.flags.writeable = False
+    return entangler
+
+
+def grid_specs(grid: SweepGrid) -> list[EntanglerSpec]:
+    """The entangler spec of each (theta', alpha^2) pair of ``grid``, alpha^2
+    fastest: the rows of ``sweep(grid)``."""
+    n_anc = (grid.ancilla_dim - 1).bit_length()
+    epsilon, epsilon_perp = basis_state(n_anc, 0), basis_state(n_anc, 1)
+    return [
+        EntanglerSpec(
+            epsilon=epsilon,
+            epsilon_perp=epsilon_perp,
+            alpha=math.sqrt(a2),
+            beta=math.sqrt(1.0 - a2),
+            theta_prime=tp,
+        )
+        for tp in grid.theta_prime_values
+        for a2 in grid.alpha_sq_values
+    ]

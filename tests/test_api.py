@@ -73,6 +73,9 @@ REFERENCE_NAMES = [
     "split_product",
     "counterfactual_joint_distance",
     "_joint_distances",
+    "_complete_basis",
+    "_build_entangler",
+    "grid_specs",
 ]
 
 

@@ -7,8 +7,10 @@ from qsslab.attack import (
     EntanglingAdversary,
     GuessRule,
     build_entangler,
+    build_entanglers,
     qgwz_spec,
     random_entangler_spec,
+    spec_arrays,
 )
 from qsslab.cli import CCY_CIRCUIT
 from qsslab.protocol import ProtocolConfig, run_protocol_batch
@@ -70,6 +72,10 @@ def test_spec_rejects_nonorthogonal_ancillas():
     plus = State(np.array([1, 1]) / np.sqrt(2))
     with pytest.raises(InvariantError):
         EntanglerSpec(basis_state(1, 0), plus, 0.6, 0.8, 0.5)
+    # A norm^2 of 1 + 1e-10 passes State, not the pair's tighter bound.
+    long_eps = State(basis_state(2, 0).amps * np.sqrt(1 + 1e-10))
+    with pytest.raises(InvariantError, match="must be orthonormal"):
+        EntanglerSpec(long_eps, basis_state(2, 3), 0.6, 0.8, 0.5)
 
 
 def test_spec_rejects_dim_mismatch():
@@ -138,6 +144,70 @@ def test_completions_agree_observationally(rng):
             assert np.max(np.abs(fwd.conj().T @ encoded - rev.conj().T @ (
                 rev @ src if m == 0 else apply_unitary(State(rev @ src), MINUS_I_SIGMA_Y).amps
             ))) <= 1e-12
+
+
+@pytest.mark.parametrize("completion", ["forward", "reversed"])
+def test_stack_rows_equal_single_builds(rng, completion):
+    # Every operator of a stack has the bits of its spec built alone,
+    # whatever the stack's size.
+    for dim in (2, 4, 8):
+        specs = [random_entangler_spec(rng, dim) for _ in range(40)]
+        for size in (1, 2, 3, 7, 16, 40):
+            stack = build_entanglers(*spec_arrays(specs[:size]), completion)
+            assert stack.shape == (size, 2 * dim, 2 * dim)
+            for entangler, spec in zip(stack, specs):
+                assert np.array_equal(entangler, build_entangler(spec, completion))
+
+
+def test_completions_differ_off_the_pinned_columns(rng):
+    # Otherwise the completion tests, and criterion 7, would pass vacuously.
+    for _ in range(30):
+        spec = random_entangler_spec(rng)
+        off = np.eye(2 * spec.ancilla_dim) - np.kron(
+            np.outer(spec.epsilon.amps, spec.epsilon.amps.conj()), np.eye(2)
+        )
+        diff = (build_entangler(spec, "forward") - build_entangler(spec, "reversed")) @ off
+        assert np.max(np.abs(diff)) >= 0.1
+
+
+def test_stack_is_checked_unitary_once(rng, monkeypatch):
+    checked = []
+    monkeypatch.setattr(attack, "check_unitary", lambda ops: checked.append(ops.shape))
+    specs = [random_entangler_spec(rng, 4) for _ in range(5)]
+    build_entanglers(*spec_arrays(specs))
+    assert checked == [(5, 8, 8)]
+
+
+def near_orthonormal(rng, dim, size):
+    """A random orthonormal pair, each vector's norm^2 and their overlap
+    moved by up to ``size``."""
+    eps = random_state(rng, dim.bit_length() - 1).amps
+    perp = random_state(rng, dim.bit_length() - 1).amps
+    perp = perp - np.vdot(eps, perp) * eps
+    perp = perp / np.linalg.norm(perp)
+    perp = perp + rng.uniform(-size, size) * eps
+    return (State(eps * np.sqrt(1 + rng.uniform(-size, size))),
+            State(perp * np.sqrt(1 + rng.uniform(-size, size))))
+
+
+def test_every_accepted_spec_builds_a_unitary_entangler(rng):
+    # Pairs and weights up to 2.5e-11 from orthonormal: a spec is refused, or
+    # both completions of its entangler pass the unitarity check.
+    accepted = refused = 0
+    for i in range(400):
+        eps, perp = near_orthonormal(rng, (2, 4, 8)[i % 3], 2.5e-11)
+        mix = rng.uniform(0.0, np.pi / 2)
+        scale = np.sqrt(1 + rng.uniform(-2.5e-11, 2.5e-11))
+        try:
+            spec = EntanglerSpec(eps, perp, scale * np.cos(mix), scale * np.sin(mix) * 1j,
+                                 rng.uniform(0, 2 * np.pi))
+        except InvariantError:
+            refused += 1
+            continue
+        accepted += 1
+        build_entangler(spec, "forward")
+        build_entangler(spec, "reversed")
+    assert accepted >= 50 and refused >= 50
 
 
 # --- controlled-gate special case ---
@@ -221,37 +291,6 @@ def test_respond_collapses_to_definite_angle(rng):
         joint = State(row)
         rho = partial_trace(joint, [joint.num_qubits - 1])
         assert rho[0, 0].real >= 1 - 1e-10
-
-
-def test_entangler_built_once_per_spec(rng):
-    # A campaign builds one adversary per batch of trials and the exact
-    # analysis visits one spec at many angles; the entangler is built once
-    # per (spec, completion) and shared read-only.
-    spec = random_entangler_spec(rng, ancilla_dim=4)
-    a, b = EntanglingAdversary(spec, [rng]), EntanglingAdversary(spec, [rng])
-    assert a.entangler is b.entangler is build_entangler(spec)
-    assert not a.entangler.flags.writeable
-    rev = build_entangler(spec, "reversed")
-    assert rev is build_entangler(spec, "reversed")
-    assert not rev.flags.writeable
-    assert rev is not a.entangler
-    # An equal spec built separately maps to the same cached operator.
-    twin = EntanglerSpec(spec.epsilon, spec.epsilon_perp, spec.alpha, spec.beta, spec.theta_prime)
-    assert build_entangler(twin) is a.entangler
-
-
-def test_specs_equal_up_to_signed_zeros_share_one_entangler():
-    spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1), 0.6, 0.8, 0.5)
-    signed = EntanglerSpec(
-        State(np.array([1.0, -0.0])), State(np.array([-0.0, 1.0])), 0.6, complex(0.8, -0.0), 0.5
-    )
-    assert spec == signed and hash(spec) == hash(signed)
-    assert len({spec, signed}) == 1
-    assert {spec: "spec"}[signed] == "spec"
-    entangler = build_entangler(spec)
-    hits = attack._build_entangler.cache_info().hits
-    assert build_entangler(signed) is entangler
-    assert attack._build_entangler.cache_info().hits == hits + 1
 
 
 def test_announcement_refuses_residual_outcome():

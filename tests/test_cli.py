@@ -67,6 +67,34 @@ def general_doc(dim=2):
     return doc
 
 
+# The pair |eps> = (1, 1, 1, 1) / 2, |eps_perp> = (1, -1, 1, -1) / 2 with one
+# vector's norm^2 raised by a few 1e-10, each State within its own tolerance
+# of 2e-10, or with their overlap raised to 0.9e-10.
+NEAR_ORTHONORMAL = [("epsilon", 1e-10), ("epsilon", 1.9e-10), ("epsilon_perp", 1e-10),
+                    ("epsilon_perp", 1.9e-10), ("overlap", 0.9e-10)]
+
+
+@pytest.mark.parametrize("which, excess", NEAR_ORTHONORMAL)
+def test_near_orthonormal_ancillas_run_or_are_a_config_error(tmp_path, capsys, which, excess):
+    # An ancilla pair that the parser accepts builds a unitary entangler or
+    # is refused as a config error; the entangler's unitarity check never
+    # trips on it in the run (exit 3).
+    eps = np.array([1.0, 1.0, 1.0, 1.0]) / 2
+    perp = np.array([1.0, -1.0, 1.0, -1.0]) / 2
+    if which == "epsilon":
+        eps = eps * np.sqrt(1.0 + excess)
+    elif which == "epsilon_perp":
+        perp = perp * np.sqrt(1.0 + excess)
+    else:
+        perp = perp + excess * eps
+    doc = general_doc(4)
+    doc["attack"]["epsilon"] = [[float(a), 0.0] for a in eps]
+    doc["attack"]["epsilon_perp"] = [[float(a), 0.0] for a in perp]
+    code = main(["run", write(tmp_path, doc), "--trials", "2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_OK or (code == EXIT_CONFIG and err.startswith("config error: attack: ")), err
+
+
 def sweep_doc():
     doc = qgwz_doc()
     doc["run"]["sweep"] = {"theta_prime": [0.0, 1.0], "alpha_sq": [0.5], "theta": [0.3],
@@ -222,24 +250,37 @@ def grid_doc(theta_primes, alpha_sqs, thetas):
 
 
 @pytest.mark.parametrize("shape, message", [
-    ((3000, 3000, 1), "3000 theta' x 3000 alpha^2 values make 9000000 entangler specs, "
-                      "more than MAX_SWEEP_SPECS = 10000"),
-    ((101, 100, 1), "101 theta' x 100 alpha^2 values make 10100 entangler specs, "
-                    "more than MAX_SWEEP_SPECS = 10000"),
+    ((3000, 3000, 1), "9000000 specs x 1 theta values make 9000000 grid points, "
+                      "more than MAX_SWEEP_POINTS = 1000000"),
+    ((1001, 1000, 1), "1001000 specs x 1 theta values make 1001000 grid points, "
+                      "more than MAX_SWEEP_POINTS = 1000000"),
     ((100, 100, 101), "10000 specs x 101 theta values make 1010000 grid points, "
                       "more than MAX_SWEEP_POINTS = 1000000"),
 ])
 def test_oversized_sweep_grid_is_a_config_error(shape, message):
-    # Refused when the scenario is read, before any spec is built.
+    # Refused when the scenario is read, before any entangler is built.
     with pytest.raises(ConfigError) as err:
         parse_scenario(grid_doc(*shape))
     assert str(err.value) == f"run.sweep: {message}"
 
 
 def test_sweep_grid_at_both_bounds_is_accepted():
+    # The points bound is the only one: a sweep builds its entanglers from
+    # the grid's values chunk by chunk, so many (theta', alpha^2) pairs cost
+    # no more than as many theta values.
     grid = parse_scenario(grid_doc(100, 100, 100)).grid
-    assert len(grid.theta_prime_values) * len(grid.alpha_sq_values) == analysis.MAX_SWEEP_SPECS
-    assert analysis.MAX_SWEEP_SPECS * len(grid.theta_values) == analysis.MAX_SWEEP_POINTS
+    n_points = len(grid.theta_prime_values) * len(grid.alpha_sq_values) * len(grid.theta_values)
+    assert n_points == analysis.MAX_SWEEP_POINTS
+
+
+def test_sweep_of_more_than_ten_thousand_specs(tmp_path):
+    # 101 x 100 (theta', alpha^2) pairs: more specs than a sweep used to be
+    # allowed, at d = 8, one table line each.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", write(tmp_path, grid_doc(101, 100, 1)), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 101 * 100
+    assert max(float(line.split(",")[3]) for line in lines[1:]) <= 1e-10
 
 
 def test_cmd_sweep_empty_grid_exit1(tmp_path):
@@ -283,7 +324,7 @@ def test_cmd_verify_passes(verify_run, fixture_table):
 
 # sha256 of the whole `qsslab verify` stdout: every value to 17 significant
 # digits, so any change in the bits a fixture computes shows here.
-VERIFY_STDOUT_SHA256 = "204c5949eb3e9d0e3f3c8ea7bc73da9dffecb99d8b3cd2fa6b3f4549b77f8874"
+VERIFY_STDOUT_SHA256 = "13af65f9e321b39a72750db01475ef0cfe58cc1b2ea15a0a2257ed72e21f3b9d"
 
 
 def test_cmd_verify_stdout_bytes(verify_run):
@@ -731,7 +772,7 @@ def taken_transcript(tmp_path, monkeypatch):
 
 def failing_kernel(error):
     def setup(tmp_path, monkeypatch):
-        def kernel(specs, thetas):
+        def kernel(epsilon, entanglers, thetas):
             raise error
 
         monkeypatch.setattr(analysis, "_ancilla_distances", kernel)

@@ -18,7 +18,10 @@ transcript byte, floats included.
 the same digest for ``configs/qgwz.json`` with the ``SKEWED`` ancilla, whose
 |eps> is not a basis state: the last digits of its transcript floats depend
 on the order in which the adversary's <eps| and <eps_perp| contractions
-sum. It was recorded when those contractions replaced projector sets.
+sum, and on the bits of the entangler. It was recorded when those
+contractions replaced projector sets, and re-recorded when the closed-form
+entangler stack replaced the Gram-Schmidt build (only probabilities moved,
+each by at most 8.9e-16).
 
 Re-record only against a trusted engine:
 
@@ -275,7 +278,7 @@ def test_cli_transcripts_byte_identical(config_path, tmp_path):
     assert digest == _load()["transcripts_sha256"][config_path]
 
 
-SKEWED_TRANSCRIPTS_SHA256 = "a4c5bfeaeae94aa73a2263ee1ea83b70cd69b65712c3d2d39b045524b26881dd"
+SKEWED_TRANSCRIPTS_SHA256 = "dbbca6148e0449f159fcc9c5ab88038f5bbe6c4612cce977b2eb630550068b30"
 
 
 def test_cli_transcripts_byte_identical_skewed_ancilla(tmp_path):

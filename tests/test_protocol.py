@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qsslab.analysis import SweepGrid, derive_seed, grid_specs
+from qsslab.analysis import SweepGrid, derive_seed
 from qsslab.attack import EntanglingAdversary, GuessRule, qgwz_spec
 from qsslab.protocol import (
     DISCRETE_ANGLES,
@@ -37,7 +37,7 @@ from qsslab.quantum import (
 from qsslab.transcript import InvariantPhaseError, Transcript, render_transcripts
 
 from conftest import transcript_of
-from scalar_reference import global_phase_equal
+from scalar_reference import global_phase_equal, grid_specs
 
 
 def small_config(**kw):

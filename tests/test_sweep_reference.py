@@ -1,7 +1,7 @@
 """The stacked sweep against the per-spec reference sweep.
 
 ``analysis.sweep`` evaluates a grid in chunks of stacked specs, one
-``indistinguishability`` call per chunk, and ``analysis.sweep_table``
+``_ancilla_distances`` call per chunk, and ``analysis.sweep_table``
 formats the whole table in one ``%`` operation. Their trace distances must
 equal, and their tables match byte for byte, those of the reference below:
 the earlier per-spec path, one kernel call per (theta', alpha^2) spec and one
@@ -161,17 +161,17 @@ def test_sweep_matches_reference(grid):
 def test_chunks_match_reference(monkeypatch, chunk_points, shape, calls):
     grid = random_grid(30, 2, shape)
     rows = sweep(grid)
-    kernel = analysis.indistinguishability
+    kernel = analysis._ancilla_distances
     chunks = []
 
-    def counted(specs, thetas):
-        out = kernel(specs, thetas)
+    def counted(epsilon, entanglers, thetas):
+        out = kernel(epsilon, entanglers, thetas)
         chunks.append(out.size)
         return out
 
     if chunk_points is not None:
         monkeypatch.setattr(analysis, "_SWEEP_CHUNK_POINTS", chunk_points)
-    monkeypatch.setattr(analysis, "indistinguishability", counted)
+    monkeypatch.setattr(analysis, "_ancilla_distances", counted)
     tds = analysis.sweep(grid)
     assert len(chunks) == calls
     assert max(chunks) <= analysis._SWEEP_CHUNK_POINTS and sum(chunks) == len(rows)
