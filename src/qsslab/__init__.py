@@ -32,9 +32,7 @@ from .quantum import (
     State,
     basis_state,
     canonical_angle,
-    ket0,
     rotation_operator,
-    tensor,
 )
 from .transcript import Transcript, render_transcripts
 
@@ -56,7 +54,6 @@ __all__ = [
     "canonical_angle",
     "helstrom_bound",
     "indistinguishability",
-    "ket0",
     "monte_carlo",
     "qgwz_spec",
     "random_entangler_spec",
@@ -67,7 +64,6 @@ __all__ = [
     "run_protocol_batch",
     "summarize",
     "sweep",
-    "tensor",
 ]
 
 __version__ = "0.1.0"

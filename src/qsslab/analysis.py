@@ -57,12 +57,17 @@ THETA_SAMPLES = 20
 # for a full chunk), whatever the size of the grid.
 _SWEEP_CHUNK_POINTS = 128
 
+# Most lines of a sweep table formatted at once. Formatting a block peaks at
+# under 1 MB in tracemalloc, whatever the size of the grid.
+_TABLE_BLOCK_LINES = 4096
+
 # Largest sweep grid, in points (theta' x alpha^2 x theta values). A sweep
-# builds its entanglers chunk by chunk from the grid's values, so its time
-# follows its point count and its peak memory the size of its table.
+# builds its entanglers chunk by chunk and writes its table block by block,
+# so its time follows its point count and its memory the 8 bytes a point
+# of its trace distances.
 # Measured with `qsslab sweep --out` at d = 8 (Xeon, 2 cores, Python 3.11,
-# numpy 2.4): 1000 x 1000 x 1 took 13.9 s at a peak RSS of 196 MB, and
-# 100 x 100 x 100 took 5.0 s at 246 MB.
+# numpy 2.4): 1000 x 1000 x 1 took 12.7 s at a peak RSS of 42 MB, and
+# 100 x 100 x 100 took 4.0 s at 41 MB.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -105,28 +110,6 @@ def _trace_distances(rho: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
-def _per_ancilla_dim(kernel, specs, thetas) -> np.ndarray:
-    """``kernel(specs, thetas)`` evaluated on the specs of each ancilla
-    dimension as one stack, gathered into one (S, T) array in spec order.
-
-    ``thetas`` is one (T,) vector shared by every spec or one (S, T) row per
-    spec."""
-    specs = list(specs)
-    thetas = np.asarray(thetas, dtype=float)
-    thetas = np.broadcast_to(thetas, (len(specs), thetas.shape[-1]))
-    dims = [spec.ancilla_dim for spec in specs]
-    if len(set(dims)) == 1:
-        # One dimension, as in every sweep chunk and campaign: the kernel's
-        # own result, its angles in the C order a gather would give them
-        # (``np.cos`` of a strided array can differ in the last bit).
-        return kernel(specs, np.ascontiguousarray(thetas))
-    out = np.empty(thetas.shape)
-    for d in set(dims):
-        idx = [i for i, dim in enumerate(dims) if dim == d]
-        out[idx] = kernel([specs[i] for i in idx], thetas[idx])
-    return out
-
-
 def _ancilla_distances(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """The trace distances (S, T) of ``indistinguishability`` for S specs
     given as in ``_encoded_rows``."""
@@ -138,18 +121,26 @@ def _ancilla_distances(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.n
     return _trace_distances(m @ m.conj().swapaxes(-1, -2))
 
 
-def _spec_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
-    fields = spec_arrays(specs)
-    return _ancilla_distances(fields[0], build_entanglers(*fields), thetas)
-
-
 def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
     """Trace distance between the attacker's post-inverse ancilla states
     conditioned on message bit 0 vs 1, computed exactly for each spec of
     ``specs`` at each photon angle: shape (S, T), for ``thetas`` one (T,)
     vector shared by every spec or one (S, T) row per spec.
-    ``helstrom_bound`` of it is the best guessing probability."""
-    return _per_ancilla_dim(_spec_distances, specs, thetas)
+    ``helstrom_bound`` of it is the best guessing probability. The specs of
+    each ancilla dimension are one stack of entanglers, evaluated in one
+    ``_ancilla_distances`` call."""
+    specs = list(specs)
+    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.broadcast_to(thetas, (len(specs), thetas.shape[-1]))
+    dims = [spec.ancilla_dim for spec in specs]
+    out = np.empty(thetas.shape)
+    for d in set(dims):
+        idx = [i for i, dim in enumerate(dims) if dim == d]
+        fields = spec_arrays([specs[i] for i in idx])
+        # The gather is a C-ordered copy: ``np.cos`` of a strided array can
+        # differ in the last bit.
+        out[idx] = _ancilla_distances(fields[0], build_entanglers(*fields), thetas[idx])
+    return out
 
 
 @dataclass(frozen=True)
@@ -358,19 +349,18 @@ def sweep(grid: SweepGrid) -> np.ndarray:
     return tds
 
 
-def sweep_table(grid: SweepGrid, tds: np.ndarray) -> str:
-    """The CSV table of ``sweep(grid)``: one line per grid point, theta
-    fastest, every value written as ``%.17g``, each distinct one formatted
-    once (``format_floats``)."""
-    n_alpha, n_theta = len(grid.alpha_sq_values), len(grid.theta_values)
-    n = tds.size
-    cols = np.empty((n, 5))
-    cols[:, 0] = np.repeat(grid.theta_prime_values, n_alpha * n_theta)
-    cols[:, 1] = np.tile(np.repeat(grid.alpha_sq_values, n_theta), len(grid.theta_prime_values))
-    cols[:, 2] = np.tile(grid.theta_values, n // n_theta)
-    cols[:, 3] = tds.ravel()
-    cols[:, 4] = helstrom_bound(cols[:, 3])
-    return (
-        "theta_prime,alpha_sq,theta,trace_distance,helstrom\n"
-        + "%s,%s,%s,%s,%s\n" * n % tuple(format_floats(cols).ravel().tolist())
-    )
+def sweep_table(grid: SweepGrid, tds: np.ndarray) -> Iterator[str]:
+    """The CSV table of ``sweep(grid)`` as consecutive blocks of text: the
+    header, then one line per grid point, theta fastest, every value written
+    as ``%.17g``. A block holds at most ``_TABLE_BLOCK_LINES`` lines, each
+    distinct value of it formatted once (``format_floats``), so the table
+    is never held whole."""
+    axes = [np.asarray(values, dtype=float)
+            for values in (grid.theta_prime_values, grid.alpha_sq_values, grid.theta_values)]
+    tds = tds.ravel()
+    yield "theta_prime,alpha_sq,theta,trace_distance,helstrom\n"
+    for start in range(0, tds.size, _TABLE_BLOCK_LINES):
+        td = tds[start:start + _TABLE_BLOCK_LINES]
+        points = np.unravel_index(np.arange(start, start + len(td)), [len(a) for a in axes])
+        cols = np.column_stack([a[i] for a, i in zip(axes, points)] + [td, helstrom_bound(td)])
+        yield "%s,%s,%s,%s,%s\n" * len(td) % tuple(format_floats(cols).ravel().tolist())

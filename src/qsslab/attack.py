@@ -17,6 +17,7 @@ circuit, ``cli.CCY_CIRCUIT``, is what criteria 3 and 7 of ``qsslab verify`` run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,11 @@ class EntanglerSpec:
 
     def __post_init__(self):
         # Each check is written so that a NaN fails it.
+        for name, kind in (("epsilon", State), ("epsilon_perp", State), ("alpha", numbers.Complex),
+                           ("beta", numbers.Complex), ("theta_prime", numbers.Real)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise InvariantError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if not math.isfinite(self.theta_prime):
             raise InvariantError(f"theta_prime must be finite, got {self.theta_prime}")
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -97,10 +103,6 @@ class EntanglerSpec:
     @property
     def ancilla_dim(self) -> int:
         return self.epsilon.dim
-
-    @property
-    def ancilla_qubits(self) -> int:
-        return self.epsilon.num_qubits
 
 
 class GuessRule:

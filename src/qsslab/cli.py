@@ -47,9 +47,10 @@ from .attack import (
     EntanglerSpec,
     EntanglingAdversary,
     GuessRule,
-    build_entangler,
+    build_entanglers,
     qgwz_spec,
     random_entangler_spec,
+    spec_arrays,
 )
 from .protocol import (
     CONFIG_KEYS,
@@ -69,11 +70,8 @@ from .quantum import (
     apply_photon_op,
     basis_state,
     canonical_angle,
-    ket0,
-    overlap,
     rotate_photons,
     rotation_operator,
-    tensor,
 )
 from .transcript import render_transcripts
 
@@ -244,8 +242,8 @@ class _OutFile:
     def __enter__(self) -> _OutFile:
         return self
 
-    def write(self, text: str) -> None:
-        """Replace the file's bytes with ``text`` and close it."""
+    def write(self, chunks: Iterable[str]) -> None:
+        """Replace the file's bytes with ``chunks``, written in order, and close it."""
         if self.fh is None:
             return
         try:
@@ -255,7 +253,7 @@ class _OutFile:
                 # file has old bytes to drop.
                 if not self.created and stat.S_ISREG(os.fstat(fd).st_mode):
                     os.ftruncate(fd, 0)
-                self.fh.write(text)
+                self.fh.writelines(chunks)
         except OSError as exc:
             raise ConfigError(f"--out {self.path}: {exc.strerror}")
         self.written = True
@@ -308,7 +306,7 @@ def _write_transcripts(
         yield batch
 
 
-def cmd_run(args) -> tuple[int, str]:
+def cmd_run(args) -> tuple[int, list[str]]:
     scenario = load_scenario(args.config)
     config = scenario.protocol
     if args.seed is not None:
@@ -336,13 +334,13 @@ def cmd_run(args) -> tuple[int, str]:
             text = report.to_csv()
         else:
             text = report.to_text()
-        out.write(text)
+        out.write([text])
 
     if report.first_detection_pass_rate < 1.0:
         # Every supported attack kind escapes detection; a failure here means
         # the honest expectation was violated.
-        return EXIT_DETECTION, text
-    return EXIT_OK, text
+        return EXIT_DETECTION, [text]
+    return EXIT_OK, [text]
 
 
 DEFAULT_GRID = SweepGrid(
@@ -352,13 +350,14 @@ DEFAULT_GRID = SweepGrid(
 )
 
 
-def cmd_sweep(args) -> tuple[int, str]:
+def cmd_sweep(args) -> tuple[int, Iterator[str]]:
     scenario = load_scenario(args.config)
     with _OutFile(args.out) as out:
         grid = scenario.grid or DEFAULT_GRID
-        text = sweep_table(grid, sweep(grid))
-        out.write(text)
-    return EXIT_OK, text
+        # Formatted as it is written, after the sweep: a failed sweep leaves --out as it was.
+        table = sweep_table(grid, sweep(grid))
+        out.write(table)
+    return EXIT_OK, table
 
 
 @dataclass(frozen=True)
@@ -415,16 +414,16 @@ def _criterion_1() -> list[Fixture]:
 
 
 def _criterion_2() -> list[Fixture]:
-    """100 random entanglers (ancilla dim 2/4/8) x 20 random photon angles."""
+    """100 random entanglers (ancilla dim 2/4/8) x 20 random photon angles;
+    the entanglers of each dimension are one stack."""
     rng = np.random.default_rng(20260823)
     specs, thetas = [], []
-    inv_err = 0.0
     for i in range(100):
-        spec = random_entangler_spec(rng, ancilla_dim=(2, 4, 8)[i % 3])
-        ent = build_entangler(spec)
-        inv_err = max(inv_err, float(np.max(np.abs(ent.conj().T @ ent - np.eye(ent.shape[0])))))
-        specs.append(spec)
+        specs.append(random_entangler_spec(rng, ancilla_dim=(2, 4, 8)[i % 3]))
         thetas.append(rng.uniform(0.0, 2 * np.pi, 20))
+    stacks = [build_entanglers(*spec_arrays(specs[i::3])) for i in range(3)]
+    inv_err = max(float(np.abs(e.conj().swapaxes(-1, -2) @ e - np.eye(e.shape[-1])).max())
+                  for e in stacks)
     max_td = float(indistinguishability(specs, thetas).max())
     return [
         Fixture("ancilla-indistinguishability", max_td, 1e-10),
@@ -545,11 +544,12 @@ def _criterion_6() -> list[Fixture]:
         ua, ub = rotation_operator(a), rotation_operator(b)
         max_add = max(max_add, float(np.max(np.abs(ua @ ub - rotation_operator(a + b)))))
         max_comm = max(max_comm, float(np.linalg.norm(ua @ ub - ub @ ua)))
-    worst = 1.0
-    for theta in rng.uniform(0.0, 2 * np.pi, size=100):
-        encoded = State(MINUS_I_SIGMA_Y @ rotation_operator(theta) @ ket0().amps)
-        shifted = State(rotation_operator(theta + ENCODING_SHIFT) @ ket0().amps)
-        worst = min(worst, abs(overlap(encoded, shifted)))
+    # U(theta)|0> encoded as encode_message does it, against U(theta + ENCODING_SHIFT)|0>.
+    thetas = rng.uniform(0.0, 2 * np.pi, size=100)
+    photons = np.tile(np.array([1, 0], dtype=complex), (len(thetas), 1))
+    encoded = apply_photon_op(rotate_photons(photons, thetas), MINUS_I_SIGMA_Y)
+    shifted = rotate_photons(photons, thetas + ENCODING_SHIFT)
+    worst = float(np.abs(np.sum(encoded.conj() * shifted, axis=1)).min())
     # The canonicalized special-case angle reproduces the encoding rotation.
     qg = qgwz_spec(_bell())
     return [
@@ -572,22 +572,28 @@ def _criterion_6() -> list[Fixture]:
 
 def _criterion_7() -> list[Fixture]:
     """The derived entangler against the controlled-controlled -i*sigma_y
-    circuit on 100 random (ancilla, photon) inputs, both completions."""
+    circuit on 100 random (ancilla, photon) inputs, both completions: the
+    inputs of each completion go through one stack of entanglers."""
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for i in range(100):
+    ancillas, photons = [], []
+    for _ in range(100):
         anc = rng.normal(size=4) + 1j * rng.normal(size=4)
-        ancilla = State(anc / np.linalg.norm(anc))
+        ancillas.append(anc / np.linalg.norm(anc))
         chi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        photon = State(chi / np.linalg.norm(chi))
-        spec = qgwz_spec(ancilla)
-        entangler = build_entangler(spec, completion=("forward", "reversed")[i % 2])
+        photons.append(chi / np.linalg.norm(chi))
+    ancillas, photons = np.array(ancillas), np.array(photons)
+    worst = 0.0
+    for first, completion in enumerate(("forward", "reversed")):
+        fields = spec_arrays([qgwz_spec(State(anc)) for anc in ancillas[first::2]])
+        photon = photons[first::2, None, :]
         # Both realize the same physical joint state: the entangler acts on the
         # attacker's |eps> (x) photon input, the circuit on the full prepared
         # ancilla (x) photon input; the resulting amplitudes must coincide.
-        via_entangler = entangler @ tensor(spec.epsilon, photon).amps
-        via_circuit = CCY_CIRCUIT @ tensor(ancilla, photon).amps
-        worst = max(worst, float(np.max(np.abs(via_entangler - via_circuit))))
+        # Each input is one (8, 1) column, so each product is a matrix-vector one.
+        kept = (fields[0][:, :, None] * photon).reshape(len(photon), -1, 1)
+        prepared = (ancillas[first::2, :, None] * photon).reshape(kept.shape)
+        via_entangler = build_entanglers(*fields, completion) @ kept
+        worst = max(worst, float(np.abs(via_entangler - CCY_CIRCUIT @ prepared).max()))
     return [Fixture("entangler-vs-circuit", worst, 1e-10)]
 
 
@@ -648,7 +654,7 @@ FIXTURES = {
 }
 
 
-def cmd_verify(args) -> tuple[int, str]:
+def cmd_verify(args) -> tuple[int, list[str]]:
     lines = []
     failures = 0
     for criterion, group in FIXTURES.items():
@@ -661,8 +667,8 @@ def cmd_verify(args) -> tuple[int, str]:
                 f"margin={fx.tolerance - fx.value:.3e}\n"
             )
     if failures:
-        return EXIT_INVARIANT, "".join(lines) + f"{failures} fixture(s) failed\n"
-    return EXIT_OK, "".join(lines) + "all fixtures passed\n"
+        return EXIT_INVARIANT, lines + [f"{failures} fixture(s) failed\n"]
+    return EXIT_OK, lines + ["all fixtures passed\n"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -716,14 +722,14 @@ def _discard_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    """Run one command, write its output, and return its exit code.
-    ``-h``/``--help`` prints usage and exits 0 (``SystemExit``)."""
+    """Run one command, write its output, a sequence of strings, and return
+    its exit code. ``-h``/``--help`` prints usage and exits 0 (``SystemExit``)."""
     try:
         args = build_parser().parse_args(argv)
         # Looked up on every call, so a handler replaced after the parser
         # was built (by a tracer or a test) is the one that runs.
         command = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify}[args.command]
-        code, text = command(args)
+        code, chunks = command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -734,7 +740,8 @@ def main(argv=None) -> int:
         # The command has written its output to the --out file.
         return code
     try:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader of stdout has exited (`qsslab sweep ... | head -n 1`).

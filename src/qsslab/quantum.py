@@ -2,7 +2,8 @@
 
 Conventions (fixed and tested):
 - qubit index 0 is the most significant bit of the amplitude index,
-  so ``tensor(a, b)`` is a plain Kronecker product and ``|10>`` has index 2.
+  so a joint state is a plain Kronecker product (``np.kron``) and ``|10>``
+  has index 2.
 - rotations are real y-axis rotations ``U(t) = [[cos t, -sin t], [sin t, cos t]]``,
   which compose additively: ``U(a) @ U(b) = U(a + b)``.
 - all angles are canonicalized to [0, 2*pi).
@@ -101,14 +102,6 @@ def basis_state(num_qubits: int, index: int) -> State:
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
     return State(amps)
-
-
-def ket0(num_qubits: int = 1) -> State:
-    return basis_state(num_qubits, 0)
-
-
-def tensor(a: State, b: State) -> State:
-    return State((a.amps[:, None] * b.amps[None, :]).reshape(-1))
 
 
 def check_unitary(op: np.ndarray) -> None:
@@ -226,10 +219,3 @@ def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.n
     kept = np.where(zero[:, None], m[:, :, 0], m[:, :, 1])
     check_norms(kept / np.sqrt(probs)[:, None])
     return outcomes, probs
-
-
-def overlap(a: State, b: State) -> complex:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
-

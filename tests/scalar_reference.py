@@ -7,9 +7,13 @@ partial trace, trace distance, equality up to a global phase, the
 controlled-controlled-(-i*sigma_y) gate of the attack, the product
 splitter, and the joint-state distance of an attacker who keeps the photon.
 The tests check the engine against them. ``counterfactual_joint_distance``
-runs on the engine's own ``_encoded_rows``, ``_per_ancilla_dim`` and
-``_trace_distances``, so it computes the same bits as it did inside
-``qsslab.analysis``.
+runs on the engine's own ``_encoded_rows`` and ``_trace_distances``, with
+its specs grouped by ancilla dimension as ``_per_ancilla_dim`` did inside
+``qsslab.analysis``, so it computes the same bits as it did there.
+
+``ket0``, ``tensor`` and ``overlap`` are the earlier one-``State`` helpers:
+the zero state, the Kronecker product of two states, and their inner
+product. The package builds and compares its rows as arrays.
 
 ``_complete_basis`` and ``_build_entangler`` are the earlier entangler
 builder, one spec at a time by Gram-Schmidt, kept verbatim but for the
@@ -26,7 +30,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from qsslab.analysis import SweepGrid, _encoded_rows, _per_ancilla_dim, _trace_distances
+from qsslab.analysis import SweepGrid, _encoded_rows, _trace_distances
 from qsslab.attack import EntanglerSpec, build_entanglers, spec_arrays
 from qsslab.quantum import (
     ATOL_STATE,
@@ -35,9 +39,22 @@ from qsslab.quantum import (
     State,
     basis_state,
     check_unitary,
-    overlap,
     rotation_operator,
 )
+
+
+def ket0(num_qubits: int = 1) -> State:
+    return basis_state(num_qubits, 0)
+
+
+def tensor(a: State, b: State) -> State:
+    return State((a.amps[:, None] * b.amps[None, :]).reshape(-1))
+
+
+def overlap(a: State, b: State) -> complex:
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return complex(np.vdot(a.amps, b.amps))
 
 
 def apply_controlled(state: State, controls: list[int], target: int, op: np.ndarray) -> State:
@@ -119,6 +136,28 @@ def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
     if s[0] < 1.0 - 1e-8:
         raise InvariantError(f"state is not a product (leading Schmidt weight {s[0]})")
     return State(u[:, 0]), State(s[0] * vh[0, :])
+
+
+def _per_ancilla_dim(kernel, specs, thetas) -> np.ndarray:
+    """``kernel(specs, thetas)`` evaluated on the specs of each ancilla
+    dimension as one stack, gathered into one (S, T) array in spec order.
+
+    ``thetas`` is one (T,) vector shared by every spec or one (S, T) row per
+    spec."""
+    specs = list(specs)
+    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.broadcast_to(thetas, (len(specs), thetas.shape[-1]))
+    dims = [spec.ancilla_dim for spec in specs]
+    if len(set(dims)) == 1:
+        # One dimension: the kernel's own result, its angles in the C order
+        # a gather would give them (``np.cos`` of a strided array can differ
+        # in the last bit).
+        return kernel(specs, np.ascontiguousarray(thetas))
+    out = np.empty(thetas.shape)
+    for d in set(dims):
+        idx = [i for i, dim in enumerate(dims) if dim == d]
+        out[idx] = kernel([specs[i] for i in idx], thetas[idx])
+    return out
 
 
 def _joint_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,23 @@ def test_single_dimension_rows_are_the_bytes_of_a_mixed_call(rng):
             assert single.dtype == np.float64 and single.shape == (len(idx), 7)
             assert single.flags.writeable and single.flags.c_contiguous
             assert single.tobytes() == mixed[idx].tobytes()
+
+
+def test_indistinguishability_of_no_specs():
+    for thetas in ([0.1, 0.2, 0.3], np.empty((0, 3))):
+        tds = indistinguishability([], thetas)
+        assert tds.dtype == np.float64 and tds.shape == (0, 3)
+
+
+@pytest.mark.parametrize("dims", [(4,), (2, 4, 8)])
+def test_strided_angles_give_the_bytes_of_a_contiguous_copy(rng, dims):
+    # ``np.cos`` of a strided array can differ in the last bit from that of
+    # a contiguous one; every group's angles are gathered in C order first.
+    specs = [random_entangler_spec(rng, ancilla_dim=dims[i % len(dims)]) for i in range(9)]
+    thetas = rng.uniform(-10.0, 20.0, (9, 64))[:, ::2]
+    assert not thetas.flags.c_contiguous
+    expected = indistinguishability(specs, np.ascontiguousarray(thetas))
+    assert indistinguishability(specs, thetas).tobytes() == expected.tobytes()
 
 
 def test_counterfactual_pipeline_is_sensitive(rng):
@@ -257,7 +275,24 @@ def test_sweep_rejects_non_finite_angles(theta_prime, theta):
 
 def test_sweep_table_format():
     grid = SweepGrid((0.5,), (0.5,), (1.0,))
-    text = sweep_table(grid, sweep(grid))
+    text = "".join(sweep_table(grid, sweep(grid)))
     lines = text.strip().splitlines()
     assert lines[0] == "theta_prime,alpha_sq,theta,trace_distance,helstrom"
     assert len(lines) == 2
+
+
+def test_large_sweep_table_streams_in_less_memory_than_its_text():
+    # 100 x 100 x 20 = 200,000 points, about 16 MB of text. Written block by
+    # block, no more than a block is held at once: the traced peak of
+    # formatting the whole table stays below the table's own size.
+    grid = SweepGrid(tuple(np.linspace(0.0, 4.0, 100)), tuple(np.linspace(0.0, 1.0, 100)),
+                     tuple(np.linspace(0.0, 6.0, 20)), 2)
+    tds = sweep(grid)
+    tracemalloc.start()
+    try:
+        size = sum(map(len, sweep_table(grid, tds)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 15_000_000
+    assert peak < size

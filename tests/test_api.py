@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "canonical_angle",
     "helstrom_bound",
     "indistinguishability",
-    "ket0",
     "monte_carlo",
     "qgwz_spec",
     "random_entangler_spec",
@@ -52,7 +51,6 @@ PUBLIC_NAMES = [
     "run_protocol_batch",
     "summarize",
     "sweep",
-    "tensor",
 ]
 
 ROW_VIEW_NAMES = [
@@ -76,6 +74,10 @@ REFERENCE_NAMES = [
     "_complete_basis",
     "_build_entangler",
     "grid_specs",
+    "tensor",
+    "overlap",
+    "ket0",
+    "_per_ancilla_dim",
 ]
 
 
@@ -88,6 +90,24 @@ def test_public_names_are_pinned_and_resolve():
 @pytest.mark.parametrize("module", [qsslab, quantum, attack, analysis, protocol, cli, transcript])
 def test_scalar_reference_is_not_in_the_package(module):
     assert [name for name in REFERENCE_NAMES if hasattr(module, name)] == []
+
+
+def test_reference_names_resolve_in_the_reference():
+    import scalar_reference
+
+    assert [name for name in REFERENCE_NAMES if not hasattr(scalar_reference, name)] == []
+
+
+def test_no_per_operator_path_in_src():
+    # The exact analysis and verify run on entangler stacks; the one-State
+    # helpers and the per-spec grouping are defined and named nowhere in src/.
+    gone = {"_per_ancilla_dim", "_spec_distances", "tensor", "overlap", "ket0"}
+    found = []
+    for path in sorted((ROOT / "src" / "qsslab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, attr, None) for attr in ("id", "name", "attr", "arg")}
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & gone]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", [qsslab, quantum, attack, analysis, protocol, cli, transcript])

@@ -21,19 +21,19 @@ from qsslab.quantum import (
     apply_unitary,
     basis_state,
     canonical_angle,
-    ket0,
-    overlap,
     rotation_operator,
     rotate_photons,
-    tensor,
 )
 
 from conftest import random_state
 from scalar_reference import (
     apply_ccy,
     global_phase_equal,
+    ket0,
+    overlap,
     partial_trace,
     split_product,
+    tensor,
     trace_distance,
 )
 
@@ -76,6 +76,36 @@ def test_spec_rejects_nonorthogonal_ancillas():
     long_eps = State(basis_state(2, 0).amps * np.sqrt(1 + 1e-10))
     with pytest.raises(InvariantError, match="must be orthonormal"):
         EntanglerSpec(long_eps, basis_state(2, 3), 0.6, 0.8, 0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", np.array([1.0, 0.0])),
+    ("epsilon", None),
+    ("epsilon_perp", [0.0, 1.0]),
+    ("theta_prime", "x"),
+    ("theta_prime", None),
+    ("theta_prime", 1j),
+    ("alpha", "x"),
+    ("alpha", [1, 0]),
+    ("alpha", None),
+    ("alpha", True),
+    ("beta", "0.8"),
+], ids=lambda v: str(v)[:20])
+def test_spec_refuses_a_field_of_the_wrong_type(field, value):
+    # Refused by the spec's own check, naming the field, as its other checks
+    # are: never an AttributeError, TypeError or ValueError.
+    fields = dict(epsilon=basis_state(1, 0), epsilon_perp=basis_state(1, 1),
+                  alpha=0.6, beta=0.8, theta_prime=0.5)
+    fields[field] = value
+    with pytest.raises(InvariantError, match=f"^{field} must be of type "):
+        EntanglerSpec(**fields)
+
+
+def test_spec_takes_numpy_scalars():
+    spec = EntanglerSpec(basis_state(1, 0), basis_state(1, 1),
+                         np.complex128(0.6), np.float64(0.8), np.int64(1))
+    assert (spec.alpha, spec.beta, spec.theta_prime) == (0.6, 0.8, 1.0)
+    assert type(spec.alpha) is complex and type(spec.theta_prime) is float
 
 
 def test_spec_rejects_dim_mismatch():
@@ -396,11 +426,11 @@ def test_disentangle_round_trip_both_bits(rng):
             if m == 1:
                 st = apply_unitary(st, MINUS_I_SIGMA_Y)
             separated = apply_unitary(st, ent.conj().T)
-            ancilla, photon = split_product(separated, spec.ancilla_qubits)
+            ancilla, photon = split_product(separated, spec.epsilon.num_qubits)
             assert abs(abs(overlap(ancilla, spec.epsilon)) - 1.0) <= 1e-8
             expected = chi_state(theta) if m == 0 else State(MINUS_I_SIGMA_Y @ chi_state(theta).amps)
             assert global_phase_equal(photon, expected, tol=1e-8)
-            rhos[m] = partial_trace(separated, list(range(spec.ancilla_qubits)))
+            rhos[m] = partial_trace(separated, list(range(spec.epsilon.num_qubits)))
         assert trace_distance(rhos[0], rhos[1]) <= 1e-10
 
 

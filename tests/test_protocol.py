@@ -30,14 +30,13 @@ from qsslab.quantum import (
     State,
     apply_photon_op,
     canonical_angles,
-    ket0,
     rotation_operator,
     rotate_photons,
 )
 from qsslab.transcript import InvariantPhaseError, Transcript, render_transcripts
 
 from conftest import transcript_of
-from scalar_reference import global_phase_equal, grid_specs
+from scalar_reference import global_phase_equal, grid_specs, ket0
 
 
 def small_config(**kw):

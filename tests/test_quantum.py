@@ -17,16 +17,21 @@ from qsslab.quantum import (
     canonical_angles,
     check_norms,
     check_unitary,
-    ket0,
     measure_photons_z,
     rotate_photons,
     rotation_operator,
     sample_outcomes,
-    tensor,
 )
 
 from conftest import projector, random_state, random_unitary
-from scalar_reference import apply_controlled, global_phase_equal, partial_trace, trace_distance
+from scalar_reference import (
+    apply_controlled,
+    global_phase_equal,
+    ket0,
+    partial_trace,
+    tensor,
+    trace_distance,
+)
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 

@@ -2,7 +2,7 @@
 
 ``analysis.sweep`` evaluates a grid in chunks of stacked specs, one
 ``_ancilla_distances`` call per chunk, and ``analysis.sweep_table``
-formats the whole table in one ``%`` operation. Their trace distances must
+formats the table in blocks of lines, one ``%`` operation each. Their trace distances must
 equal, and their tables match byte for byte, those of the reference below:
 the earlier per-spec path, one kernel call per (theta', alpha^2) spec and one
 f-string per table line, kept here verbatim with its own kernel.
@@ -144,7 +144,22 @@ def test_sweep_matches_reference(grid):
     assert tds.shape == (len(grid.theta_prime_values) * len(grid.alpha_sq_values),
                          len(grid.theta_values))
     assert tds.ravel().tolist() == [r.trace_distance for r in rows]
-    assert analysis.sweep_table(grid, tds) == sweep_table(rows)
+    assert "".join(analysis.sweep_table(grid, tds)) == sweep_table(rows)
+
+
+@pytest.mark.parametrize("block_lines", [1, 4, 7, 13])
+def test_table_blocks_match_reference(monkeypatch, block_lines):
+    # 2 x 2 x 3 points: blocks of one line, a short last block, blocks that
+    # end exactly at the table's end, and one block for the whole table.
+    grid = random_grid(40, 4, (2, 2, 3))
+    rows = sweep(grid)
+    monkeypatch.setattr(analysis, "_TABLE_BLOCK_LINES", block_lines)
+    blocks = list(analysis.sweep_table(grid, analysis.sweep(grid)))
+    assert blocks[0] == "theta_prime,alpha_sq,theta,trace_distance,helstrom\n"
+    lines = [block.count("\n") for block in blocks[1:]]
+    assert sum(lines) == len(rows) and max(lines) <= block_lines
+    assert lines[:-1] == [block_lines] * (len(lines) - 1)
+    assert "".join(blocks) == sweep_table(rows)
 
 
 @pytest.mark.parametrize("chunk_points, shape, calls", [
@@ -176,4 +191,4 @@ def test_chunks_match_reference(monkeypatch, chunk_points, shape, calls):
     assert len(chunks) == calls
     assert max(chunks) <= analysis._SWEEP_CHUNK_POINTS and sum(chunks) == len(rows)
     assert tds.ravel().tolist() == [r.trace_distance for r in rows]
-    assert analysis.sweep_table(grid, tds) == sweep_table(rows)
+    assert "".join(analysis.sweep_table(grid, tds)) == sweep_table(rows)
