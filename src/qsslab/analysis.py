@@ -27,8 +27,8 @@ from .protocol import (
     run_protocol_batch,
 )
 from .quantum import (
-    MINUS_I_SIGMA_Y,
-    apply_photon_op,
+    ATOL_STATE,
+    InvariantError,
     # Not called in this module; kept importable because qssbench/selftest.py
     # checks that the benchmark's tracer patches it here.
     apply_unitary,  # noqa: F401
@@ -53,8 +53,9 @@ REPORT_FIELDS = (
 THETA_SAMPLES = 20
 
 # Most grid points that one stacked kernel call of ``sweep`` evaluates. The
-# intermediates of a call peak at about 3.7 KB per point at d = 8 (0.46 MB
-# for a full chunk), whatever the size of the grid.
+# intermediates of a call peak, at d = 8, at about 0.6-0.9 KB per point when
+# each spec has 10 or more angles and 4.4 KB per point (0.56 MB for a full
+# chunk) when each has one, whatever the size of the grid.
 _SWEEP_CHUNK_POINTS = 128
 
 # Most lines of a sweep table formatted at once. Formatting a block peaks at
@@ -66,8 +67,8 @@ _TABLE_BLOCK_LINES = 4096
 # so its time follows its point count and its memory the 8 bytes a point
 # of its trace distances.
 # Measured with `qsslab sweep --out` at d = 8 (Xeon, 2 cores, Python 3.11,
-# numpy 2.4): 1000 x 1000 x 1 took 12.7 s at a peak RSS of 42 MB, and
-# 100 x 100 x 100 took 4.0 s at 41 MB.
+# numpy 2.4): 1000 x 1000 x 1 took 14.2 s at a peak RSS of 41 MB, and
+# 100 x 100 x 100 took 2.1 s at 40 MB.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -88,37 +89,71 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _encoded_rows(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray):
-    """The joint (ancilla, photon) rows E(|eps> (x) U(theta)|0>) with message
-    bit 0 and bit 1 encoded on the photon, shape (2, S, T, 2d), for S specs
-    of one ancilla dimension given by their |eps> (S, d) and entanglers E
-    (S, 2d, 2d), and their (S, T) angles."""
-    chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-    joint = (epsilon[:, None, :, None] * chi[:, :, None, :]).reshape(*thetas.shape, -1)
-    # One matrix-vector product per row, as a batched matmul. The row form
-    # ``joint @ E.T`` is one gemm whose results differ in the last bits, and
-    # so would break the byte-pinned sweep tables and reports.
-    bit0 = (entanglers[:, None] @ joint[..., None])[..., 0]
-    return np.stack([bit0, apply_photon_op(bit0, MINUS_I_SIGMA_Y)])
+# Most weight that an evaluated photon may leave outside span(eps, eps_perp)
+# (x) C^2 after E^-1 (I (x) G) E before ``_ancilla_distances`` refuses it.
+# For an E that keeps that span, the weight outside, 1 - tr rho_b, is at
+# most 2 delta + 2 ||D|| to first order, for delta = ||E^dagger E - I|| and D
+# the pair's Gram matrix minus I. ``EntanglerSpec`` keeps |eta| + 4 ||D||
+# within ATOL_STATE, so that delta <= ATOL_STATE and ||D|| <= ATOL_STATE / 4:
+# the weight is at most 2.5 ATOL_STATE, and 4 ATOL_STATE leaves room for the
+# second-order terms and rounding.
+_SUPPORT_ATOL = 4 * ATOL_STATE
 
 
-def _trace_distances(rho: np.ndarray) -> np.ndarray:
-    """Trace distance between the bit-0 and bit-1 density matrices, per angle.
-    The difference is taken in place, in ``rho[0]``, to save a stack's copy."""
-    diff = rho[0]
-    diff -= rho[1]
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+def _ancilla_distances(
+    epsilon: np.ndarray, epsilon_perp: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray
+) -> np.ndarray:
+    """The trace distances (S, T) of ``indistinguishability`` for S specs of
+    one ancilla dimension d, given by their |eps> and |eps_perp> (S, d),
+    entanglers E (S, 2d, 2d) and (S, T) angles.
 
+    E maps span(eps, eps_perp) (x) C^2 into itself, so after E^-1 the ancilla
+    is a 2 x 2 density matrix in the (eps, eps_perp) basis. Each E is
+    contracted once: C = E((eps, eps_perp) (x) I), F = E(|eps> (x) I) its
+    first two columns, and W_b = C^dagger (I (x) G_b) F for the encodings
+    G_0 = I and G_1 = -i sigma_y. The photon (cos theta, sin theta) then
+    leaves K_b = W_b (cos theta, sin theta), an (ancilla, photon) 2 x 2
+    matrix, and rho_b = K_b K_b^dagger. The eigenvalues of the Hermitian
+    2 x 2 X = rho_0 - rho_1 are tr X / 2 +- r, for
+    r = sqrt(((x00 - x11) / 2)^2 + |x01|^2), so its trace distance is the
+    larger of |tr X| / 2 and r.
 
-def _ancilla_distances(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """The trace distances (S, T) of ``indistinguishability`` for S specs
-    given as in ``_encoded_rows``."""
-    rows = _encoded_rows(epsilon, entanglers, thetas)
-    # E^-1 in the same matrix-vector form. Read as a d x 2 (ancilla, photon)
-    # matrix M, each row gives the ancilla's reduced state M M^dagger.
-    inverses = entanglers.conj().swapaxes(-1, -2)[:, None]
-    m = (inverses @ rows[..., None]).reshape(*rows.shape[:3], -1, 2)
-    return _trace_distances(m @ m.conj().swapaxes(-1, -2))
+    Only ``np.einsum`` without ``optimize`` and elementwise ops: no LAPACK
+    and no BLAS product, so the bits do not follow the host's BLAS kernel.
+    Raises ``InvariantError`` when a photon leaves more than
+    ``_SUPPORT_ATOL`` of its weight outside span(eps, eps_perp) (x) C^2.
+    """
+    n_specs, d = epsilon.shape
+    # (eps, eps_perp) (x) I, transposed: row (k, q) holds |k> (x) |q>. With
+    # its zeros, the contraction runs along E's contiguous last axis, at
+    # about twice the speed; the zero terms leave every sum as it was.
+    frame = np.zeros((n_specs, 2, 2, d, 2), dtype=complex)
+    frame[:, :, 0, :, 0] = frame[:, :, 1, :, 1] = np.stack([epsilon, epsilon_perp], axis=1)
+    # c[s, y]: column y = (k, q) of C, as (ancilla a, photon p) amplitudes.
+    c = np.einsum("syj,sxj->syx", frame.reshape(n_specs, 4, 2 * d), entanglers, optimize=False)
+    # (I (x) -i sigma_y) F flips F's photon p and negates the new p = 0.
+    f = c[:, :2].reshape(n_specs, 2, d, 2)
+    encoded = np.stack([f, f[..., ::-1] * np.array([-1.0, 1.0])]).reshape(2, n_specs, 2, 2 * d)
+    # w[b, s, q]: column q of W_b, its entries (ancilla k, photon r) as 2k + r.
+    w = np.einsum("syx,bsqx->bsqy", c.conj(), encoded, optimize=False)
+    # K_b as (real, imag) pairs: k[b, s, t] holds 4k + 2r + (0 or 1).
+    w = w.view(float)
+    k = (w[:, :, None, 0] * np.cos(thetas)[..., None]
+         + w[:, :, None, 1] * np.sin(thetas)[..., None])
+    diag = (k * k).reshape(*k.shape[:-1], 2, 4).sum(axis=-1)
+    leak = np.max(1.0 - diag.sum(axis=-1), initial=0.0)
+    if not leak <= _SUPPORT_ATOL:
+        raise InvariantError(
+            f"a photon leaves weight {leak:.3e} outside span(eps, eps_perp) (x) C^2 "
+            f"after the inverse entangler, more than {_SUPPORT_ATOL}"
+        )
+    rows = k.view(complex)
+    off = (rows[..., :2] * rows[..., 2:].conj()).sum(axis=-1)
+    x00, x11 = diag[0, ..., 0] - diag[1, ..., 0], diag[0, ..., 1] - diag[1, ..., 1]
+    x01 = off[0] - off[1]
+    half = (x00 - x11) / 2
+    r = np.sqrt(half * half + x01.real * x01.real + x01.imag * x01.imag)
+    return np.maximum(np.abs(x00 + x11) / 2, r)
 
 
 def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
@@ -139,7 +174,8 @@ def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
         fields = spec_arrays([specs[i] for i in idx])
         # The gather is a C-ordered copy: ``np.cos`` of a strided array can
         # differ in the last bit.
-        out[idx] = _ancilla_distances(fields[0], build_entanglers(*fields), thetas[idx])
+        out[idx] = _ancilla_distances(fields[0], fields[1], build_entanglers(*fields),
+                                      thetas[idx])
     return out
 
 
@@ -345,7 +381,7 @@ def sweep(grid: SweepGrid) -> np.ndarray:
         )
         for t in range(0, len(thetas), n_thetas):
             chunk = np.tile(thetas[t:t + n_thetas], (len(rows), 1))
-            tds[s:s + n_specs, t:t + n_thetas] = _ancilla_distances(kets[0], entanglers, chunk)
+            tds[s:s + n_specs, t:t + n_thetas] = _ancilla_distances(*kets, entanglers, chunk)
     return tds
 
 

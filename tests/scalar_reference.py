@@ -6,9 +6,15 @@ earlier one-``State``-at-a-time path, kept verbatim: controlled gates,
 partial trace, trace distance, equality up to a global phase, the
 controlled-controlled-(-i*sigma_y) gate of the attack, the product
 splitter, and the joint-state distance of an attacker who keeps the photon.
-The tests check the engine against them. ``counterfactual_joint_distance``
-runs on the engine's own ``_encoded_rows`` and ``_trace_distances``, with
-its specs grouped by ancilla dimension as ``_per_ancilla_dim`` did inside
+The tests check the engine against them.
+
+``eigvalsh_distances`` is the earlier trace-distance kernel of
+``qsslab.analysis``, kept verbatim with its ``_encoded_rows`` and
+``_trace_distances``: E and E^-1 on the full (ancilla, photon) rows, a
+batched M M^dagger and ``eigvalsh``. The closed form on span(eps, eps_perp)
+that replaced it is checked against it. ``counterfactual_joint_distance``
+runs on the same ``_encoded_rows`` and ``_trace_distances``, with its specs
+grouped by ancilla dimension as ``_per_ancilla_dim`` did inside
 ``qsslab.analysis``, so it computes the same bits as it did there.
 
 ``ket0``, ``tensor`` and ``overlap`` are the earlier one-``State`` helpers:
@@ -30,13 +36,14 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from qsslab.analysis import SweepGrid, _encoded_rows, _trace_distances
+from qsslab.analysis import SweepGrid
 from qsslab.attack import EntanglerSpec, build_entanglers, spec_arrays
 from qsslab.quantum import (
     ATOL_STATE,
     MINUS_I_SIGMA_Y,
     InvariantError,
     State,
+    apply_photon_op,
     basis_state,
     check_unitary,
     rotation_operator,
@@ -136,6 +143,45 @@ def split_product(joint: State, ancilla_qubits: int) -> tuple[State, State]:
     if s[0] < 1.0 - 1e-8:
         raise InvariantError(f"state is not a product (leading Schmidt weight {s[0]})")
     return State(u[:, 0]), State(s[0] * vh[0, :])
+
+
+# ``analysis._ancilla_distances`` and ``eigvalsh_distances`` agree to
+# rounding: about 1e-15, for trace distances up to 1.
+EIGVALSH_TOL = 1e-12
+
+
+def _encoded_rows(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray):
+    """The joint (ancilla, photon) rows E(|eps> (x) U(theta)|0>) with message
+    bit 0 and bit 1 encoded on the photon, shape (2, S, T, 2d), for S specs
+    of one ancilla dimension given by their |eps> (S, d) and entanglers E
+    (S, 2d, 2d), and their (S, T) angles."""
+    chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+    joint = (epsilon[:, None, :, None] * chi[:, :, None, :]).reshape(*thetas.shape, -1)
+    # One matrix-vector product per row, as a batched matmul. The row form
+    # ``joint @ E.T`` is one gemm whose results differ in the last bits, and
+    # so would break the byte-pinned sweep tables and reports.
+    bit0 = (entanglers[:, None] @ joint[..., None])[..., 0]
+    return np.stack([bit0, apply_photon_op(bit0, MINUS_I_SIGMA_Y)])
+
+
+def _trace_distances(rho: np.ndarray) -> np.ndarray:
+    """Trace distance between the bit-0 and bit-1 density matrices, per angle.
+    The difference is taken in place, in ``rho[0]``, to save a stack's copy."""
+    diff = rho[0]
+    diff -= rho[1]
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+
+
+def eigvalsh_distances(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The earlier ``analysis._ancilla_distances``: the trace distances (S, T)
+    of ``indistinguishability`` for S specs given as in ``_encoded_rows``,
+    by E^-1 on the full rows, a batched M M^dagger and ``eigvalsh``."""
+    rows = _encoded_rows(epsilon, entanglers, thetas)
+    # E^-1 in the same matrix-vector form. Read as a d x 2 (ancilla, photon)
+    # matrix M, each row gives the ancilla's reduced state M M^dagger.
+    inverses = entanglers.conj().swapaxes(-1, -2)[:, None]
+    m = (inverses @ rows[..., None]).reshape(*rows.shape[:3], -1, 2)
+    return _trace_distances(m @ m.conj().swapaxes(-1, -2))
 
 
 def _per_ancilla_dim(kernel, specs, thetas) -> np.ndarray:

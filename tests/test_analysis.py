@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qsslab import analysis
 from qsslab.analysis import (
     SweepGrid,
     helstrom_bound,
@@ -16,12 +17,25 @@ from qsslab.analysis import (
     sweep_table,
     wilson_interval,
 )
-from qsslab.attack import EntanglerSpec, GuessRule, qgwz_spec, random_entangler_spec
+from qsslab.attack import (
+    EntanglerSpec,
+    GuessRule,
+    build_entanglers,
+    qgwz_spec,
+    random_entangler_spec,
+    spec_arrays,
+)
 from qsslab.protocol import ConfigError, ProtocolConfig
-from qsslab.quantum import State, basis_state
+from qsslab.quantum import InvariantError, State, basis_state
 from qsslab.transcript import render_transcripts
 
-from scalar_reference import counterfactual_joint_distance, grid_specs
+from conftest import random_unitary
+from scalar_reference import (
+    EIGVALSH_TOL,
+    counterfactual_joint_distance,
+    eigvalsh_distances,
+    grid_specs,
+)
 
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -107,6 +121,59 @@ def test_counterfactual_pipeline_is_sensitive(rng):
     # confirms the indistinguishability test could detect a broken pipeline.
     spec = qgwz_spec(BELL)
     assert counterfactual_joint_distance([spec], [0.7])[0, 0] > 0.1
+
+
+@pytest.mark.parametrize("completion", ["forward", "reversed"])
+def test_kernel_matches_eigvalsh_reference_on_random_specs(completion):
+    # 150 specs, 50 of each ancilla dimension, on either completion.
+    rng = np.random.default_rng(2901)
+    for dim in (2, 4, 8):
+        fields = spec_arrays([random_entangler_spec(rng, ancilla_dim=dim) for _ in range(50)])
+        entanglers = build_entanglers(*fields, completion)
+        thetas = rng.uniform(0.0, 2 * np.pi, (50, 8))
+        got = analysis._ancilla_distances(fields[0], fields[1], entanglers, thetas)
+        want = eigvalsh_distances(fields[0], entanglers, thetas)
+        assert np.abs(got - want).max() <= EIGVALSH_TOL
+
+
+def leaky_block(rng: np.random.Generator, dim: int):
+    """|eps>, |eps_perp> and E = (V (x) I)(U (+) I)(V (x) I)^dagger for V a
+    Haar-random ancilla basis whose first two columns are |eps> and
+    |eps_perp> and U a Haar-random 4 x 4 unitary: E keeps
+    span(eps, eps_perp) (x) C^2, but is no member of the attack family, so
+    the bit shows in the ancilla."""
+    basis = random_unitary(rng, dim)
+    block = np.eye(2 * dim, dtype=complex)
+    block[:4, :4] = random_unitary(rng, 4)
+    frame = np.kron(basis, np.eye(2))
+    return basis[:, 0], basis[:, 1], frame @ block @ frame.conj().T
+
+
+def test_kernel_matches_eigvalsh_reference_on_leaky_blocks():
+    # The positive control: these trace distances are far from 0, so a
+    # kernel that returned 0 for everything would fail here.
+    rng = np.random.default_rng(2902)
+    largest = 0.0
+    for i in range(120):
+        eps, perp, entangler = leaky_block(rng, (2, 4, 8)[i % 3])
+        thetas = rng.uniform(0.0, 2 * np.pi, (1, 8))
+        got = analysis._ancilla_distances(eps[None], perp[None], entangler[None], thetas)
+        want = eigvalsh_distances(eps[None], entangler[None], thetas)
+        assert np.abs(got - want).max() <= EIGVALSH_TOL
+        largest = max(largest, float(want.max()))
+    assert largest >= 0.5
+
+
+def test_kernel_refuses_weight_outside_the_span():
+    # A d = 4 unitary that, when the photon is |1>, turns |eps> = |0> by 0.3
+    # toward the third ancilla state |2>: encoded with -i sigma_y, the photon
+    # leaves sin(0.3)^2 of its weight on |2> after E^-1.
+    turn = np.eye(4, dtype=complex)
+    turn[[0, 2, 0, 2], [0, 2, 2, 0]] = np.cos(0.3), np.cos(0.3), -np.sin(0.3), np.sin(0.3)
+    entangler = np.kron(np.eye(4), np.diag([1.0, 0.0])) + np.kron(turn, np.diag([0.0, 1.0]))
+    eps, perp = np.eye(4, dtype=complex)[:2]
+    with pytest.raises(InvariantError, match="outside span"):
+        analysis._ancilla_distances(eps[None], perp[None], entangler[None], np.array([[0.4]]))
 
 
 def test_helstrom_relation():
@@ -282,7 +349,7 @@ def test_sweep_table_format():
 
 
 def test_large_sweep_table_streams_in_less_memory_than_its_text():
-    # 100 x 100 x 20 = 200,000 points, about 16 MB of text. Written block by
+    # 100 x 100 x 20 = 200,000 points, over 12 MB of text. Written block by
     # block, no more than a block is held at once: the traced peak of
     # formatting the whole table stays below the table's own size.
     grid = SweepGrid(tuple(np.linspace(0.0, 4.0, 100)), tuple(np.linspace(0.0, 1.0, 100)),
@@ -294,5 +361,12 @@ def test_large_sweep_table_streams_in_less_memory_than_its_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert size > 15_000_000
+    # The table's size is at least that of its grid columns, with every
+    # trace distance the shortest "0", its Helstrom bound "0.5", four commas
+    # and a newline.
+    axes = (grid.theta_prime_values, grid.alpha_sq_values, grid.theta_values)
+    floor = sum(tds.size // len(values) * sum(len("%.17g" % v) for v in values)
+                for values in axes)
+    floor += tds.size * len("0,0.5,,,,\n")
+    assert size >= floor > 12_000_000
     assert peak < size

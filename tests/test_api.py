@@ -78,6 +78,9 @@ REFERENCE_NAMES = [
     "overlap",
     "ket0",
     "_per_ancilla_dim",
+    "_encoded_rows",
+    "_trace_distances",
+    "eigvalsh_distances",
 ]
 
 

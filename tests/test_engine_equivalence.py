@@ -23,10 +23,16 @@ contractions replaced projector sets, and re-recorded when the closed-form
 entangler stack replaced the Gram-Schmidt build (only probabilities moved,
 each by at most 8.9e-16).
 
+The ``reports`` and ``sweep_sha256`` were re-recorded when the trace
+distances moved to the closed form on span(eps, eps_perp) (every value
+within 1e-12 of the earlier eigvalsh kernel; the qgwz report's
+``max_trace_distance`` went from 1.18e-16 to 0).
+
 Re-record only against a trusted engine:
 
     PYTHONPATH=src python tests/test_engine_equivalence.py --record
     PYTHONPATH=src python tests/test_engine_equivalence.py --record-transcripts
+    PYTHONPATH=src python tests/test_engine_equivalence.py --record-analysis
 """
 import hashlib
 import json
@@ -331,8 +337,22 @@ def record_transcripts():
     _write_golden({**golden, "transcripts_sha256": _transcript_digests(), "runs": runs})
 
 
+def record_analysis():
+    """Re-record only the outputs of the exact analysis, the reports and the
+    sweep digests, keeping the runs and the transcript digests."""
+    import tempfile
+
+    golden = _load()
+    runs = golden.pop("runs")
+    with tempfile.TemporaryDirectory() as tmp:
+        golden["reports"] = {path: cli_report(path, tmp)[1] for path in REPORT_CONFIGS}
+        golden["sweep_sha256"] = {path: cli_sweep_digest(path, tmp)[1] for path in REPORT_CONFIGS}
+    _write_golden({**golden, "runs": runs})
+
+
 if __name__ == "__main__":
-    modes = {"--record": record, "--record-transcripts": record_transcripts}
+    modes = {"--record": record, "--record-transcripts": record_transcripts,
+             "--record-analysis": record_analysis}
     if len(sys.argv) != 2 or sys.argv[1] not in modes:
         sys.exit(__doc__)
     modes[sys.argv[1]]()

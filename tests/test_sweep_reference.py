@@ -5,7 +5,9 @@
 formats the table in blocks of lines, one ``%`` operation each. Their trace distances must
 equal, and their tables match byte for byte, those of the reference below:
 the earlier per-spec path, one kernel call per (theta', alpha^2) spec and one
-f-string per table line, kept here verbatim with its own kernel.
+f-string per table line. The reference calls the package's kernel on one
+spec at a time; its values are also checked, within ``EIGVALSH_TOL``,
+against the earlier eigvalsh kernel, ``scalar_reference.eigvalsh_distances``.
 """
 import json
 import pathlib
@@ -16,44 +18,25 @@ import pytest
 
 from qsslab import analysis
 from qsslab.analysis import SweepGrid, helstrom_bound
-from qsslab.attack import EntanglerSpec, build_entangler
+from qsslab.attack import EntanglerSpec, build_entangler, build_entanglers, spec_arrays
 from qsslab.cli import DEFAULT_GRID
-from qsslab.quantum import MINUS_I_SIGMA_Y, apply_photon_op, basis_state
+from qsslab.quantum import basis_state
+
+from scalar_reference import EIGVALSH_TOL, eigvalsh_distances
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-# -- the reference: the per-spec sweep, verbatim --------------------------
-
-
-def _encoded_rows(spec: EntanglerSpec, thetas):
-    """The entangler E, and the joint (ancilla, photon) rows E(|eps> (x) U(theta)|0>)
-    with message bit 0 and bit 1 encoded on the photon, shape (2, len(thetas), 2d)."""
-    entangler = build_entangler(spec)
-    thetas = np.asarray(thetas, dtype=float)
-    chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    joint = (spec.epsilon.amps[None, :, None] * chi[:, None, :]).reshape(len(chi), -1)
-    # One matrix-vector product per row, as a batched matmul. The row form
-    # ``joint @ E.T`` is one gemm whose results differ in the last bits, and
-    # so would break the byte-pinned sweep tables and reports.
-    bit0 = (entangler @ joint[..., None])[..., 0]
-    return entangler, np.stack([bit0, apply_photon_op(bit0, MINUS_I_SIGMA_Y)])
-
-
-def _trace_distances(rho: np.ndarray) -> np.ndarray:
-    """Trace distance between the bit-0 and bit-1 density matrices, per angle."""
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho[0] - rho[1])), axis=1)
+# -- the reference: the per-spec sweep ------------------------------------
 
 
 def indistinguishability(spec: EntanglerSpec, thetas) -> np.ndarray:
-    """Trace distance between the attacker's post-inverse ancilla states
-    conditioned on message bit 0 vs 1, computed exactly at each photon angle
-    in ``thetas``; ``helstrom_bound`` of it is the best guessing probability."""
-    entangler, rows = _encoded_rows(spec, thetas)
-    # E^-1 in the same matrix-vector form. Read as a d x 2 (ancilla, photon)
-    # matrix M, each row gives the ancilla's reduced state M M^dagger.
-    m = (entangler.conj().T @ rows[..., None]).reshape(*rows.shape[:2], -1, 2)
-    return _trace_distances(m @ m.conj().swapaxes(-1, -2))
+    """The trace distances of one spec at ``thetas``: the package's kernel
+    on a stack of one."""
+    return analysis._ancilla_distances(
+        spec.epsilon.amps[None], spec.epsilon_perp.amps[None], build_entangler(spec)[None],
+        np.asarray(thetas, dtype=float)[None],
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -145,6 +128,12 @@ def test_sweep_matches_reference(grid):
                          len(grid.theta_values))
     assert tds.ravel().tolist() == [r.trace_distance for r in rows]
     assert "".join(analysis.sweep_table(grid, tds)) == sweep_table(rows)
+    specs = [grid_spec(grid, tp, a2) for tp in grid.theta_prime_values
+             for a2 in grid.alpha_sq_values]
+    thetas = np.tile(grid.theta_values, (len(specs), 1))
+    fields = spec_arrays(specs)
+    eigvalsh = eigvalsh_distances(fields[0], build_entanglers(*fields), thetas)
+    assert np.abs(tds - eigvalsh).max() <= EIGVALSH_TOL
 
 
 @pytest.mark.parametrize("block_lines", [1, 4, 7, 13])
@@ -179,8 +168,8 @@ def test_chunks_match_reference(monkeypatch, chunk_points, shape, calls):
     kernel = analysis._ancilla_distances
     chunks = []
 
-    def counted(epsilon, entanglers, thetas):
-        out = kernel(epsilon, entanglers, thetas)
+    def counted(*args):
+        out = kernel(*args)
         chunks.append(out.size)
         return out
 
