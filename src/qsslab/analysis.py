@@ -12,7 +12,7 @@ from .attack import (
     EntanglerSpec,
     EntanglingAdversary,
     GuessRule,
-    build_entanglers,
+    entangler_blocks,
     spec_arrays,
 )
 from .protocol import (
@@ -52,10 +52,11 @@ REPORT_FIELDS = (
 # trace distance for its report's max_trace_distance.
 THETA_SAMPLES = 20
 
-# Most grid points that one stacked kernel call of ``sweep`` evaluates. The
-# intermediates of a call peak, at d = 8, at about 0.6-0.9 KB per point when
-# each spec has 10 or more angles and 4.4 KB per point (0.56 MB for a full
-# chunk) when each has one, whatever the size of the grid.
+# Most grid points that one stacked kernel call of ``sweep`` evaluates. A
+# chunk builds only its (S, 4, 4) entangler blocks, so its peak in
+# tracemalloc does not depend on d: about 0.6 KB per point when each spec
+# has 10 or more angles and 1.5 KB per point (0.19 MB for a full chunk) when
+# each has one, whatever the size of the grid.
 _SWEEP_CHUNK_POINTS = 128
 
 # Most lines of a sweep table formatted at once. Formatting a block peaks at
@@ -63,12 +64,12 @@ _SWEEP_CHUNK_POINTS = 128
 _TABLE_BLOCK_LINES = 4096
 
 # Largest sweep grid, in points (theta' x alpha^2 x theta values). A sweep
-# builds its entanglers chunk by chunk and writes its table block by block,
-# so its time follows its point count and its memory the 8 bytes a point
-# of its trace distances.
+# builds its entangler blocks chunk by chunk and writes its table block by
+# block, so its time follows its point count and its memory the 8 bytes a
+# point of its trace distances.
 # Measured with `qsslab sweep --out` at d = 8 (Xeon, 2 cores, Python 3.11,
-# numpy 2.4): 1000 x 1000 x 1 took 14.2 s at a peak RSS of 41 MB, and
-# 100 x 100 x 100 took 2.1 s at 40 MB.
+# numpy 2.4): 1000 x 1000 x 1 took 4.0-4.6 s at a peak RSS of 40 MB, and
+# 100 x 100 x 100 took 2.1-2.3 s at 40 MB.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -89,63 +90,59 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# Most weight that an evaluated photon may leave outside span(eps, eps_perp)
-# (x) C^2 after E^-1 (I (x) G) E before ``_ancilla_distances`` refuses it.
-# For an E that keeps that span, the weight outside, 1 - tr rho_b, is at
-# most 2 delta + 2 ||D|| to first order, for delta = ||E^dagger E - I|| and D
-# the pair's Gram matrix minus I. ``EntanglerSpec`` keeps |eta| + 4 ||D||
-# within ATOL_STATE, so that delta <= ATOL_STATE and ||D|| <= ATOL_STATE / 4:
-# the weight is at most 2.5 ATOL_STATE, and 4 ATOL_STATE leaves room for the
-# second-order terms and rounding.
+# Most that the weight tr rho_b of an evaluated photon may move from 1
+# before ``_ancilla_distances`` refuses it. For a unit photon e on |eps>,
+# tr rho_b = ||B^dagger (Gamma (x) G_b) B e||^2, which lies within
+# 2 delta + 2 ||Gamma - I|| of 1 to first order, for delta = ||B^dagger B - I||.
+# A block of ``entangler_blocks`` has B^dagger B = (1 + eta) I for
+# |alpha|^2 + |beta|^2 = 1 + eta, and its unitarity check keeps |eta| within
+# ATOL_STATE; ``EntanglerSpec`` keeps |eta| + 4 ||Gamma - I|| within it, and a
+# sweep's pair has Gamma = I. So the weight moves by at most 2 ATOL_STATE,
+# and 4 ATOL_STATE leaves room for the second-order terms and rounding.
 _SUPPORT_ATOL = 4 * ATOL_STATE
 
 
-def _ancilla_distances(
-    epsilon: np.ndarray, epsilon_perp: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
-    """The trace distances (S, T) of ``indistinguishability`` for S specs of
-    one ancilla dimension d, given by their |eps> and |eps_perp> (S, d),
-    entanglers E (S, 2d, 2d) and (S, T) angles.
+def _ancilla_distances(gram: np.ndarray, blocks: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The trace distances (S, T) of ``indistinguishability`` for S specs,
+    given by the Gram matrices Gamma (S, 2, 2) of their pairs,
+    Gamma[k, l] = <k|l> for k, l in (eps, eps_perp), their entangler blocks
+    B (S, 4, 4) (``attack.entangler_blocks``) and (S, T) angles.
 
-    E maps span(eps, eps_perp) (x) C^2 into itself, so after E^-1 the ancilla
-    is a 2 x 2 density matrix in the (eps, eps_perp) basis. Each E is
-    contracted once: C = E((eps, eps_perp) (x) I), F = E(|eps> (x) I) its
-    first two columns, and W_b = C^dagger (I (x) G_b) F for the encodings
-    G_0 = I and G_1 = -i sigma_y. The photon (cos theta, sin theta) then
-    leaves K_b = W_b (cos theta, sin theta), an (ancilla, photon) 2 x 2
-    matrix, and rho_b = K_b K_b^dagger. The eigenvalues of the Hermitian
-    2 x 2 X = rho_0 - rho_1 are tr X / 2 +- r, for
-    r = sqrt(((x00 - x11) / 2)^2 + |x01|^2), so its trace distance is the
-    larger of |tr X| / 2 and r.
+    E V = V B for V = (eps, eps_perp) (x) I, so after E^-1 the ancilla is a
+    2 x 2 density matrix in the (eps, eps_perp) basis, and neither E nor d
+    enters. The photon comes in on |eps> (x) C^2, V's first two columns, so
+    W_b = (E V)^dagger (I (x) G_b) E V[:, :2] = B^dagger (Gamma (x) G_b) B[:, :2]
+    for the encodings G_0 = I and G_1 = -i sigma_y. The photon
+    (cos theta, sin theta) then leaves K_b = W_b (cos theta, sin theta), an
+    (ancilla, photon) 2 x 2 matrix, and rho_b = K_b K_b^dagger. The
+    eigenvalues of the Hermitian 2 x 2 X = rho_0 - rho_1 are tr X / 2 +- r,
+    for r = sqrt(((x00 - x11) / 2)^2 + |x01|^2), so its trace distance is
+    the larger of |tr X| / 2 and r.
 
     Only ``np.einsum`` without ``optimize`` and elementwise ops: no LAPACK
     and no BLAS product, so the bits do not follow the host's BLAS kernel.
-    Raises ``InvariantError`` when a photon leaves more than
-    ``_SUPPORT_ATOL`` of its weight outside span(eps, eps_perp) (x) C^2.
+    Raises ``InvariantError`` when a photon's weight tr rho_b moves more
+    than ``_SUPPORT_ATOL`` from 1.
     """
-    n_specs, d = epsilon.shape
-    # (eps, eps_perp) (x) I, transposed: row (k, q) holds |k> (x) |q>. With
-    # its zeros, the contraction runs along E's contiguous last axis, at
-    # about twice the speed; the zero terms leave every sum as it was.
-    frame = np.zeros((n_specs, 2, 2, d, 2), dtype=complex)
-    frame[:, :, 0, :, 0] = frame[:, :, 1, :, 1] = np.stack([epsilon, epsilon_perp], axis=1)
-    # c[s, y]: column y = (k, q) of C, as (ancilla a, photon p) amplitudes.
-    c = np.einsum("syj,sxj->syx", frame.reshape(n_specs, 4, 2 * d), entanglers, optimize=False)
-    # (I (x) -i sigma_y) F flips F's photon p and negates the new p = 0.
-    f = c[:, :2].reshape(n_specs, 2, d, 2)
-    encoded = np.stack([f, f[..., ::-1] * np.array([-1.0, 1.0])]).reshape(2, n_specs, 2, 2 * d)
+    n_specs = len(blocks)
+    # m[s, k, p, q]: (Gamma (x) I) B's column q = (eps, q), as (ancilla k, photon p).
+    m = np.einsum("skl,slpq->skpq", gram, blocks[:, :, :2].reshape(n_specs, 2, 2, 2),
+                  optimize=False)
+    # -i sigma_y flips the photon p and negates the new p = 0.
+    encoded = np.stack([m, m[:, :, ::-1] * np.array([[-1.0], [1.0]])]).reshape(2, n_specs, 4, 2)
     # w[b, s, q]: column q of W_b, its entries (ancilla k, photon r) as 2k + r.
-    w = np.einsum("syx,bsqx->bsqy", c.conj(), encoded, optimize=False)
+    w = np.einsum("sxy,bsxq->bsqy", blocks.conj(), encoded, optimize=False)
     # K_b as (real, imag) pairs: k[b, s, t] holds 4k + 2r + (0 or 1).
     w = w.view(float)
     k = (w[:, :, None, 0] * np.cos(thetas)[..., None]
          + w[:, :, None, 1] * np.sin(thetas)[..., None])
     diag = (k * k).reshape(*k.shape[:-1], 2, 4).sum(axis=-1)
-    leak = np.max(1.0 - diag.sum(axis=-1), initial=0.0)
-    if not leak <= _SUPPORT_ATOL:
+    # Both ways: a block that is not an isometry can add weight as well.
+    moved = np.max(np.abs(1.0 - diag.sum(axis=-1)), initial=0.0)
+    if not moved <= _SUPPORT_ATOL:
         raise InvariantError(
-            f"a photon leaves weight {leak:.3e} outside span(eps, eps_perp) (x) C^2 "
-            f"after the inverse entangler, more than {_SUPPORT_ATOL}"
+            f"a photon's weight moves {moved:.3e} from 1 through the entangler block, "
+            f"more than {_SUPPORT_ATOL}: the block is not unitary or the pair not orthonormal"
         )
     rows = k.view(complex)
     off = (rows[..., :2] * rows[..., 2:].conj()).sum(axis=-1)
@@ -161,22 +158,24 @@ def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
     conditioned on message bit 0 vs 1, computed exactly for each spec of
     ``specs`` at each photon angle: shape (S, T), for ``thetas`` one (T,)
     vector shared by every spec or one (S, T) row per spec.
-    ``helstrom_bound`` of it is the best guessing probability. The specs of
-    each ancilla dimension are one stack of entanglers, evaluated in one
+    ``helstrom_bound`` of it is the best guessing probability. The Gram
+    matrices and entangler blocks of each ancilla dimension are built from
+    one ``spec_arrays`` stack, and all the specs are evaluated in one
     ``_ancilla_distances`` call."""
     specs = list(specs)
     thetas = np.asarray(thetas, dtype=float)
-    thetas = np.broadcast_to(thetas, (len(specs), thetas.shape[-1]))
+    # A C-ordered copy: ``np.cos`` of a strided array can differ in the last bit.
+    thetas = np.ascontiguousarray(np.broadcast_to(thetas, (len(specs), thetas.shape[-1])))
     dims = [spec.ancilla_dim for spec in specs]
-    out = np.empty(thetas.shape)
+    gram = np.empty((len(specs), 2, 2), dtype=complex)
+    blocks = np.empty((len(specs), 4, 4), dtype=complex)
     for d in set(dims):
         idx = [i for i, dim in enumerate(dims) if dim == d]
-        fields = spec_arrays([specs[i] for i in idx])
-        # The gather is a C-ordered copy: ``np.cos`` of a strided array can
-        # differ in the last bit.
-        out[idx] = _ancilla_distances(fields[0], fields[1], build_entanglers(*fields),
-                                      thetas[idx])
-    return out
+        eps, perp, *coefficients = spec_arrays([specs[i] for i in idx])
+        pair = np.stack([eps, perp], axis=1)
+        gram[idx] = np.einsum("ska,sla->skl", pair.conj(), pair, optimize=False)
+        blocks[idx] = entangler_blocks(*coefficients)
+    return _ancilla_distances(gram, blocks, thetas)
 
 
 @dataclass(frozen=True)
@@ -361,8 +360,9 @@ def sweep(grid: SweepGrid) -> np.ndarray:
     column per theta.
 
     The grid is evaluated in chunks of at most ``_SWEEP_CHUNK_POINTS`` points,
-    each one stack of entanglers built from the grid's values, so the peak
-    memory of a sweep does not grow with its grid.
+    each one stack of entangler blocks built from the grid's values, so the
+    peak memory of a sweep does not grow with its grid. The pair's Gram
+    matrix is I, so the table does not depend on ``grid.ancilla_dim``.
     """
     theta_primes = canonical_angles(np.asarray(grid.theta_prime_values, dtype=float))
     alpha_sq = np.asarray(grid.alpha_sq_values, dtype=float)
@@ -371,17 +371,15 @@ def sweep(grid: SweepGrid) -> np.ndarray:
     tds = np.empty((len(theta_primes) * n_alpha, len(thetas)))
     n_specs = max(1, _SWEEP_CHUNK_POINTS // len(thetas))
     n_thetas = min(len(thetas), _SWEEP_CHUNK_POINTS)
+    gram = np.broadcast_to(np.eye(2, dtype=complex), (n_specs, 2, 2))
     for s in range(0, len(tds), n_specs):
         rows = np.arange(s, min(s + n_specs, len(tds)))
         a2 = alpha_sq[rows % n_alpha]
-        kets = np.zeros((2, len(rows), grid.ancilla_dim), dtype=complex)
-        kets[0, :, 0] = kets[1, :, 1] = 1.0
-        entanglers = build_entanglers(
-            kets[0], kets[1], np.sqrt(a2), np.sqrt(1.0 - a2), theta_primes[rows // n_alpha]
-        )
+        blocks = entangler_blocks(np.sqrt(a2), np.sqrt(1.0 - a2), theta_primes[rows // n_alpha])
         for t in range(0, len(thetas), n_thetas):
             chunk = np.tile(thetas[t:t + n_thetas], (len(rows), 1))
-            tds[s:s + n_specs, t:t + n_thetas] = _ancilla_distances(*kets, entanglers, chunk)
+            tds[s:s + n_specs, t:t + n_thetas] = _ancilla_distances(
+                gram[:len(rows)], blocks, chunk)
     return tds
 
 

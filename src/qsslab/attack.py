@@ -86,9 +86,9 @@ class EntanglerSpec:
         eta = a * a + b * b - 1.0
         if not abs(eta) <= ATOL_STATE:
             raise InvariantError("|alpha|^2 + |beta|^2 must equal 1")
-        # E^dagger E - I = W (eta I + (M - I)^dagger D (M - I)) W^dagger for
-        # W = (|eps>, |eps_perp>) (x) I, D = W^dagger W - I and M the block of
-        # ``build_entanglers``, with ||M - I|| <= 2: so E passes its unitarity
+        # E^dagger E - I = W (eta I + (B - I)^dagger D (B - I)) W^dagger for
+        # W = (|eps>, |eps_perp>) (x) I, D = W^dagger W - I and B the block of
+        # ``entangler_blocks``, with ||B - I|| <= 2: so E passes its unitarity
         # check when |eta| + 4 ||D|| <= ATOL_STATE, which asks more of the
         # pair than each State alone meets.
         pair = (self.epsilon.amps, self.epsilon_perp.amps)
@@ -139,6 +139,38 @@ def spec_arrays(specs) -> tuple[np.ndarray, ...]:
     )
 
 
+def _block_entries(alpha, beta, theta_prime) -> np.ndarray:
+    """The blocks of ``entangler_blocks``, not yet checked unitary."""
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    c, s = np.cos(theta_prime), np.sin(theta_prime)
+    turned, back_turned = s * beta, s * beta.conj()
+    blocks = np.zeros((len(alpha), 4, 4), dtype=complex)
+    blocks[:, 0, 0] = blocks[:, 1, 1] = alpha
+    blocks[:, 2, 0] = blocks[:, 3, 1] = c * beta
+    blocks[:, 3, 0], blocks[:, 2, 1] = turned, -turned
+    blocks[:, 2, 2] = blocks[:, 3, 3] = alpha.conj()
+    blocks[:, 0, 2] = blocks[:, 1, 3] = -(c * beta.conj())
+    blocks[:, 1, 2], blocks[:, 0, 3] = back_turned, -back_turned
+    return blocks
+
+
+def entangler_blocks(alpha, beta, theta_prime) -> np.ndarray:
+    """The blocks B (S, 4, 4) of S entanglers on span(eps, eps_perp) (x) C^2,
+    from their alpha, beta and canonical theta' (S,): E V = V B for
+    V = (|eps>, |eps_perp>) (x) I and E of the "forward" completion. Rows
+    and columns are (k, p) as 2k + p, for k = 0 on |eps>, k = 1 on
+    |eps_perp> and p the photon.
+
+    B is [[alpha I, -conj(beta) U^T], [beta U, conj(alpha) I]] for
+    U = U(theta'). Each entry is at most one elementwise product, so a block
+    has the same bits in any stack; the stack is checked unitary once.
+    """
+    blocks = _block_entries(alpha, beta, theta_prime)
+    check_unitary(blocks)
+    return blocks
+
+
 def build_entanglers(
     epsilon, epsilon_perp, alpha, beta, theta_prime, completion: str = "forward"
 ) -> np.ndarray:
@@ -147,23 +179,24 @@ def build_entanglers(
     canonical theta' (S,).
 
     E is pinned only on |eps> (x) C^2, where it maps |eps>|chi> to
-    alpha |eps>|chi> + beta |eps_perp> U(theta')|chi>. In closed form, E is the
-    unitary block [[alpha I, -conj(beta) U^T], [beta U, conj(alpha) I]] on
-    span(eps, eps_perp) (x) C^2 and the identity on the rest of the ancilla.
-    ``completion`` picks how E acts off |eps> (x) C^2, so that observational
-    invariance across completions can be tested: "forward" is that form, and
-    "reversed" is it times sigma_x on the photon of every input orthogonal to
-    |eps> (x) C^2. Each entry is a few elementwise products and sums, so an
-    operator has the same bits in any stack; the stack is checked unitary
-    once.
+    alpha |eps>|chi> + beta |eps_perp> U(theta')|chi>. In closed form, E is
+    the block B of ``entangler_blocks`` on span(eps, eps_perp) (x) C^2 and
+    the identity on the rest of the ancilla; its coefficients are read from
+    that block. ``completion`` picks how E acts off |eps> (x) C^2,
+    so that observational invariance across completions can be tested:
+    "forward" is that form, and "reversed" is it times sigma_x on the photon
+    of every input orthogonal to |eps> (x) C^2. Each entry is a few
+    elementwise products and sums, so an operator has the same bits in any
+    stack; the stack is checked unitary once.
     """
     if completion not in ("forward", "reversed"):
         raise ValueError(f"unknown completion {completion!r}")
     eps = np.asarray(epsilon, dtype=complex)
     perp = np.asarray(epsilon_perp, dtype=complex)
-    alpha = np.asarray(alpha, dtype=complex)[:, None]
-    beta = np.asarray(beta, dtype=complex)[:, None]
-    c, s = np.cos(theta_prime)[:, None], np.sin(theta_prime)[:, None]
+    # Columns (S, 1) of the block: B[0, 0] = alpha, B[2, 0] = c beta,
+    # B[3, 0] = s beta, B[2, 2] = conj(alpha), B[0, 2] = -c conj(beta) and
+    # B[1, 2] = s conj(beta), for c, s = cos theta', sin theta'.
+    blocks = _block_entries(alpha, beta, theta_prime)[..., None]
     d = eps.shape[1]
 
     def outer(u, v):
@@ -173,11 +206,11 @@ def build_entanglers(
     # E's ancilla blocks (S, d, d) for photon out p, in q. Inputs on |eps> see
     # ``kept`` where p = q and -+``turned`` where p != q; the other inputs
     # see ``back`` where p = q and +-``back_turned`` where p != q.
-    kept = outer(alpha * eps + c * beta * perp, eps)
-    turned = outer(s * beta * perp, eps)
+    kept = outer(blocks[:, 0, 0] * eps + blocks[:, 2, 0] * perp, eps)
+    turned = outer(blocks[:, 3, 0] * perp, eps)
     back = (np.eye(d) - outer(eps, eps) - outer(perp, perp)
-            + outer(alpha.conj() * perp - c * beta.conj() * eps, perp))
-    back_turned = outer(s * beta.conj() * eps, perp)
+            + outer(blocks[:, 2, 2] * perp + blocks[:, 0, 2] * eps, perp))
+    back_turned = outer(blocks[:, 1, 2] * eps, perp)
     e = np.empty((len(eps), d, 2, d, 2), dtype=complex)
     if completion == "forward":
         e[:, :, 0, :, 0] = e[:, :, 1, :, 1] = kept + back

@@ -14,8 +14,9 @@ once: an array of shape (..., D), such as (n_photons, D) or
 (trials, n_photons, D), whose rows are joint states with the photon as the
 last (least significant) qubit.
 Each operator is checked unitary once, where it is built: ``MINUS_I_SIGMA_Y``
-at import, a batch of rotations in ``rotate_photons`` and a stack of
-entanglers in ``attack.build_entanglers``. ``apply_photon_op`` takes its
+at import, a batch of rotations in ``rotate_photons``, a stack of entangler
+blocks in ``attack.entangler_blocks`` and a stack of entanglers in
+``attack.build_entanglers``. ``apply_photon_op`` takes its
 operator as already checked. The norm invariant is checked on every
 ``State`` and row-wise on a batch (``check_norms``). A ``State`` has no
 value identity: ``==`` is ``is``.

@@ -11,8 +11,10 @@ The tests check the engine against them.
 ``eigvalsh_distances`` is the earlier trace-distance kernel of
 ``qsslab.analysis``, kept verbatim with its ``_encoded_rows`` and
 ``_trace_distances``: E and E^-1 on the full (ancilla, photon) rows, a
-batched M M^dagger and ``eigvalsh``. The closed form on span(eps, eps_perp)
-that replaced it is checked against it. ``counterfactual_joint_distance``
+batched M M^dagger and ``eigvalsh``. ``entangler_distances`` is the closed
+form on span(eps, eps_perp) that replaced it, kept verbatim but for its
+name: it contracts the whole E with (eps, eps_perp) (x) I. The kernel on
+E's 4 x 4 block that replaced that one is checked against both. ``counterfactual_joint_distance``
 runs on the same ``_encoded_rows`` and ``_trace_distances``, with its specs
 grouped by ancilla dimension as ``_per_ancilla_dim`` did inside
 ``qsslab.analysis``, so it computes the same bits as it did there.
@@ -36,7 +38,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from qsslab.analysis import SweepGrid
+from qsslab.analysis import _SUPPORT_ATOL, SweepGrid
 from qsslab.attack import EntanglerSpec, build_entanglers, spec_arrays
 from qsslab.quantum import (
     ATOL_STATE,
@@ -182,6 +184,63 @@ def eigvalsh_distances(epsilon: np.ndarray, entanglers: np.ndarray, thetas: np.n
     inverses = entanglers.conj().swapaxes(-1, -2)[:, None]
     m = (inverses @ rows[..., None]).reshape(*rows.shape[:3], -1, 2)
     return _trace_distances(m @ m.conj().swapaxes(-1, -2))
+
+
+def entangler_distances(
+    epsilon: np.ndarray, epsilon_perp: np.ndarray, entanglers: np.ndarray, thetas: np.ndarray
+) -> np.ndarray:
+    """The earlier ``analysis._ancilla_distances``: the trace distances
+    (S, T) of ``indistinguishability`` for S specs of one ancilla dimension
+    d, given by their |eps> and |eps_perp> (S, d), entanglers E (S, 2d, 2d)
+    and (S, T) angles.
+
+    E maps span(eps, eps_perp) (x) C^2 into itself, so after E^-1 the ancilla
+    is a 2 x 2 density matrix in the (eps, eps_perp) basis. Each E is
+    contracted once: C = E((eps, eps_perp) (x) I), F = E(|eps> (x) I) its
+    first two columns, and W_b = C^dagger (I (x) G_b) F for the encodings
+    G_0 = I and G_1 = -i sigma_y. The photon (cos theta, sin theta) then
+    leaves K_b = W_b (cos theta, sin theta), an (ancilla, photon) 2 x 2
+    matrix, and rho_b = K_b K_b^dagger. The eigenvalues of the Hermitian
+    2 x 2 X = rho_0 - rho_1 are tr X / 2 +- r, for
+    r = sqrt(((x00 - x11) / 2)^2 + |x01|^2), so its trace distance is the
+    larger of |tr X| / 2 and r.
+
+    Only ``np.einsum`` without ``optimize`` and elementwise ops: no LAPACK
+    and no BLAS product, so the bits do not follow the host's BLAS kernel.
+    Raises ``InvariantError`` when a photon leaves more than
+    ``_SUPPORT_ATOL`` of its weight outside span(eps, eps_perp) (x) C^2.
+    """
+    n_specs, d = epsilon.shape
+    # (eps, eps_perp) (x) I, transposed: row (k, q) holds |k> (x) |q>. With
+    # its zeros, the contraction runs along E's contiguous last axis, at
+    # about twice the speed; the zero terms leave every sum as it was.
+    frame = np.zeros((n_specs, 2, 2, d, 2), dtype=complex)
+    frame[:, :, 0, :, 0] = frame[:, :, 1, :, 1] = np.stack([epsilon, epsilon_perp], axis=1)
+    # c[s, y]: column y = (k, q) of C, as (ancilla a, photon p) amplitudes.
+    c = np.einsum("syj,sxj->syx", frame.reshape(n_specs, 4, 2 * d), entanglers, optimize=False)
+    # (I (x) -i sigma_y) F flips F's photon p and negates the new p = 0.
+    f = c[:, :2].reshape(n_specs, 2, d, 2)
+    encoded = np.stack([f, f[..., ::-1] * np.array([-1.0, 1.0])]).reshape(2, n_specs, 2, 2 * d)
+    # w[b, s, q]: column q of W_b, its entries (ancilla k, photon r) as 2k + r.
+    w = np.einsum("syx,bsqx->bsqy", c.conj(), encoded, optimize=False)
+    # K_b as (real, imag) pairs: k[b, s, t] holds 4k + 2r + (0 or 1).
+    w = w.view(float)
+    k = (w[:, :, None, 0] * np.cos(thetas)[..., None]
+         + w[:, :, None, 1] * np.sin(thetas)[..., None])
+    diag = (k * k).reshape(*k.shape[:-1], 2, 4).sum(axis=-1)
+    leak = np.max(1.0 - diag.sum(axis=-1), initial=0.0)
+    if not leak <= _SUPPORT_ATOL:
+        raise InvariantError(
+            f"a photon leaves weight {leak:.3e} outside span(eps, eps_perp) (x) C^2 "
+            f"after the inverse entangler, more than {_SUPPORT_ATOL}"
+        )
+    rows = k.view(complex)
+    off = (rows[..., :2] * rows[..., 2:].conj()).sum(axis=-1)
+    x00, x11 = diag[0, ..., 0] - diag[1, ..., 0], diag[0, ..., 1] - diag[1, ..., 1]
+    x01 = off[0] - off[1]
+    half = (x00 - x11) / 2
+    r = np.sqrt(half * half + x01.real * x01.real + x01.imag * x01.imag)
+    return np.maximum(np.abs(x00 + x11) / 2, r)
 
 
 def _per_ancilla_dim(kernel, specs, thetas) -> np.ndarray:

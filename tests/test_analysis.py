@@ -21,6 +21,7 @@ from qsslab.attack import (
     EntanglerSpec,
     GuessRule,
     build_entanglers,
+    entangler_blocks,
     qgwz_spec,
     random_entangler_spec,
     spec_arrays,
@@ -34,6 +35,7 @@ from scalar_reference import (
     EIGVALSH_TOL,
     counterfactual_joint_distance,
     eigvalsh_distances,
+    entangler_distances,
     grid_specs,
 )
 
@@ -123,57 +125,75 @@ def test_counterfactual_pipeline_is_sensitive(rng):
     assert counterfactual_joint_distance([spec], [0.7])[0, 0] > 0.1
 
 
+def gram(epsilon: np.ndarray, epsilon_perp: np.ndarray) -> np.ndarray:
+    """The Gram matrices (S, 2, 2) of S pairs given as (S, d) arrays."""
+    pair = np.stack([epsilon, epsilon_perp], axis=1)
+    return np.einsum("ska,sla->skl", pair.conj(), pair, optimize=False)
+
+
 @pytest.mark.parametrize("completion", ["forward", "reversed"])
 def test_kernel_matches_eigvalsh_reference_on_random_specs(completion):
-    # 150 specs, 50 of each ancilla dimension, on either completion.
+    # 150 specs, 50 of each ancilla dimension: the block kernel against the
+    # whole-E kernels it replaced, run on E of either completion.
     rng = np.random.default_rng(2901)
     for dim in (2, 4, 8):
         fields = spec_arrays([random_entangler_spec(rng, ancilla_dim=dim) for _ in range(50)])
         entanglers = build_entanglers(*fields, completion)
         thetas = rng.uniform(0.0, 2 * np.pi, (50, 8))
-        got = analysis._ancilla_distances(fields[0], fields[1], entanglers, thetas)
-        want = eigvalsh_distances(fields[0], entanglers, thetas)
-        assert np.abs(got - want).max() <= EIGVALSH_TOL
+        got = analysis._ancilla_distances(gram(*fields[:2]),
+                                          entangler_blocks(*fields[2:]), thetas)
+        for want in (entangler_distances(fields[0], fields[1], entanglers, thetas),
+                     eigvalsh_distances(fields[0], entanglers, thetas)):
+            assert np.abs(got - want).max() <= EIGVALSH_TOL
 
 
 def leaky_block(rng: np.random.Generator, dim: int):
-    """|eps>, |eps_perp> and E = (V (x) I)(U (+) I)(V (x) I)^dagger for V a
-    Haar-random ancilla basis whose first two columns are |eps> and
-    |eps_perp> and U a Haar-random 4 x 4 unitary: E keeps
-    span(eps, eps_perp) (x) C^2, but is no member of the attack family, so
-    the bit shows in the ancilla."""
+    """|eps>, |eps_perp>, a Haar-random 4 x 4 unitary U and
+    E = (V (x) I)(U (+) I)(V (x) I)^dagger for V a Haar-random ancilla basis
+    whose first two columns are |eps> and |eps_perp>: E keeps
+    span(eps, eps_perp) (x) C^2, with U as its block, but is no member of
+    the attack family, so the bit shows in the ancilla."""
     basis = random_unitary(rng, dim)
-    block = np.eye(2 * dim, dtype=complex)
-    block[:4, :4] = random_unitary(rng, 4)
+    block = random_unitary(rng, 4)
+    full = np.eye(2 * dim, dtype=complex)
+    full[:4, :4] = block
     frame = np.kron(basis, np.eye(2))
-    return basis[:, 0], basis[:, 1], frame @ block @ frame.conj().T
+    return basis[:, 0], basis[:, 1], block, frame @ full @ frame.conj().T
 
 
 def test_kernel_matches_eigvalsh_reference_on_leaky_blocks():
     # The positive control: these trace distances are far from 0, so a
-    # kernel that returned 0 for everything would fail here.
+    # kernel that returned 0 for everything would fail here. The block
+    # kernel is given U itself, the references the whole E.
     rng = np.random.default_rng(2902)
     largest = 0.0
     for i in range(120):
-        eps, perp, entangler = leaky_block(rng, (2, 4, 8)[i % 3])
+        eps, perp, block, entangler = leaky_block(rng, (2, 4, 8)[i % 3])
         thetas = rng.uniform(0.0, 2 * np.pi, (1, 8))
-        got = analysis._ancilla_distances(eps[None], perp[None], entangler[None], thetas)
-        want = eigvalsh_distances(eps[None], entangler[None], thetas)
-        assert np.abs(got - want).max() <= EIGVALSH_TOL
-        largest = max(largest, float(want.max()))
+        got = analysis._ancilla_distances(gram(eps[None], perp[None]), block[None], thetas)
+        for want in (entangler_distances(eps[None], perp[None], entangler[None], thetas),
+                     eigvalsh_distances(eps[None], entangler[None], thetas)):
+            assert np.abs(got - want).max() <= EIGVALSH_TOL
+        largest = max(largest, float(got.max()))
     assert largest >= 0.5
 
 
 def test_kernel_refuses_weight_outside_the_span():
-    # A d = 4 unitary that, when the photon is |1>, turns |eps> = |0> by 0.3
-    # toward the third ancilla state |2>: encoded with -i sigma_y, the photon
-    # leaves sin(0.3)^2 of its weight on |2> after E^-1.
-    turn = np.eye(4, dtype=complex)
-    turn[[0, 2, 0, 2], [0, 2, 2, 0]] = np.cos(0.3), np.cos(0.3), -np.sin(0.3), np.sin(0.3)
-    entangler = np.kron(np.eye(4), np.diag([1.0, 0.0])) + np.kron(turn, np.diag([0.0, 1.0]))
-    eps, perp = np.eye(4, dtype=complex)[:2]
-    with pytest.raises(InvariantError, match="outside span"):
-        analysis._ancilla_distances(eps[None], perp[None], entangler[None], np.array([[0.4]]))
+    # The kernel sees only the pair's Gram matrix and the block, so what it
+    # can refuse is a pair that is not orthonormal or a block that is not
+    # unitary: either moves a photon's weight from 1.
+    thetas = np.array([[0.4, 1.9]])
+    # A pair with <eps|eps_perp> = 1e-6, through a builder-made block.
+    eps = np.array([[1.0, 0.0]], dtype=complex)
+    perp = np.array([[1e-6, np.sqrt(1.0 - 1e-12)]], dtype=complex)
+    assert gram(eps, perp)[0, 0, 1] == 1e-6
+    with pytest.raises(InvariantError, match="moves"):
+        analysis._ancilla_distances(gram(eps, perp), entangler_blocks([0.6], [0.8], [0.3]),
+                                    thetas)
+    # An orthonormal pair through 1.001 I, which no builder would return.
+    with pytest.raises(InvariantError, match="moves"):
+        analysis._ancilla_distances(np.eye(2, dtype=complex)[None], 1.001 * np.eye(4)[None],
+                                    thetas)
 
 
 def test_helstrom_relation():

@@ -81,6 +81,7 @@ REFERENCE_NAMES = [
     "_encoded_rows",
     "_trace_distances",
     "eigvalsh_distances",
+    "entangler_distances",
 ]
 
 

@@ -8,6 +8,7 @@ from qsslab.attack import (
     GuessRule,
     build_entangler,
     build_entanglers,
+    entangler_blocks,
     qgwz_spec,
     random_entangler_spec,
     spec_arrays,
@@ -178,15 +179,53 @@ def test_completions_agree_observationally(rng):
 
 @pytest.mark.parametrize("completion", ["forward", "reversed"])
 def test_stack_rows_equal_single_builds(rng, completion):
-    # Every operator of a stack has the bits of its spec built alone,
-    # whatever the stack's size.
+    # Every operator and every block of a stack has the bits of its spec
+    # built alone, whatever the stack's size.
     for dim in (2, 4, 8):
         specs = [random_entangler_spec(rng, dim) for _ in range(40)]
+        alone = [entangler_blocks(*spec_arrays([spec])[2:])[0] for spec in specs]
         for size in (1, 2, 3, 7, 16, 40):
-            stack = build_entanglers(*spec_arrays(specs[:size]), completion)
+            fields = spec_arrays(specs[:size])
+            stack = build_entanglers(*fields, completion)
             assert stack.shape == (size, 2 * dim, 2 * dim)
             for entangler, spec in zip(stack, specs):
                 assert np.array_equal(entangler, build_entangler(spec, completion))
+            blocks = entangler_blocks(*fields[2:])
+            assert blocks.shape == (size, 4, 4)
+            for block, want in zip(blocks, alone):
+                assert np.array_equal(block, want)
+
+
+@pytest.mark.parametrize("completion", ["forward", "reversed"])
+def test_entangler_acts_on_the_span_as_its_block(completion):
+    # E V = V B for V = (|eps>, |eps_perp>) (x) I, on 150 specs, 50 of each
+    # ancilla dimension; the reversed E flips the photon of B's eps_perp
+    # columns.
+    rng = np.random.default_rng(3001)
+    for dim in (2, 4, 8):
+        fields = spec_arrays([random_entangler_spec(rng, dim) for _ in range(50)])
+        frame = np.zeros((50, dim, 2, 2, 2), dtype=complex)
+        frame[:, :, 0, :, 0] = frame[:, :, 1, :, 1] = np.stack(fields[:2], axis=-1)
+        frame = frame.reshape(50, 2 * dim, 4)
+        via_entangler = build_entanglers(*fields, completion) @ frame
+        blocks = entangler_blocks(*fields[2:])
+        if completion == "reversed":
+            blocks = blocks[:, :, [0, 1, 3, 2]]
+        via_block = frame @ blocks
+        assert np.abs(via_entangler - via_block).max() <= 1e-14
+
+
+def test_blocks_refuse_weights_off_the_unit_circle():
+    # Raw alpha and beta that bypass EntanglerSpec, with
+    # |alpha|^2 + |beta|^2 = 1 + 1e-9.
+    alpha, beta = np.sqrt(0.36 * (1 + 1e-9)), np.sqrt(0.64 * (1 + 1e-9)) * 1j
+    assert abs(alpha**2 + abs(beta) ** 2 - 1 - 1e-9) <= 1e-15
+    kets = np.eye(4, dtype=complex)[None, :2]
+    with pytest.raises(InvariantError, match="not unitary"):
+        entangler_blocks([alpha], [beta], [0.7])
+    for completion in ("forward", "reversed"):
+        with pytest.raises(InvariantError, match="not unitary"):
+            build_entanglers(kets[:, 0], kets[:, 1], [alpha], [beta], [0.7], completion)
 
 
 def test_completions_differ_off_the_pinned_columns(rng):
@@ -206,6 +245,9 @@ def test_stack_is_checked_unitary_once(rng, monkeypatch):
     specs = [random_entangler_spec(rng, 4) for _ in range(5)]
     build_entanglers(*spec_arrays(specs))
     assert checked == [(5, 8, 8)]
+    checked.clear()
+    entangler_blocks(*spec_arrays(specs)[2:])
+    assert checked == [(5, 4, 4)]
 
 
 def near_orthonormal(rng, dim, size):

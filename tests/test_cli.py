@@ -324,7 +324,7 @@ def test_cmd_verify_passes(verify_run, fixture_table):
 
 # sha256 of the whole `qsslab verify` stdout: every value to 17 significant
 # digits, so any change in the bits a fixture computes shows here.
-VERIFY_STDOUT_SHA256 = "06c16a8aa123b220793f64a9928517ae1872ac9a67768a9f958c363a5b2a4869"
+VERIFY_STDOUT_SHA256 = "9b89391030690063a905c03ff6d329b31741b1b849e1f3b4023731cf16b8a0b7"
 
 
 def test_cmd_verify_stdout_bytes(verify_run):
@@ -772,7 +772,7 @@ def taken_transcript(tmp_path, monkeypatch):
 
 def failing_kernel(error):
     def setup(tmp_path, monkeypatch):
-        def kernel(*args):
+        def kernel(gram, blocks, thetas):
             raise error
 
         monkeypatch.setattr(analysis, "_ancilla_distances", kernel)

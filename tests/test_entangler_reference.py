@@ -5,7 +5,9 @@
 basis by Gram-Schmidt, one spec at a time. The two agree where E is pinned,
 on |eps> (x) C^2, and differ elsewhere, where the completion is free. So
 every observable must agree: seeded campaigns with either builder injected
-give the same integer columns and floats within 1e-12.
+give the same integer columns and floats within 1e-12, and the exact trace
+distances of their specs, from the package's block kernel, agree within
+1e-12 with the earlier whole-E kernel run on the reference's operators.
 """
 import dataclasses
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import test_engine_equivalence as golden
-from qsslab import analysis, attack
+from qsslab import attack
 from qsslab.analysis import THETA_SAMPLES, indistinguishability
 from qsslab.attack import (
     EntanglerSpec,
@@ -21,11 +23,12 @@ from qsslab.attack import (
     GuessRule,
     build_entangler,
     random_entangler_spec,
+    spec_arrays,
 )
 from qsslab.protocol import ProtocolConfig, run_protocol_batch
 from qsslab.quantum import State
 
-from scalar_reference import _build_entangler
+from scalar_reference import _build_entangler, entangler_distances
 
 TOL = 1e-12
 
@@ -68,8 +71,8 @@ CASES = golden.CASES + random_general_cases()
 
 
 def campaign(case: dict):
-    """Three seeded trials of ``case`` as one batch, and the exact trace
-    distances of its spec at a campaign's report angles."""
+    """Three seeded trials of ``case`` as one batch, its spec, and a
+    campaign's report angles."""
     proto = dict(case["protocol"])
     if proto.get("message_bits") is not None:
         proto["message_bits"] = tuple(proto["message_bits"])
@@ -81,13 +84,13 @@ def campaign(case: dict):
         lambda rngs: EntanglingAdversary(spec, rngs, rule, adaptive=case["adaptive"]),
     )
     thetas = np.random.default_rng(config.seed).uniform(0.0, 2 * np.pi, THETA_SAMPLES)
-    return batch, indistinguishability([spec], thetas)
+    return batch, spec, thetas
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c["attack"] is not None],
                          ids=lambda c: c["name"])
 def test_campaigns_match_with_either_builder(monkeypatch, case):
-    batch, tds = campaign(case)
+    batch, spec, thetas = campaign(case)
     built = []
 
     def reference(spec):
@@ -95,8 +98,7 @@ def test_campaigns_match_with_either_builder(monkeypatch, case):
         return _build_entangler(spec, "forward")
 
     monkeypatch.setattr(attack, "build_entangler", reference)
-    monkeypatch.setattr(analysis, "build_entanglers", reference_stack)
-    ref_batch, ref_tds = campaign(case)
+    ref_batch = campaign(case)[0]
     assert built
     for field in dataclasses.fields(batch):
         got, want = getattr(batch, field.name), getattr(ref_batch, field.name)
@@ -106,7 +108,9 @@ def test_campaigns_match_with_either_builder(monkeypatch, case):
             assert np.array_equal(got, want), field.name
         else:
             assert got == want, field.name
-    assert np.max(np.abs(tds - ref_tds)) <= TOL
+    fields = spec_arrays([spec])
+    ref_tds = entangler_distances(fields[0], fields[1], reference_stack(*fields), thetas[None])
+    assert np.max(np.abs(indistinguishability([spec], thetas) - ref_tds)) <= TOL
 
 
 def test_cases_cover_golden_skewed_and_random_specs():

@@ -1,13 +1,15 @@
 """The stacked sweep against the per-spec reference sweep.
 
-``analysis.sweep`` evaluates a grid in chunks of stacked specs, one
-``_ancilla_distances`` call per chunk, and ``analysis.sweep_table``
-formats the table in blocks of lines, one ``%`` operation each. Their trace distances must
-equal, and their tables match byte for byte, those of the reference below:
-the earlier per-spec path, one kernel call per (theta', alpha^2) spec and one
-f-string per table line. The reference calls the package's kernel on one
-spec at a time; its values are also checked, within ``EIGVALSH_TOL``,
-against the earlier eigvalsh kernel, ``scalar_reference.eigvalsh_distances``.
+``analysis.sweep`` evaluates a grid in chunks of stacked entangler
+blocks, one ``_ancilla_distances`` call per chunk, and
+``analysis.sweep_table`` formats the table in blocks of lines, one ``%``
+operation each. Their trace distances must equal, and their tables match
+byte for byte, those of the reference below: the earlier per-spec path, one
+``indistinguishability`` call per (theta', alpha^2) spec and one f-string
+per table line. Its values are also checked, within ``EIGVALSH_TOL``,
+against the eigvalsh kernel, ``scalar_reference.eigvalsh_distances``, and
+the sweep's bits against the whole-E kernel it replaced,
+``scalar_reference.entangler_distances``.
 """
 import json
 import pathlib
@@ -18,11 +20,11 @@ import pytest
 
 from qsslab import analysis
 from qsslab.analysis import SweepGrid, helstrom_bound
-from qsslab.attack import EntanglerSpec, build_entangler, build_entanglers, spec_arrays
+from qsslab.attack import EntanglerSpec, build_entanglers, spec_arrays
 from qsslab.cli import DEFAULT_GRID
 from qsslab.quantum import basis_state
 
-from scalar_reference import EIGVALSH_TOL, eigvalsh_distances
+from scalar_reference import EIGVALSH_TOL, eigvalsh_distances, entangler_distances, grid_specs
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -31,12 +33,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def indistinguishability(spec: EntanglerSpec, thetas) -> np.ndarray:
-    """The trace distances of one spec at ``thetas``: the package's kernel
-    on a stack of one."""
-    return analysis._ancilla_distances(
-        spec.epsilon.amps[None], spec.epsilon_perp.amps[None], build_entangler(spec)[None],
-        np.asarray(thetas, dtype=float)[None],
-    )[0]
+    """The trace distances of one spec at ``thetas``: the package's exact
+    analysis of a list of one."""
+    return analysis.indistinguishability([spec], thetas)[0]
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,9 @@ def test_chunks_match_reference(monkeypatch, chunk_points, shape, calls):
     kernel = analysis._ancilla_distances
     chunks = []
 
-    def counted(*args):
-        out = kernel(*args)
+    def counted(gram, blocks, thetas):
+        out = kernel(gram, blocks, thetas)
+        assert gram.shape == (len(blocks), 2, 2) and blocks.shape == (len(thetas), 4, 4)
         chunks.append(out.size)
         return out
 
@@ -181,3 +181,35 @@ def test_chunks_match_reference(monkeypatch, chunk_points, shape, calls):
     assert max(chunks) <= analysis._SWEEP_CHUNK_POINTS and sum(chunks) == len(rows)
     assert tds.ravel().tolist() == [r.trace_distance for r in rows]
     assert "".join(analysis.sweep_table(grid, tds)) == sweep_table(rows)
+
+
+def benchmark_shaped_grid(seed: int) -> SweepGrid:
+    """2 theta' x 5 alpha^2 x 10 theta values at d = 8, the shape and the
+    ranges of the benchmark's sweep grid."""
+    rng = np.random.default_rng(seed)
+    return SweepGrid(tuple(rng.uniform(0.0, 2 * np.pi, 2).tolist()),
+                     tuple(rng.uniform(0.0, 1.0, 5).tolist()),
+                     tuple(rng.uniform(0.0, 2 * np.pi, 10).tolist()), 8)
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(DEFAULT_GRID, id="default-grid"),
+    pytest.param(config_grid("qgwz.json"), id="qgwz-config"),
+    pytest.param(benchmark_shaped_grid(50), id="benchmark-shaped"),
+])
+def test_sweep_has_the_bits_of_the_entangler_kernel(grid):
+    # On the pinned grids the block kernel computes every trace distance
+    # with the bits of the whole-E kernel it replaced.
+    fields = spec_arrays(grid_specs(grid))
+    thetas = np.tile(grid.theta_values, (len(fields[0]), 1))
+    want = entangler_distances(fields[0], fields[1], build_entanglers(*fields), thetas)
+    assert analysis.sweep(grid).tobytes() == want.tobytes()
+
+
+def test_sweep_table_does_not_depend_on_the_ancilla_dimension():
+    base = random_grid(60, 2, (4, 3, 9))
+    grids = [SweepGrid(base.theta_prime_values, base.alpha_sq_values, base.theta_values, dim)
+             for dim in (2, 4, 8)]
+    tables = ["".join(analysis.sweep_table(grid, analysis.sweep(grid))) for grid in grids]
+    assert tables[0].count("\n") == 4 * 3 * 9 + 1
+    assert tables[1] == tables[0] and tables[2] == tables[0]
