@@ -13,6 +13,7 @@ from .attack import (
     EntanglingAdversary,
     GuessRule,
     entangler_blocks,
+    gram_matrices,
     spec_arrays,
 )
 from .protocol import (
@@ -172,8 +173,7 @@ def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
     for d in set(dims):
         idx = [i for i, dim in enumerate(dims) if dim == d]
         eps, perp, *coefficients = spec_arrays([specs[i] for i in idx])
-        pair = np.stack([eps, perp], axis=1)
-        gram[idx] = np.einsum("ska,sla->skl", pair.conj(), pair, optimize=False)
+        gram[idx] = gram_matrices(eps, perp)
         blocks[idx] = entangler_blocks(*coefficients)
     return _ancilla_distances(gram, blocks, thetas)
 

@@ -39,8 +39,9 @@ from .quantum import (
 )
 
 # Largest ancilla dimension d of an attack or a sweep. An attacked photon's
-# row holds 2d amplitudes (protocol.MAX_RUN_SIZE counts on at most 16), and
-# a stack of S entanglers holds S (2d)^2 of them.
+# row holds 4 amplitudes whatever d is (``EntanglingAdversary``); d sizes
+# only the spec's vectors and the S (2d)^2 amplitudes of a stack of S
+# entanglers (``build_entanglers``).
 MAX_ANCILLA_DIM = 8
 
 # Angle by which the receiver's message-encoding rotation shifts the photon:
@@ -91,9 +92,8 @@ class EntanglerSpec:
         # ``entangler_blocks``, with ||B - I|| <= 2: so E passes its unitarity
         # check when |eta| + 4 ||D|| <= ATOL_STATE, which asks more of the
         # pair than each State alone meets.
-        pair = (self.epsilon.amps, self.epsilon_perp.amps)
-        gram = np.array([[np.vdot(u, v) for v in pair] for u in pair]) - np.eye(2)
-        bound = abs(eta) + 4 * float(np.linalg.norm(gram))
+        gram = gram_matrices(self.epsilon.amps[None], self.epsilon_perp.amps[None])[0]
+        bound = abs(eta) + 4 * float(np.linalg.norm(gram - np.eye(2)))
         if not bound <= ATOL_STATE:
             raise InvariantError(
                 f"|eps> and |eps_perp> must be orthonormal: with alpha and beta they leave "
@@ -137,6 +137,14 @@ def spec_arrays(specs) -> tuple[np.ndarray, ...]:
         np.array([spec.beta for spec in specs]),
         np.array([spec.theta_prime for spec in specs]),
     )
+
+
+def gram_matrices(epsilon, epsilon_perp) -> np.ndarray:
+    """The Gram matrices Gamma (S, 2, 2) of S pairs given as (S, d) arrays,
+    Gamma[k, l] = <k|l> for k, l in (eps, eps_perp): one ``np.einsum``
+    without ``optimize``, so no BLAS kernel picks the bits."""
+    pair = np.stack([epsilon, epsilon_perp], axis=1)
+    return np.einsum("ska,sla->skl", pair.conj(), pair, optimize=False)
 
 
 def _block_entries(alpha, beta, theta_prime) -> np.ndarray:
@@ -267,8 +275,10 @@ def _span_outcomes(probs: np.ndarray, r: np.ndarray, refusal: str) -> np.ndarray
     |eps_perp>, for uniforms ``r`` (n,): 0 for eps, 1 for eps_perp.
 
     What is left, 1 - p_eps - p_eps_perp, is the residual outcome outside
-    span(eps, eps_perp); drawing it raises ``InvariantError`` with
-    ``refusal`` and its probability.
+    span(eps, eps_perp), which the adversary's span rows reach only through
+    rounding, a pair that is not quite orthonormal or a row without its
+    weight; drawing it raises ``InvariantError`` with ``refusal`` and its
+    probability.
     """
     rest = 1.0 - probs[:, 0] - probs[:, 1]
     outcomes = sample_outcomes(np.column_stack([probs, rest]), r)
@@ -278,26 +288,15 @@ def _span_outcomes(probs: np.ndarray, r: np.ndarray, refusal: str) -> np.ndarray
     return outcomes
 
 
-def _outer_column(scale, photons: np.ndarray, out: np.ndarray) -> None:
-    """``out`` (n, 2) = ``scale`` times ``photons`` (n, 2), where ``scale`` is
-    one amplitude or a column (n, 1). Each product runs down a whole column
-    of n rows rather than row by row along the 2-long photon axis."""
-    np.multiply(scale, photons, out=out, order="F")
-
-
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """The sum of each row of ``terms`` (n, k), k <= MAX_ANCILLA_DIM, added
-    column by column in numpy's order for a last-axis sum: one after another
-    for k < 8, in pairs of pairs for k = 8. So it has the bits of
-    ``np.sum(terms, axis=1)``."""
-    cols = list(terms.T)
-    if len(cols) == 8:
-        pairs = [cols[i] + cols[i + 1] for i in range(0, 8, 2)]
-        return (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-    total = cols[0]
-    for col in cols[1:]:
-        total = total + col
-    return total
+def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``matrix`` (..., m, k) times each vector of ``vectors`` (..., k): one
+    matrix for all, or one per vector. Written as k elementwise products
+    added in order, so no BLAS kernel picks the bits and a vector has the
+    same bits in any batch."""
+    out = vectors[..., 0, None] * matrix[..., :, 0]
+    for j in range(1, vectors.shape[-1]):
+        out = out + vectors[..., j, None] * matrix[..., :, j]
+    return out
 
 
 class EntanglingAdversary:
@@ -309,6 +308,15 @@ class EntanglingAdversary:
     gives the naive control variant that always announces its honest angle
     without measuring the ancilla (and so gets caught at the per-photon rate
     |beta|^2 sin^2(theta')).
+
+    The ancilla never leaves span(eps, eps_perp): E maps |eps> (x) C^2 into
+    span (x) C^2, the announcement collapses the ancilla onto |eps> or
+    |eps_perp>, and E^-1 maps span (x) C^2 to itself. So every row the hooks
+    return holds 4 amplitudes, whatever d is: the joint state's coordinates
+    (k, p) at index 2k + p, for k = 0 on |eps>, k = 1 on |eps_perp> and p the
+    photon. The hooks hold only E's block B there (``entangler_blocks``) and
+    the pair's Gram matrix Gamma (``gram_matrices``), and apply them as
+    elementwise sums (``_apply``).
     """
 
     def __init__(
@@ -322,37 +330,27 @@ class EntanglingAdversary:
         self.rngs = list(rngs)
         self.rule = rule
         self.adaptive = adaptive
-        self.entangler = build_entangler(spec)
-        # Both measurements contract the ancilla with <eps| and <eps_perp|:
-        # ``_kets`` holds the two states as rows, ``_bras`` their conjugates
-        # as the columns of a (d, 2) matrix, and ``_joint_bras`` = _bras (x) I,
-        # written as its two nonzero strided blocks, applies them to the
-        # (ancilla, photon) rows in one matrix product.
-        self._kets = np.stack([spec.epsilon.amps, spec.epsilon_perp.amps])
-        self._bras = self._kets.T.conj()
-        self._joint_bras = np.zeros((2 * spec.ancilla_dim, 4), dtype=complex)
-        self._joint_bras[0::2, 0::2] = self._bras
-        self._joint_bras[1::2, 1::2] = self._bras
+        epsilon, epsilon_perp, *coefficients = spec_arrays([spec])
+        self._block = entangler_blocks(*coefficients)[0]
+        self._gram = gram_matrices(epsilon, epsilon_perp)[0]
         # Final ancilla outcome per (trial, photon): 0 for eps, 1 for eps_perp,
         # -1 where no ancilla was measured. Sized by the forward hook.
         self.final_outcomes: np.ndarray | None = None
-        # Ancilla factors split off returning photons: (trials, photon ids, rows).
+        # Ancilla factors split off returning photons, as coordinates on
+        # (eps, eps_perp): (trials, photon ids, rows).
         self._returned: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def _contract(self, rows: np.ndarray) -> np.ndarray:
+        """The photons (n, 2, 2) that <eps| (x) I (k = 0) and <eps_perp| (x) I
+        (k = 1) leave of each row (n, 2, 2): sum_l Gamma[k, l] rows[n, l]."""
+        return _apply(self._gram, rows.swapaxes(1, 2)).swapaxes(1, 2)
 
     def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
         if amps.shape[-1] != 2:
             raise InvariantError("attack expects a bare single-photon state on the channel")
         self.final_outcomes = np.full(photon_ids.shape, -1)
-        photons = amps.reshape(-1, 2)
-        # The output is allocated before the temporary |eps> (x) photon
-        # rows, so that the temporary, freed first, goes back to the top of
-        # the heap instead of leaving a hole below the output.
-        out = np.empty((len(photons), 2 * self.spec.ancilla_dim), dtype=complex)
-        joint = np.empty((len(photons), self.spec.ancilla_dim, 2), dtype=complex)
-        for a, eps_a in enumerate(self.spec.epsilon.amps):
-            _outer_column(eps_a, photons, joint[:, a])
-        np.matmul(joint.reshape(len(photons), -1), self.entangler.T, out=out)
-        return out.reshape(*amps.shape[:-1], -1)
+        # |eps> (x) chi is the coordinate vector (chi, 0, 0): B's first two columns.
+        return _apply(self._block[:, :2], amps)
 
     def on_check_announcement(
         self, photon_ids: np.ndarray, honest_angles: np.ndarray, amps: np.ndarray
@@ -361,7 +359,7 @@ class EntanglingAdversary:
             return honest_angles, amps
         # photon[n, k]: the photon left in row n by <eps| (x) I (k = 0) and
         # by <eps_perp| (x) I (k = 1); its squared norm is the outcome's weight.
-        photon = (amps.reshape(-1, amps.shape[-1]) @ self._joint_bras).reshape(-1, 2, 2)
+        photon = self._contract(amps.reshape(-1, 2, 2))
         weights = photon.real**2 + photon.imag**2
         probs = weights[..., 0] + weights[..., 1]
         outcomes = _span_outcomes(
@@ -369,13 +367,11 @@ class EntanglingAdversary:
             np.concatenate([rng.random(amps.shape[1]) for rng in self.rngs]),
             "residual outcome outside span(eps, eps_perp) with probability",
         )
-        eps_side = outcomes == 0
-        p = np.where(eps_side, probs[:, 0], probs[:, 1])
-        kept = np.where(eps_side[:, None], photon[:, 0], photon[:, 1]) / np.sqrt(p)[:, None]
-        kets = self._kets[outcomes]
-        collapsed = np.empty((len(kept), self.spec.ancilla_dim, 2), dtype=complex)
-        for a in range(self.spec.ancilla_dim):
-            _outer_column(kets[:, a, None], kept, collapsed[:, a])
+        # The collapsed row is |k> (x) photon / sqrt(p): the photon in slice k.
+        rows = np.arange(len(photon))
+        kept = photon[rows, outcomes] / np.sqrt(probs[rows, outcomes])[:, None]
+        collapsed = np.zeros_like(photon)
+        collapsed[rows, outcomes] = kept
         collapsed = collapsed.reshape(amps.shape)
         check_norms(collapsed)
         shifted = canonical_angles(honest_angles + self.spec.theta_prime)
@@ -385,21 +381,21 @@ class EntanglingAdversary:
     def on_photon_return(
         self, trials: np.ndarray, photon_ids: np.ndarray, amps: np.ndarray
     ) -> np.ndarray:
-        d = self.spec.ancilla_dim
-        rows = amps.reshape(-1, amps.shape[-1])
-        separated = (rows @ self.entangler.conj()).reshape(len(rows), d, 2)
+        # E^-1 = E^dagger acts on span (x) C^2 as B^dagger.
+        separated = _apply(self._block.conj().T, amps.reshape(-1, 4)).reshape(-1, 2, 2)
         # By the attack's construction E^-1 returns the ancilla to |eps>, so
         # <eps| (x) I splits the photon off; its norm is the Schmidt weight
         # on |eps>, and anything short of 1 is residual entanglement.
-        photon = np.einsum("a,nab->nb", self.spec.epsilon.amps.conj(), separated)
-        squares = np.abs(photon) ** 2
+        photon = self._contract(separated)[:, 0]
+        squares = photon.real**2 + photon.imag**2
         weight = np.sqrt(squares[:, 0] + squares[:, 1])
         if np.any(weight < 1.0 - 1e-8):
             raise InvariantError(
                 f"state is not a product with |eps> (Schmidt weight {weight.min()})"
             )
-        ancilla = np.einsum("nab,nb->na", separated, photon.conj())
-        ancilla /= np.sqrt(_row_sums((ancilla.conj() * ancilla).real))[:, None]
+        ancilla = _apply(separated, photon.conj())
+        squares = ancilla.real**2 + ancilla.imag**2
+        ancilla /= np.sqrt(squares[:, 0] + squares[:, 1])[:, None]
         check_norms(photon)
         self._returned = (np.asarray(trials), np.asarray(photon_ids), ancilla)
         return photon.reshape(*amps.shape[:-1], 2)
@@ -410,7 +406,8 @@ class EntanglingAdversary:
         every photon of a trial whose photons never returned."""
         if self._returned is not None:
             trials, photon_ids, ancillas = self._returned
-            overlaps = ancillas @ self._bras
+            # <k|ancilla> = sum_l Gamma[k, l] ancilla[l].
+            overlaps = _apply(self._gram, ancillas)
             outcomes = _span_outcomes(
                 overlaps.real**2 + overlaps.imag**2,
                 np.concatenate([self.rngs[t].random(photon_ids.shape[1]) for t in trials]),

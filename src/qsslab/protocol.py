@@ -12,8 +12,9 @@ qubits with photons in transit. By convention the photon is always the LAST
 
 Runs of one config that differ only in their seeds execute as a batch: all
 their photons are one array of shape (trials, n_photons, D), one row per
-photon: D is 2 on an honest channel and 2*d once an adversary has attached
-a d-dimensional ancilla. Every phase is a few array operations on that
+photon: D is 2 on an honest channel and 4 under the entangling attack,
+whose rows hold (ancilla, photon) coordinates on span(eps, eps_perp) (x) C^2
+whatever the ancilla's dimension. Every phase is a few array operations on that
 array, and adversary hooks take and return batches with the same trial
 axis. Each run still draws from its own generators, exactly what it draws
 alone. A batch's results are arrays with the same trial axis
@@ -44,8 +45,8 @@ from .quantum import (
 DISCRETE_ANGLES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 # Upper bound on photons x agents in one run: every agent draws one angle per
-# photon, and a run holds all its photons at once, each with up to
-# 2 * attack.MAX_ANCILLA_DIM = 16 amplitudes.
+# photon, and a run holds all its photons at once, each with at most 4
+# amplitudes.
 MAX_RUN_SIZE = 100_000
 
 

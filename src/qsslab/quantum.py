@@ -12,11 +12,13 @@ Conventions (fixed and tested):
 fixture. The engine itself is batched kernels that act on many photons at
 once: an array of shape (..., D), such as (n_photons, D) or
 (trials, n_photons, D), whose rows are joint states with the photon as the
-last (least significant) qubit.
+last (least significant) qubit: D = 2 for a bare photon, and 4 under
+attack, where a row holds the coordinates of the (ancilla, photon) state on
+span(eps, eps_perp) (x) C^2 (``attack.EntanglingAdversary``).
 Each operator is checked unitary once, where it is built: ``MINUS_I_SIGMA_Y``
 at import, a batch of rotations in ``rotate_photons``, a stack of entangler
-blocks in ``attack.entangler_blocks`` and a stack of entanglers in
-``attack.build_entanglers``. ``apply_photon_op`` takes its
+blocks in ``attack.entangler_blocks``, which the attack runs on, and a stack
+of whole entanglers in ``attack.build_entanglers``. ``apply_photon_op`` takes its
 operator as already checked. The norm invariant is checked on every
 ``State`` and row-wise on a batch (``check_norms``). A ``State`` has no
 value identity: ``==`` is ``is``.

@@ -1,12 +1,18 @@
-"""The row kernels of the engine before their whole-column rewrite, kept as a
+"""The row kernels of the engine before their whole-column rewrite, and the
+adversary before it moved to span(eps, eps_perp) coordinates, kept as a
 reference for the tests.
 
 ``sample_outcomes``, ``measure_photons_z`` and ``check_norms`` are the
-earlier ``qsslab.quantum`` kernels, and ``ReferenceAdversary`` holds the
-earlier ``EntanglingAdversary`` hooks, all verbatim. They walk the short
-amplitude axes with ``cumsum``, ``argmax``, ``take_along_axis``, broadcast
-outer products and ``np.linalg.norm``. ``tests/test_kernel_reference.py``
-checks the engine against them bit for bit.
+earlier ``qsslab.quantum`` kernels, verbatim. They walk the short amplitude
+axes with ``cumsum``, ``argmax``, ``take_along_axis`` and broadcast outer
+products. ``tests/test_kernel_reference.py`` checks the engine against them
+bit for bit.
+
+``ReferenceAdversary`` is the earlier ``EntanglingAdversary``: it builds the
+whole (2d, 2d) entangler E, carries 2d-wide (ancilla, photon) rows and
+applies E, E^-1 and the bras (<eps|, <eps_perp|) as matrix products. It
+shares no code with the package's adversary but ``_span_outcomes``, and E
+can be injected, so that campaigns can run on a reference-built E.
 
 Tests import this module as they import ``conftest``.
 """
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsslab.attack import EntanglingAdversary, _span_outcomes
+from qsslab.attack import DEFAULT_GUESS_RULE, _span_outcomes, build_entangler
 from qsslab.quantum import ATOL_STATE, InvariantError, _check_norm_sq, canonical_angles
 
 
@@ -58,9 +64,28 @@ def measure_photons_z(amps: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.n
     return outcomes, probs
 
 
-class ReferenceAdversary(EntanglingAdversary):
-    """The entangling adversary with its earlier forward, announcement and
-    return hooks; its norm checks run on the reference ``check_norms``."""
+class ReferenceAdversary:
+    """The entangling adversary on the whole E and 2d-wide rows, with the
+    hooks of ``EntanglingAdversary`` before it moved to span coordinates;
+    its norm checks run on the reference ``check_norms``. ``entangler``
+    replaces ``build_entangler(spec)``."""
+
+    def __init__(self, spec, rngs, rule=DEFAULT_GUESS_RULE, adaptive=True, entangler=None):
+        self.spec = spec
+        self.rngs = list(rngs)
+        self.rule = rule
+        self.adaptive = adaptive
+        self.entangler = build_entangler(spec) if entangler is None else entangler
+        # ``_kets`` holds |eps> and |eps_perp> as rows, ``_bras`` their
+        # conjugates as the columns of a (d, 2) matrix, and ``_joint_bras``
+        # = _bras (x) I, written as its two nonzero strided blocks.
+        self._kets = np.stack([spec.epsilon.amps, spec.epsilon_perp.amps])
+        self._bras = self._kets.T.conj()
+        self._joint_bras = np.zeros((2 * spec.ancilla_dim, 4), dtype=complex)
+        self._joint_bras[0::2, 0::2] = self._bras
+        self._joint_bras[1::2, 1::2] = self._bras
+        self.final_outcomes = None
+        self._returned = None
 
     def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
         if amps.shape[-1] != 2:
@@ -113,3 +138,27 @@ class ReferenceAdversary(EntanglingAdversary):
         check_norms(photon)
         self._returned = (np.asarray(trials), np.asarray(photon_ids), ancilla)
         return photon.reshape(*amps.shape[:-1], 2)
+
+    def on_finish(self) -> np.ndarray:
+        if self._returned is not None:
+            trials, photon_ids, ancillas = self._returned
+            overlaps = ancillas @ self._bras
+            outcomes = _span_outcomes(
+                overlaps.real**2 + overlaps.imag**2,
+                np.concatenate([self.rngs[t].random(photon_ids.shape[1]) for t in trials]),
+                "final ancilla outcome outside span(eps, eps_perp), probability",
+            )
+            self.final_outcomes[trials[:, None], photon_ids] = outcomes.reshape(photon_ids.shape)
+        return np.where(self.final_outcomes < 0, -1, self.rule(self.final_outcomes))
+
+
+def on_ancilla(spec, coords: np.ndarray) -> np.ndarray:
+    """Coordinates (..., 2) on (|eps>, |eps_perp>) as ancilla vectors (..., d)."""
+    return coords[..., 0, None] * spec.epsilon.amps + coords[..., 1, None] * spec.epsilon_perp.amps
+
+
+def embed(spec, rows: np.ndarray) -> np.ndarray:
+    """Rows (..., 4) of span coordinates (k, p), at index 2k + p, as rows
+    (..., 2d) of the whole ancilla and photon, at index 2a + p."""
+    coords = rows.reshape(*rows.shape[:-1], 2, 2).swapaxes(-1, -2)
+    return on_ancilla(spec, coords).swapaxes(-1, -2).reshape(*rows.shape[:-1], -1)

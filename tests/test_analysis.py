@@ -22,6 +22,7 @@ from qsslab.attack import (
     GuessRule,
     build_entanglers,
     entangler_blocks,
+    gram_matrices,
     qgwz_spec,
     random_entangler_spec,
     spec_arrays,
@@ -125,12 +126,6 @@ def test_counterfactual_pipeline_is_sensitive(rng):
     assert counterfactual_joint_distance([spec], [0.7])[0, 0] > 0.1
 
 
-def gram(epsilon: np.ndarray, epsilon_perp: np.ndarray) -> np.ndarray:
-    """The Gram matrices (S, 2, 2) of S pairs given as (S, d) arrays."""
-    pair = np.stack([epsilon, epsilon_perp], axis=1)
-    return np.einsum("ska,sla->skl", pair.conj(), pair, optimize=False)
-
-
 @pytest.mark.parametrize("completion", ["forward", "reversed"])
 def test_kernel_matches_eigvalsh_reference_on_random_specs(completion):
     # 150 specs, 50 of each ancilla dimension: the block kernel against the
@@ -140,7 +135,7 @@ def test_kernel_matches_eigvalsh_reference_on_random_specs(completion):
         fields = spec_arrays([random_entangler_spec(rng, ancilla_dim=dim) for _ in range(50)])
         entanglers = build_entanglers(*fields, completion)
         thetas = rng.uniform(0.0, 2 * np.pi, (50, 8))
-        got = analysis._ancilla_distances(gram(*fields[:2]),
+        got = analysis._ancilla_distances(gram_matrices(*fields[:2]),
                                           entangler_blocks(*fields[2:]), thetas)
         for want in (entangler_distances(fields[0], fields[1], entanglers, thetas),
                      eigvalsh_distances(fields[0], entanglers, thetas)):
@@ -170,7 +165,8 @@ def test_kernel_matches_eigvalsh_reference_on_leaky_blocks():
     for i in range(120):
         eps, perp, block, entangler = leaky_block(rng, (2, 4, 8)[i % 3])
         thetas = rng.uniform(0.0, 2 * np.pi, (1, 8))
-        got = analysis._ancilla_distances(gram(eps[None], perp[None]), block[None], thetas)
+        got = analysis._ancilla_distances(gram_matrices(eps[None], perp[None]), block[None],
+                                          thetas)
         for want in (entangler_distances(eps[None], perp[None], entangler[None], thetas),
                      eigvalsh_distances(eps[None], entangler[None], thetas)):
             assert np.abs(got - want).max() <= EIGVALSH_TOL
@@ -186,10 +182,10 @@ def test_kernel_refuses_weight_outside_the_span():
     # A pair with <eps|eps_perp> = 1e-6, through a builder-made block.
     eps = np.array([[1.0, 0.0]], dtype=complex)
     perp = np.array([[1e-6, np.sqrt(1.0 - 1e-12)]], dtype=complex)
-    assert gram(eps, perp)[0, 0, 1] == 1e-6
+    assert gram_matrices(eps, perp)[0, 0, 1] == 1e-6
     with pytest.raises(InvariantError, match="moves"):
-        analysis._ancilla_distances(gram(eps, perp), entangler_blocks([0.6], [0.8], [0.3]),
-                                    thetas)
+        analysis._ancilla_distances(gram_matrices(eps, perp),
+                                    entangler_blocks([0.6], [0.8], [0.3]), thetas)
     # An orthonormal pair through 1.001 I, which no builder would return.
     with pytest.raises(InvariantError, match="moves"):
         analysis._ancilla_distances(np.eye(2, dtype=complex)[None], 1.001 * np.eye(4)[None],

@@ -162,6 +162,23 @@ def test_readme_library_sketch_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_adversary_uses_no_matrix_product():
+    # The adversary applies its block and Gram matrix as elementwise sums
+    # (``attack._apply``), so no BLAS or LAPACK kernel picks the bits of a run.
+    tree = ast.parse(pathlib.Path(attack.__file__).read_text())
+    scopes = [node for node in tree.body
+              if getattr(node, "name", None) in ("EntanglingAdversary", "_apply")]
+    assert len(scopes) == 2
+    banned = {"matmul", "dot", "vdot", "einsum", "linalg"}
+    found = []
+    for node in (n for scope in scopes for n in ast.walk(scope)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"attack.py:{node.lineno} @")
+        elif isinstance(node, ast.Attribute) and node.attr in banned:
+            found.append(f"attack.py:{node.lineno} {node.attr}")
+    assert found == []
+
+
 def unused_imports(path: pathlib.Path) -> list[str]:
     """``file:line name`` for each name that ``path`` imports and never
     reads; an import line marked ``# noqa: F401`` is kept on purpose."""

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsslab import attack
+from qsslab.analysis import derive_seed, summarize
 from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
@@ -25,6 +28,7 @@ from qsslab.quantum import (
     rotation_operator,
     rotate_photons,
 )
+from qsslab.transcript import render_transcripts
 
 from conftest import random_state
 from scalar_reference import (
@@ -365,13 +369,21 @@ def test_respond_collapses_to_definite_angle(rng):
         assert rho[0, 0].real >= 1 - 1e-10
 
 
+def span_rows(spec, k, thetas):
+    """E applied to |k> (x) chi(theta) for each theta, k = 0 for eps and 1 for
+    eps_perp, as rows (len(thetas), 4) of span coordinates: B (e_k (x) chi)."""
+    block = entangler_blocks(*spec_arrays([spec])[2:])[0]
+    return np.array([np.kron(np.eye(2)[k], chi_state(t).amps) for t in thetas]) @ block.T
+
+
 def test_announcement_refuses_residual_outcome():
-    # For the Bell ancilla, eps = |00> and eps_perp = |11>: an ancilla in |01>
-    # lies outside their span and can only give the residual outcome.
+    # A row has coordinates only on span(eps, eps_perp), so no row lies
+    # outside it; a zero row has no weight on the span and can only give the
+    # residual outcome, which guards against rounding and a pair that is not
+    # orthonormal.
     adv = EntanglingAdversary(qgwz_spec(BELL), [np.random.default_rng(0)])
-    outside = tensor(basis_state(2, 1), chi_state(0.3)).amps
     with pytest.raises(InvariantError, match="residual outcome"):
-        adv.on_check_announcement(np.array([[0]]), np.array([[0.2]]), outside[None, None, :])
+        adv.on_check_announcement(np.array([[0]]), np.array([[0.2]]), np.zeros((1, 1, 4)))
 
 
 def test_return_refuses_photon_still_entangled(rng):
@@ -382,10 +394,9 @@ def test_return_refuses_photon_still_entangled(rng):
     photons = adv.on_photon_return(np.array([0]), ids, state)
     for row, theta in zip(photons[0], THETAS):
         assert global_phase_equal(State(row), chi_state(theta), tol=1e-12)
-    # The same photons re-entangled with eps_perp do not split off |eps>.
-    wrong = np.array([tensor(spec.epsilon_perp, chi_state(t)).amps for t in THETAS])
+    # The same photons entangled from eps_perp do not split off |eps>.
     with pytest.raises(InvariantError, match="Schmidt weight"):
-        adv.on_photon_return(np.array([0]), ids, (wrong @ adv.entangler.T)[None])
+        adv.on_photon_return(np.array([0]), ids, span_rows(spec, 1, THETAS)[None])
 
 
 def test_checks_run_on_every_trial_of_a_batch(rng):
@@ -396,11 +407,11 @@ def test_checks_run_on_every_trial_of_a_batch(rng):
     ids = np.tile(np.arange(len(THETAS)), (3, 1))
     state = adv.on_photon_forward(ids, np.repeat(chi_rows(THETAS), 3, axis=0))
     outside = state.copy()
-    outside[1, 2] = tensor(basis_state(2, 1), chi_state(0.3)).amps
+    outside[1, 2] = 0.0
     with pytest.raises(InvariantError, match="residual outcome"):
         adv.on_check_announcement(ids, np.zeros(ids.shape), outside)
     entangled = state.copy()
-    entangled[1, 2] = tensor(spec.epsilon_perp, chi_state(0.3)).amps @ adv.entangler.T
+    entangled[1, 2] = span_rows(spec, 1, [0.3])[0]
     with pytest.raises(InvariantError, match="Schmidt weight"):
         adv.on_photon_return(np.arange(3), ids, entangled)
     photons = adv.on_photon_return(np.arange(3), ids, state)
@@ -433,9 +444,9 @@ def test_respond_frequency_matches_alpha_squared():
 
 
 def test_finish_refuses_ancilla_outside_span():
-    # For the Bell ancilla, eps = |00> and eps_perp = |11>: a kept ancilla
-    # 0.1 |00> + sqrt(0.99) |01> gives the residual outcome with probability
-    # 0.99, the weight it has outside their span.
+    # Kept ancillas are coordinates on (eps, eps_perp): one with coordinates
+    # (0.1, 0) gives the residual outcome with probability 0.99, the weight
+    # it lacks on the span.
     spec = qgwz_spec(BELL)
     ids = np.tile(np.arange(len(THETAS)), (2, 1))
 
@@ -449,7 +460,7 @@ def test_finish_refuses_ancilla_outside_span():
     assert np.array_equal(returned().on_finish(), np.zeros(ids.shape, dtype=int))
     adv = returned()
     _, _, ancillas = adv._returned
-    ancillas[len(THETAS):] = 0.1 * basis_state(2, 0).amps + np.sqrt(0.99) * basis_state(2, 1).amps
+    ancillas[len(THETAS):] = [0.1, 0.0]
     with pytest.raises(InvariantError, match="final ancilla outcome outside span"):
         adv.on_finish()
 
@@ -528,6 +539,44 @@ def test_naive_attack_fails_detection_at_known_rate():
     p = 0.5
     sigma = np.sqrt(p * (1 - p) / total)
     assert abs(fails / total - p) <= 4 * sigma
+
+
+# (d, |eps> index, |eps_perp> index) of basis-ket pairs: the first is the
+# d = 2 image of the others.
+EMBEDDINGS = [(2, 0, 1), (2, 1, 0), (4, 3, 0), (8, 5, 2)]
+
+
+def embedded_run(d, i, j, adaptive):
+    """A seeded batch of one spec whose |eps> and |eps_perp> are the basis
+    kets i and j of a d-dimensional ancilla, and its outputs: the bytes of
+    its columns, its report line and its transcripts."""
+    qubits = d.bit_length() - 1
+    spec = EntanglerSpec(basis_state(qubits, i), basis_state(qubits, j),
+                         0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j), 2.3)
+    config = ProtocolConfig(num_agents=3, message_length=24, check_fraction_first=0.25,
+                            num_second_checks=2, seed=71)
+    batch = run_protocol_batch(
+        config, [derive_seed(config.seed, k) for k in range(12)],
+        lambda rngs: EntanglingAdversary(spec, rngs, adaptive=adaptive))
+    columns = {f.name: getattr(batch, f.name) for f in dataclasses.fields(batch)}
+    arrays = {name: (a.dtype, a.shape, a.tobytes()) for name, a in columns.items()
+              if isinstance(a, np.ndarray)}
+    return batch, (arrays, summarize(config, spec, [batch]).to_json_line(),
+                   [t.serialize() for t in render_transcripts(batch)])
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "naive"])
+def test_attack_does_not_depend_on_the_ancilla_dimension(adaptive):
+    # The Gram matrix of two basis kets is I exactly and the block depends
+    # only on (alpha, beta, theta'), so every byte of a run is that of its
+    # d = 2 image.
+    (batch, image), *embedded = [embedded_run(*e, adaptive) for e in EMBEDDINGS]
+    assert [outputs == image for _, outputs in embedded] == [True] * len(embedded)
+    # Not vacuous: the adaptive attack guessed, and the naive one was caught.
+    if adaptive:
+        assert batch.first_passed.all() and (batch.guesses >= 0).any()
+    else:
+        assert not batch.first_passed.all()
 
 
 def test_guess_rule_validation_and_mapping():

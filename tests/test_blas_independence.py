@@ -1,4 +1,4 @@
-"""The exact analysis gives the same bytes under every OpenBLAS kernel.
+"""The exact analysis and the attack give the same bytes under every OpenBLAS kernel.
 
 OpenBLAS picks its kernel from the CPU when numpy loads it, and
 ``OPENBLAS_CORETYPE`` forces another one. The trace distances are computed
@@ -7,6 +7,13 @@ so the sweep tables of both shipped configs and the qgwz report (whose
 ``max_trace_distance`` comes from them) must be byte-identical under each
 forced kernel to the default kernel's. OpenBLAS reads the variable once, so
 each kernel runs in its own interpreter, which writes all three outputs.
+
+The adversary's hooks are elementwise sums on span coordinates too, so each
+interpreter also runs, under its kernel, the tests whose pins pass through
+them: a d = 8 batch equals its batches of one
+(``test_batch.test_batch_matches_batches_of_one``), and the qgwz and skewed
+``--transcripts`` directories hash to their pinned digests
+(``test_engine_equivalence``).
 
 Out of scope: ``NPY_DISABLE_CPU_FEATURES``. numpy's complex multiply follows
 the SIMD level, so turning CPU features off may still move the last bits.
@@ -29,10 +36,17 @@ OUTPUTS = (
 )
 
 SCRIPT = """
-import sys
+import pathlib, sys
 from qsslab.cli import main
+import test_batch, test_engine_equivalence as golden
+out = pathlib.Path(sys.argv[1])
 for i, argv in enumerate({outputs!r}):
-    assert main([*argv, "--out", f"{{sys.argv[1]}}/{{i}}.out"]) == 0
+    assert main([*argv, "--out", str(out / f"{{i}}.out")]) == 0
+test_batch.test_batch_matches_batches_of_one("general-d8")
+for name in ("qgwz", "skewed"):
+    (out / name).mkdir()
+golden.test_cli_transcripts_byte_identical("configs/qgwz.json", out / "qgwz")
+golden.test_cli_transcripts_byte_identical_skewed_ancilla(out / "skewed")
 """
 
 
@@ -41,7 +55,8 @@ def start(out_dir: pathlib.Path, coretype: str | None) -> subprocess.Popen:
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
     env["OPENBLAS_NUM_THREADS"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]))
     out_dir.mkdir()
     return subprocess.Popen(
         [sys.executable, "-c", SCRIPT.format(outputs=[list(o) for o in OUTPUTS]), str(out_dir)],

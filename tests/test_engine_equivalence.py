@@ -23,6 +23,13 @@ contractions replaced projector sets, and re-recorded when the closed-form
 entangler stack replaced the Gram-Schmidt build (only probabilities moved,
 each by at most 8.9e-16).
 
+The qgwz ``transcripts_sha256`` and ``SKEWED_TRANSCRIPTS_SHA256`` were both
+re-recorded when the adversary moved to coordinates on span(eps, eps_perp),
+4-wide rows summed elementwise instead of 2d-wide rows through BLAS
+products. Only probabilities moved: 31 of the qgwz fields, each by at most
+4.5e-16, and 208 of the skewed ones, each by at most 8.9e-16. Neither digest
+depends on the host's BLAS kernel since (``tests/test_blas_independence.py``).
+
 The ``reports`` and ``sweep_sha256`` were re-recorded when the trace
 distances moved to the closed form on span(eps, eps_perp) (every value
 within 1e-12 of the earlier eigvalsh kernel; the qgwz report's
@@ -284,7 +291,7 @@ def test_cli_transcripts_byte_identical(config_path, tmp_path):
     assert digest == _load()["transcripts_sha256"][config_path]
 
 
-SKEWED_TRANSCRIPTS_SHA256 = "dbbca6148e0449f159fcc9c5ab88038f5bbe6c4612cce977b2eb630550068b30"
+SKEWED_TRANSCRIPTS_SHA256 = "48089020d5ce807d0ed317a91de2d479cf4e2909d23472d7fdd12d2ec0c364dc"
 
 
 def test_cli_transcripts_byte_identical_skewed_ancilla(tmp_path):

@@ -4,18 +4,20 @@
 ``scalar_reference._build_entangler``, completes E's pinned columns to a
 basis by Gram-Schmidt, one spec at a time. The two agree where E is pinned,
 on |eps> (x) C^2, and differ elsewhere, where the completion is free. So
-every observable must agree: seeded campaigns with either builder injected
-give the same integer columns and floats within 1e-12, and the exact trace
-distances of their specs, from the package's block kernel, agree within
-1e-12 with the earlier whole-E kernel run on the reference's operators.
+every observable must agree: a seeded campaign of the package's adversary,
+which runs on E's block, and of the earlier whole-E adversary
+(``kernel_reference.ReferenceAdversary``) given the reference's E give the
+same integer columns and floats within 1e-12, and the exact trace distances
+of their specs, from the package's block kernel, agree within 1e-12 with the
+earlier whole-E kernel run on the reference's operators.
 """
 import dataclasses
 
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 import test_engine_equivalence as golden
-from qsslab import attack
 from qsslab.analysis import THETA_SAMPLES, indistinguishability
 from qsslab.attack import (
     EntanglerSpec,
@@ -70,36 +72,33 @@ def random_general_cases(n: int = 24) -> list[dict]:
 CASES = golden.CASES + random_general_cases()
 
 
-def campaign(case: dict):
+def campaign(case: dict, reference: bool = False):
     """Three seeded trials of ``case`` as one batch, its spec, and a
-    campaign's report angles."""
+    campaign's report angles; with ``reference``, run by the whole-E
+    adversary on the reference-built E."""
     proto = dict(case["protocol"])
     if proto.get("message_bits") is not None:
         proto["message_bits"] = tuple(proto["message_bits"])
     config = ProtocolConfig(**proto)
     spec = golden._spec(golden._resolve_attack(case["attack"]))
     rule = GuessRule(*case["rule"])
-    batch = run_protocol_batch(
-        config, [config.seed + k for k in range(3)],
-        lambda rngs: EntanglingAdversary(spec, rngs, rule, adaptive=case["adaptive"]),
-    )
+
+    def adversary(rngs):
+        if reference:
+            return ref.ReferenceAdversary(spec, rngs, rule, case["adaptive"],
+                                          _build_entangler(spec, "forward"))
+        return EntanglingAdversary(spec, rngs, rule, adaptive=case["adaptive"])
+
+    batch = run_protocol_batch(config, [config.seed + k for k in range(3)], adversary)
     thetas = np.random.default_rng(config.seed).uniform(0.0, 2 * np.pi, THETA_SAMPLES)
     return batch, spec, thetas
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c["attack"] is not None],
                          ids=lambda c: c["name"])
-def test_campaigns_match_with_either_builder(monkeypatch, case):
+def test_campaigns_match_with_either_builder(case):
     batch, spec, thetas = campaign(case)
-    built = []
-
-    def reference(spec):
-        built.append(spec)
-        return _build_entangler(spec, "forward")
-
-    monkeypatch.setattr(attack, "build_entangler", reference)
-    ref_batch = campaign(case)[0]
-    assert built
+    ref_batch = campaign(case, reference=True)[0]
     for field in dataclasses.fields(batch):
         got, want = getattr(batch, field.name), getattr(ref_batch, field.name)
         if isinstance(got, np.ndarray) and got.dtype.kind == "f":

@@ -1,20 +1,33 @@
-"""The engine's whole-column kernels against the earlier row kernels.
+"""The engine's whole-column kernels and adversary against the earlier ones.
 
 ``tests/kernel_reference.py`` keeps the earlier ``sample_outcomes``,
-``measure_photons_z``, ``check_norms`` and adversary hooks verbatim. On
-random rows both must give the same bits: outcomes and probabilities are
-compared as ``uint64`` views, so that a last-bit difference, a -0.0 or a NaN
-payload shows. Where the reference raises ``InvariantError``, the engine
-raises it with the same message. The cases include NaN rows, a negative
-residual outcome and missed draws, where rounding leaves a row's total below
-its uniform.
+``measure_photons_z`` and ``check_norms`` verbatim. On random rows both must
+give the same bits: outcomes and probabilities are compared as ``uint64``
+views, so that a last-bit difference, a -0.0 or a NaN payload shows. Where
+the reference raises ``InvariantError``, the engine raises it with the same
+message. The cases include NaN rows, a negative residual outcome and missed
+draws, where rounding leaves a row's total below its uniform.
+
+It also keeps the earlier adversary, on the whole E and 2d-wide rows. The
+package's adversary works on 4-wide span coordinates and sums elementwise,
+so its floats can differ in the last bits: given the same uniforms, both
+must give the same integers, floats within 1e-12 once the span rows are
+embedded in the whole ancilla, and the same refusal messages.
 """
 import numpy as np
 import pytest
 
 import kernel_reference as ref
-from qsslab.attack import EntanglingAdversary, _row_sums, random_entangler_spec
-from qsslab.quantum import InvariantError, check_norms, measure_photons_z, sample_outcomes
+from qsslab.attack import EntanglingAdversary, random_entangler_spec
+from qsslab.quantum import (
+    MINUS_I_SIGMA_Y,
+    InvariantError,
+    apply_photon_op,
+    check_norms,
+    measure_photons_z,
+    rotate_photons,
+    sample_outcomes,
+)
 
 # The largest double below 1: the highest uniform a generator can draw.
 TOP_UNIFORM = 1.0 - 2.0**-53
@@ -175,15 +188,19 @@ def test_check_norms_matches_reference(dim, fault):
 # -- the adversary hooks -----------------------------------------------------
 
 
-@pytest.mark.parametrize("terms", range(1, 9))
-def test_row_sums_add_in_numpy_order(terms):
-    rng = np.random.default_rng([25, terms])
-    x = rng.normal(size=(500, terms)) + 1j * rng.normal(size=(500, terms))
-    squares = (x.conj() * x).real
-    assert np.array_equal(bits(_row_sums(squares)), bits(np.sum(squares, axis=1)))
-
-
 HOOK_SPECS = [pytest.param(d, seed, id=f"d{d}-{seed}") for d in (2, 4, 8) for seed in range(3)]
+HOOK_TOL = 1e-12
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= HOOK_TOL
+
+
+def hook_pair(spec, adaptive, trials):
+    """The adversary and the reference, each with its own generators seeded alike."""
+    return [cls(spec, [np.random.default_rng([27, t]) for t in range(trials)], adaptive=adaptive)
+            for cls in (EntanglingAdversary, ref.ReferenceAdversary)]
 
 
 @pytest.mark.parametrize("d, seed", HOOK_SPECS)
@@ -195,15 +212,64 @@ def test_hooks_match_reference(d, seed):
     chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1).astype(complex)
     ids = np.tile(np.arange(photons), (trials, 1))
     honest = rng.uniform(0.0, 2 * np.pi, size=ids.shape)
-    new, old = (cls(spec, [np.random.default_rng([27, t]) for t in range(trials)])
-                for cls in (EntanglingAdversary, ref.ReferenceAdversary))
-    rows = new.on_photon_forward(ids, chi)
-    assert_same((rows,), (old.on_photon_forward(ids, chi),))
-    assert_same(new.on_check_announcement(ids, honest, rows),
-                old.on_check_announcement(ids, honest, rows))
-    # E^-1 takes the forward rows back to |eps> (x) chi: a product state.
-    trials_back = np.array([0, 2])
-    assert_same((new.on_photon_return(trials_back, ids[trials_back], rows[trials_back]),),
-                (old.on_photon_return(trials_back, ids[trials_back], rows[trials_back]),))
-    assert_same((new._returned[2],), (old._returned[2],))
-    assert_same((new.on_finish(),), (old.on_finish(),))
+    later = rng.uniform(0.0, 2 * np.pi, size=ids.shape)
+    ones = rng.integers(0, 2, size=ids.shape).astype(bool)
+    for adaptive in (True, False):
+        new, old = hook_pair(spec, adaptive, trials)
+        rows, old_rows = new.on_photon_forward(ids, chi), old.on_photon_forward(ids, chi)
+        assert rows.shape == (trials, photons, 4)
+        assert_close(ref.embed(spec, rows), old_rows)
+        (announced, collapsed), (old_announced, old_collapsed) = (
+            new.on_check_announcement(ids, honest, rows),
+            old.on_check_announcement(ids, honest, old_rows))
+        assert np.array_equal(announced, old_announced)
+        assert_close(ref.embed(spec, collapsed), old_collapsed)
+        # A later agent's rotation and the encoding of some bits, then E^-1:
+        # each row comes back to |eps> (x) photon, a product state.
+        back = np.array([0, 2])
+        returned = []
+        for adv, joint in ((new, rows), (old, old_rows)):
+            joint = rotate_photons(joint[back], later[back])
+            joint[ones[back]] = apply_photon_op(joint[ones[back]], MINUS_I_SIGMA_Y)
+            returned.append(adv.on_photon_return(back, ids[back], joint))
+        assert_close(*returned)
+        assert_close(ref.on_ancilla(spec, new._returned[2]), old._returned[2])
+        assert np.array_equal(new.on_finish(), old.on_finish())
+        # The draws left both sets of generators at the same point.
+        assert [g.random() for g in new.rngs] == [g.random() for g in old.rngs]
+
+
+def refusal(f, *args) -> str:
+    with pytest.raises(InvariantError) as info:
+        f(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_hooks_refuse_like_reference(d):
+    # A zero row has no weight on the span, in either coordinates: the
+    # announcement draws the residual outcome with probability 1 and the
+    # return hook finds Schmidt weight 0. A zero kept ancilla gives the final
+    # measurement's residual outcome with probability 1.
+    spec = random_entangler_spec(np.random.default_rng([28, d]), d)
+    ids = np.tile(np.arange(5), (2, 1))
+    chi = np.zeros((2, 5, 2), dtype=complex)
+    chi[..., 0] = 1.0
+    messages = []
+    for adv in hook_pair(spec, True, 2):
+        rows = adv.on_photon_forward(ids, chi)
+        bad = rows.copy()
+        bad[1, 3] = 0.0
+        messages.append([
+            refusal(adv.on_check_announcement, ids, np.zeros(ids.shape), bad),
+            refusal(adv.on_photon_return, np.arange(2), ids, bad),
+        ])
+        adv.on_photon_return(np.arange(2), ids, rows)
+        adv._returned[2][7] = 0.0
+        messages[-1].append(refusal(adv.on_finish))
+    assert messages[0] == messages[1]
+    assert messages[0] == [
+        "residual outcome outside span(eps, eps_perp) with probability 1.0",
+        "state is not a product with |eps> (Schmidt weight 0.0)",
+        "final ancilla outcome outside span(eps, eps_perp), probability 1.0",
+    ]

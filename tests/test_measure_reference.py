@@ -10,13 +10,17 @@ residual outcome takes the rest, and the collapsed row is |eps> (or
 The reference below is the earlier path, kept verbatim with its own
 projector kernel: projector sets {P_eps, P_eps_perp, rest} of shape
 (3, 2d, 2d) and (3, d, d), checked once per spec and applied through an
-``einsum``. Both paths draw the same uniforms from identically seeded
-generators, and must pick the same outcomes. For a basis |eps> the
-contraction reads and writes the same amplitudes as the projectors, so
-probabilities and collapsed rows are equal; for any other |eps> both sum
-in different orders, and they may differ in the last bits, within 2e-15. A
-whole benchmark-shaped qgwz campaign keeps every discrete field and every
-recovery probability.
+``einsum``. It runs on the whole ancilla, on top of the earlier adversary
+(``kernel_reference.ReferenceAdversary``), while the package's adversary
+works on coordinates in span(eps, eps_perp); the reference measures the
+package's rows and ancillas embedded in the whole ancilla. Both paths draw
+the same uniforms from identically seeded generators, and must pick the same
+outcomes. For a basis |eps> the embedding and the contraction read and
+write the same amplitudes as the projectors, so probabilities and collapsed
+rows are equal; for any other |eps> both sum in different orders, and they
+may differ in the last bits, within 2e-15. A whole benchmark-shaped qgwz
+campaign keeps every discrete field, and its probabilities agree within
+2e-15.
 """
 import dataclasses
 import sys
@@ -25,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from qsslab import attack
 from qsslab.analysis import derive_seed
 from qsslab.attack import EntanglerSpec, EntanglingAdversary, qgwz_spec, random_entangler_spec
@@ -103,11 +108,11 @@ def _projector_sets(spec: EntanglerSpec) -> tuple[np.ndarray, np.ndarray]:
     return joint, ancilla
 
 
-class ProjectorAdversary(EntanglingAdversary):
-    """The adversary with its two measurements on the projector sets."""
+class ProjectorAdversary(ref.ReferenceAdversary):
+    """The earlier adversary with its two measurements on the projector sets."""
 
-    def __init__(self, spec, rngs, rule=attack.DEFAULT_GUESS_RULE, adaptive=True):
-        super().__init__(spec, rngs, rule, adaptive)
+    def __init__(self, spec, rngs, adaptive=True):
+        super().__init__(spec, rngs, adaptive=adaptive)
         self._joint_projs, self._ancilla_projs = _projector_sets(spec)
 
     def on_check_announcement(
@@ -229,16 +234,17 @@ def test_announcement_matches_reference(sampled, kind, dim, seed):
     chi = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1).astype(complex)
     ids = np.tile(np.arange(photons), (trials, 1))
     honest = rng.uniform(0.0, 2 * np.pi, size=ids.shape)
-    new, ref = adversaries(spec, trials)
+    new, projected = adversaries(spec, trials)
     rows = new.on_photon_forward(ids, chi)
-    assert np.array_equal(rows, ref.on_photon_forward(ids, chi))
+    assert_close(ref.embed(spec, rows), projected.on_photon_forward(ids, chi), exact=False)
     announced, collapsed = new.on_check_announcement(ids, honest, rows)
-    announced_ref, collapsed_ref = ref.on_check_announcement(ids, honest, rows)
+    announced_ref, collapsed_ref = projected.on_check_announcement(
+        ids, honest, ref.embed(spec, rows))
     assert np.array_equal(announced, announced_ref)
-    assert_close(collapsed, collapsed_ref, exact=kind == "basis")
+    assert_close(ref.embed(spec, collapsed), collapsed_ref, exact=kind == "basis")
     assert_same_draws(sampled, exact=kind == "basis")
     # The draws left both generators at the same point.
-    assert [g.random() for g in new.rngs] == [g.random() for g in ref.rngs]
+    assert [g.random() for g in new.rngs] == [g.random() for g in projected.rngs]
 
 
 @pytest.mark.parametrize("kind, dim, seed", SPECS)
@@ -249,12 +255,11 @@ def test_final_measurement_matches_reference(sampled, kind, dim, seed):
     ids = np.tile(np.arange(photons), (trials, 1))
     # Kept ancillas anywhere in span(eps, eps_perp), so that both outcomes
     # occur; the attack itself always returns |eps>. Trial 2 never returned.
-    weights = rng.normal(size=(2, 3 * photons, 1)) + 1j * rng.normal(size=(2, 3 * photons, 1))
-    ancillas = weights[0] * spec.epsilon.amps + weights[1] * spec.epsilon_perp.amps
-    ancillas /= np.linalg.norm(ancillas, axis=1, keepdims=True)
+    coords = rng.normal(size=(3 * photons, 2)) + 1j * rng.normal(size=(3 * photons, 2))
+    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
     kept = np.array([0, 1, 3])
     guesses = []
-    for adv in adversaries(spec, trials):
+    for adv, ancillas in zip(adversaries(spec, trials), (coords, ref.on_ancilla(spec, coords))):
         adv.on_photon_forward(ids, np.zeros((trials, photons, 2)))
         adv._returned = (kept, ids[kept], ancillas.copy())
         guesses.append(adv.on_finish())
@@ -277,12 +282,12 @@ def test_campaign_matches_reference(seed):
                             num_second_checks=2, seed=int(rng.integers(2**31)))
     spec = qgwz_spec(random_ancilla(rng))
     seeds = [derive_seed(config.seed, i) for i in range(10)]
-    batch, ref = (run_protocol_batch(config, seeds, lambda rngs, cls=cls: cls(spec, rngs))
-                  for cls in (EntanglingAdversary, ProjectorAdversary))
+    batch, projected = (run_protocol_batch(config, seeds, lambda rngs, cls=cls: cls(spec, rngs))
+                        for cls in (EntanglingAdversary, ProjectorAdversary))
     assert batch.first_passed.all() and (batch.guesses >= 0).any()
     for field in dataclasses.fields(BatchResult):
-        got, want = getattr(batch, field.name), getattr(ref, field.name)
-        if field.name == "check_probabilities":
+        got, want = getattr(batch, field.name), getattr(projected, field.name)
+        if field.name in ("check_probabilities", "recovery_probabilities"):
             assert_close(got, want, exact=False)
         elif isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and np.array_equal(got, want), field.name
