@@ -13,8 +13,6 @@ from .attack import (
     EntanglingAdversary,
     GuessRule,
     entangler_blocks,
-    gram_matrices,
-    spec_arrays,
 )
 from .protocol import (
     MAX_RUN_SIZE,
@@ -159,22 +157,15 @@ def indistinguishability(specs: Iterable[EntanglerSpec], thetas) -> np.ndarray:
     conditioned on message bit 0 vs 1, computed exactly for each spec of
     ``specs`` at each photon angle: shape (S, T), for ``thetas`` one (T,)
     vector shared by every spec or one (S, T) row per spec.
-    ``helstrom_bound`` of it is the best guessing probability. The Gram
-    matrices and entangler blocks of each ancilla dimension are built from
-    one ``spec_arrays`` stack, and all the specs are evaluated in one
-    ``_ancilla_distances`` call."""
+    ``helstrom_bound`` of it is the best guessing probability. The specs'
+    Gram matrices and entangler blocks, whatever their ancilla dimensions,
+    are stacked and evaluated in one ``_ancilla_distances`` call."""
     specs = list(specs)
     thetas = np.asarray(thetas, dtype=float)
     # A C-ordered copy: ``np.cos`` of a strided array can differ in the last bit.
     thetas = np.ascontiguousarray(np.broadcast_to(thetas, (len(specs), thetas.shape[-1])))
-    dims = [spec.ancilla_dim for spec in specs]
-    gram = np.empty((len(specs), 2, 2), dtype=complex)
-    blocks = np.empty((len(specs), 4, 4), dtype=complex)
-    for d in set(dims):
-        idx = [i for i, dim in enumerate(dims) if dim == d]
-        eps, perp, *coefficients = spec_arrays([specs[i] for i in idx])
-        gram[idx] = gram_matrices(eps, perp)
-        blocks[idx] = entangler_blocks(*coefficients)
+    gram = np.array([spec.gram for spec in specs], dtype=complex).reshape(-1, 2, 2)
+    blocks = np.array([spec.block for spec in specs], dtype=complex).reshape(-1, 4, 4)
     return _ancilla_distances(gram, blocks, thetas)
 
 

@@ -11,6 +11,11 @@ first detection), applies E^-1 when the photon returns, and measures the
 ancilla to guess the encoded bit. The ancilla always comes back to |eps>
 whatever the bit was, so every guess rule is uninformative.
 
+E is pinned only on |eps> (x) C^2, so every completion of it is the same
+attack. The attack and the exact analysis read only the ``EntanglerSpec``'s
+block of E and Gram matrix, built once with the spec; ``build_entanglers``
+writes one completion of the whole E.
+
 The controlled-controlled -i*sigma_y special attack is ``qgwz_spec``; its
 circuit, ``cli.CCY_CIRCUIT``, is what criteria 3 and 7 of ``qsslab verify`` run.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,13 +56,19 @@ ENCODING_SHIFT = -3 * np.pi / 2
 
 @dataclass(frozen=True, eq=False)
 class EntanglerSpec:
-    """Parameters (d, |eps>, |eps_perp>, alpha, beta, theta') of the entangler."""
+    """Parameters (d, |eps>, |eps_perp>, alpha, beta, theta') of the entangler,
+    and the two operators that the attack and the exact analysis read, built
+    and checked once here, read-only: the pair's Gram matrix ``gram``
+    (``gram_matrices``) and E's 4 x 4 block ``block`` on
+    span(eps, eps_perp) (x) C^2 (``entangler_blocks``)."""
 
     epsilon: State
     epsilon_perp: State
     alpha: complex
     beta: complex
     theta_prime: float
+    gram: np.ndarray = field(init=False, repr=False)
+    block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # Each check is written so that a NaN fails it.
@@ -99,6 +110,10 @@ class EntanglerSpec:
                 f"|eps> and |eps_perp> must be orthonormal: with alpha and beta they leave "
                 f"the entangler up to {bound:.3e} from unitary, more than {ATOL_STATE}"
             )
+        block = entangler_blocks([self.alpha], [self.beta], [self.theta_prime])[0]
+        for name, value in (("gram", gram), ("block", block)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def ancilla_dim(self) -> int:
@@ -126,19 +141,6 @@ class GuessRule:
 DEFAULT_GUESS_RULE = GuessRule()
 
 
-def spec_arrays(specs) -> tuple[np.ndarray, ...]:
-    """The fields of ``specs``, all of one ancilla dimension d, stacked as the
-    arrays that ``build_entanglers`` takes: |eps> and |eps_perp> (S, d),
-    alpha, beta and theta' (S,)."""
-    return (
-        np.stack([spec.epsilon.amps for spec in specs]),
-        np.stack([spec.epsilon_perp.amps for spec in specs]),
-        np.array([spec.alpha for spec in specs]),
-        np.array([spec.beta for spec in specs]),
-        np.array([spec.theta_prime for spec in specs]),
-    )
-
-
 def gram_matrices(epsilon, epsilon_perp) -> np.ndarray:
     """The Gram matrices Gamma (S, 2, 2) of S pairs given as (S, d) arrays,
     Gamma[k, l] = <k|l> for k, l in (eps, eps_perp): one ``np.einsum``
@@ -147,8 +149,16 @@ def gram_matrices(epsilon, epsilon_perp) -> np.ndarray:
     return np.einsum("ska,sla->skl", pair.conj(), pair, optimize=False)
 
 
-def _block_entries(alpha, beta, theta_prime) -> np.ndarray:
-    """The blocks of ``entangler_blocks``, not yet checked unitary."""
+def entangler_blocks(alpha, beta, theta_prime) -> np.ndarray:
+    """The blocks B (S, 4, 4) of S entanglers on span(eps, eps_perp) (x) C^2,
+    from their alpha, beta and canonical theta' (S,): E V = V B for
+    V = (|eps>, |eps_perp>) (x) I. Rows and columns are (k, p) as 2k + p,
+    for k = 0 on |eps>, k = 1 on |eps_perp> and p the photon.
+
+    B is [[alpha I, -conj(beta) U^T], [beta U, conj(alpha) I]] for
+    U = U(theta'). Each entry is at most one elementwise product, so a block
+    has the same bits in any stack; the stack is checked unitary once.
+    """
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
     c, s = np.cos(theta_prime), np.sin(theta_prime)
@@ -160,85 +170,57 @@ def _block_entries(alpha, beta, theta_prime) -> np.ndarray:
     blocks[:, 2, 2] = blocks[:, 3, 3] = alpha.conj()
     blocks[:, 0, 2] = blocks[:, 1, 3] = -(c * beta.conj())
     blocks[:, 1, 2], blocks[:, 0, 3] = back_turned, -back_turned
-    return blocks
-
-
-def entangler_blocks(alpha, beta, theta_prime) -> np.ndarray:
-    """The blocks B (S, 4, 4) of S entanglers on span(eps, eps_perp) (x) C^2,
-    from their alpha, beta and canonical theta' (S,): E V = V B for
-    V = (|eps>, |eps_perp>) (x) I and E of the "forward" completion. Rows
-    and columns are (k, p) as 2k + p, for k = 0 on |eps>, k = 1 on
-    |eps_perp> and p the photon.
-
-    B is [[alpha I, -conj(beta) U^T], [beta U, conj(alpha) I]] for
-    U = U(theta'). Each entry is at most one elementwise product, so a block
-    has the same bits in any stack; the stack is checked unitary once.
-    """
-    blocks = _block_entries(alpha, beta, theta_prime)
     check_unitary(blocks)
     return blocks
 
 
-def build_entanglers(
-    epsilon, epsilon_perp, alpha, beta, theta_prime, completion: str = "forward"
-) -> np.ndarray:
-    """The entanglers E of S specs, shape (S, 2d, 2d), from their stacked
-    fields (``spec_arrays``): |eps> and |eps_perp> (S, d), alpha, beta and
-    canonical theta' (S,).
+def build_entanglers(specs) -> np.ndarray:
+    """The entanglers E (S, 2d, 2d) of ``specs``, S specs of one ancilla
+    dimension d.
 
     E is pinned only on |eps> (x) C^2, where it maps |eps>|chi> to
-    alpha |eps>|chi> + beta |eps_perp> U(theta')|chi>. In closed form, E is
-    the block B of ``entangler_blocks`` on span(eps, eps_perp) (x) C^2 and
-    the identity on the rest of the ancilla; its coefficients are read from
-    that block. ``completion`` picks how E acts off |eps> (x) C^2,
-    so that observational invariance across completions can be tested:
-    "forward" is that form, and "reversed" is it times sigma_x on the photon
-    of every input orthogonal to |eps> (x) C^2. Each entry is a few
-    elementwise products and sums, so an operator has the same bits in any
-    stack; the stack is checked unitary once.
+    alpha |eps>|chi> + beta |eps_perp> U(theta')|chi>, so every completion
+    of E is the same attack. This one is, in closed form, each spec's
+    ``block`` on span(eps, eps_perp) (x) C^2 and the identity on the rest
+    of the ancilla; its coefficients are read from that block. Each entry is
+    a few elementwise products and sums, so an operator has the same bits in
+    any stack; the stack is checked unitary once.
     """
-    if completion not in ("forward", "reversed"):
-        raise ValueError(f"unknown completion {completion!r}")
-    eps = np.asarray(epsilon, dtype=complex)
-    perp = np.asarray(epsilon_perp, dtype=complex)
+    specs = list(specs)
+    eps = np.stack([spec.epsilon.amps for spec in specs])
+    perp = np.stack([spec.epsilon_perp.amps for spec in specs])
     # Columns (S, 1) of the block: B[0, 0] = alpha, B[2, 0] = c beta,
     # B[3, 0] = s beta, B[2, 2] = conj(alpha), B[0, 2] = -c conj(beta) and
     # B[1, 2] = s conj(beta), for c, s = cos theta', sin theta'.
-    blocks = _block_entries(alpha, beta, theta_prime)[..., None]
+    blocks = np.stack([spec.block for spec in specs])[..., None]
     d = eps.shape[1]
 
     def outer(u, v):
         """|u><v| of each spec, (S, d, d)."""
         return u[:, :, None] * v.conj()[:, None, :]
 
-    # E's ancilla blocks (S, d, d) for photon out p, in q. Inputs on |eps> see
-    # ``kept`` where p = q and -+``turned`` where p != q; the other inputs
-    # see ``back`` where p = q and +-``back_turned`` where p != q.
+    # E's ancilla blocks (S, d, d) for photon out p, in q: kept + back where
+    # p = q, turned + back_turned where (p, q) = (1, 0), and minus that where
+    # (p, q) = (0, 1). ``kept`` and ``turned`` act on |eps>, the others on
+    # the rest of the ancilla.
     kept = outer(blocks[:, 0, 0] * eps + blocks[:, 2, 0] * perp, eps)
     turned = outer(blocks[:, 3, 0] * perp, eps)
     back = (np.eye(d) - outer(eps, eps) - outer(perp, perp)
             + outer(blocks[:, 2, 2] * perp + blocks[:, 0, 2] * eps, perp))
     back_turned = outer(blocks[:, 1, 2] * eps, perp)
     e = np.empty((len(eps), d, 2, d, 2), dtype=complex)
-    if completion == "forward":
-        e[:, :, 0, :, 0] = e[:, :, 1, :, 1] = kept + back
-        e[:, :, 1, :, 0] = turned + back_turned
-        e[:, :, 0, :, 1] = -e[:, :, 1, :, 0]
-    else:
-        # The inputs off |eps> (x) C^2 with their photon flipped.
-        e[:, :, 0, :, 0] = kept - back_turned
-        e[:, :, 1, :, 1] = kept + back_turned
-        e[:, :, 1, :, 0] = turned + back
-        e[:, :, 0, :, 1] = back - turned
+    e[:, :, 0, :, 0] = e[:, :, 1, :, 1] = kept + back
+    e[:, :, 1, :, 0] = turned + back_turned
+    e[:, :, 0, :, 1] = -e[:, :, 1, :, 0]
     entanglers = e.reshape(len(eps), 2 * d, 2 * d)
     check_unitary(entanglers)
     return entanglers
 
 
-def build_entangler(spec: EntanglerSpec, completion: str = "forward") -> np.ndarray:
+def build_entangler(spec: EntanglerSpec) -> np.ndarray:
     """Unitary E on ancilla (x) photon realizing the attack on |eps> (x) C^2:
     ``build_entanglers`` on a stack of one."""
-    return build_entanglers(*spec_arrays([spec]), completion)[0]
+    return build_entanglers([spec])[0]
 
 
 def qgwz_spec(ancilla_state: State) -> EntanglerSpec:
@@ -314,8 +296,8 @@ class EntanglingAdversary:
     |eps_perp>, and E^-1 maps span (x) C^2 to itself. So every row the hooks
     return holds 4 amplitudes, whatever d is: the joint state's coordinates
     (k, p) at index 2k + p, for k = 0 on |eps>, k = 1 on |eps_perp> and p the
-    photon. The hooks hold only E's block B there (``entangler_blocks``) and
-    the pair's Gram matrix Gamma (``gram_matrices``), and apply them as
+    photon. The hooks read only the spec's block B of E there and its pair's
+    Gram matrix Gamma, built and checked with the spec, and apply them as
     elementwise sums (``_apply``).
     """
 
@@ -330,9 +312,6 @@ class EntanglingAdversary:
         self.rngs = list(rngs)
         self.rule = rule
         self.adaptive = adaptive
-        epsilon, epsilon_perp, *coefficients = spec_arrays([spec])
-        self._block = entangler_blocks(*coefficients)[0]
-        self._gram = gram_matrices(epsilon, epsilon_perp)[0]
         # Final ancilla outcome per (trial, photon): 0 for eps, 1 for eps_perp,
         # -1 where no ancilla was measured. Sized by the forward hook.
         self.final_outcomes: np.ndarray | None = None
@@ -343,14 +322,14 @@ class EntanglingAdversary:
     def _contract(self, rows: np.ndarray) -> np.ndarray:
         """The photons (n, 2, 2) that <eps| (x) I (k = 0) and <eps_perp| (x) I
         (k = 1) leave of each row (n, 2, 2): sum_l Gamma[k, l] rows[n, l]."""
-        return _apply(self._gram, rows.swapaxes(1, 2)).swapaxes(1, 2)
+        return _apply(self.spec.gram, rows.swapaxes(1, 2)).swapaxes(1, 2)
 
     def on_photon_forward(self, photon_ids: np.ndarray, amps: np.ndarray) -> np.ndarray:
         if amps.shape[-1] != 2:
             raise InvariantError("attack expects a bare single-photon state on the channel")
         self.final_outcomes = np.full(photon_ids.shape, -1)
         # |eps> (x) chi is the coordinate vector (chi, 0, 0): B's first two columns.
-        return _apply(self._block[:, :2], amps)
+        return _apply(self.spec.block[:, :2], amps)
 
     def on_check_announcement(
         self, photon_ids: np.ndarray, honest_angles: np.ndarray, amps: np.ndarray
@@ -382,7 +361,7 @@ class EntanglingAdversary:
         self, trials: np.ndarray, photon_ids: np.ndarray, amps: np.ndarray
     ) -> np.ndarray:
         # E^-1 = E^dagger acts on span (x) C^2 as B^dagger.
-        separated = _apply(self._block.conj().T, amps.reshape(-1, 4)).reshape(-1, 2, 2)
+        separated = _apply(self.spec.block.conj().T, amps.reshape(-1, 4)).reshape(-1, 2, 2)
         # By the attack's construction E^-1 returns the ancilla to |eps>, so
         # <eps| (x) I splits the photon off; its norm is the Schmidt weight
         # on |eps>, and anything short of 1 is residual entanglement.
@@ -407,7 +386,7 @@ class EntanglingAdversary:
         if self._returned is not None:
             trials, photon_ids, ancillas = self._returned
             # <k|ancilla> = sum_l Gamma[k, l] ancilla[l].
-            overlaps = _apply(self._gram, ancillas)
+            overlaps = _apply(self.spec.gram, ancillas)
             outcomes = _span_outcomes(
                 overlaps.real**2 + overlaps.imag**2,
                 np.concatenate([self.rngs[t].random(photon_ids.shape[1]) for t in trials]),

@@ -31,8 +31,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quantum import (
-    MINUS_I_SIGMA_Y,
-    apply_photon_op,
     # Not called in this module; kept importable because qssbench/selftest.py
     # checks that the benchmark's tracer patches it here.
     apply_unitary,  # noqa: F401
@@ -367,7 +365,9 @@ def first_detection(
 
 def encode_message(photons: np.ndarray, bits) -> np.ndarray:
     """Alice encodes bit 1 with -i*sigma_y and leaves bit 0 alone; ``bits``
-    has one entry per photon row of ``photons``."""
+    has one entry per photon row of ``photons`` (..., D). -i*sigma_y maps
+    each pair (a, b) of a row's photon amplitudes, at its even and odd
+    indices, to (-b, a): written out elementwise, with no matrix product."""
     bits = np.asarray(bits, dtype=int)
     if bits.shape != photons.shape[:-1]:
         raise ConfigError(
@@ -375,7 +375,8 @@ def encode_message(photons: np.ndarray, bits) -> np.ndarray:
         )
     ones = bits == 1
     out = photons.copy()
-    out[ones] = apply_photon_op(photons[ones], MINUS_I_SIGMA_Y)
+    out[ones, 0::2] = -photons[ones, 1::2]
+    out[ones, 1::2] = photons[ones, 0::2]
     return out
 
 

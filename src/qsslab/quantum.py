@@ -16,12 +16,14 @@ last (least significant) qubit: D = 2 for a bare photon, and 4 under
 attack, where a row holds the coordinates of the (ancilla, photon) state on
 span(eps, eps_perp) (x) C^2 (``attack.EntanglingAdversary``).
 Each operator is checked unitary once, where it is built: ``MINUS_I_SIGMA_Y``
-at import, a batch of rotations in ``rotate_photons``, a stack of entangler
-blocks in ``attack.entangler_blocks``, which the attack runs on, and a stack
-of whole entanglers in ``attack.build_entanglers``. ``apply_photon_op`` takes its
-operator as already checked. The norm invariant is checked on every
-``State`` and row-wise on a batch (``check_norms``). A ``State`` has no
-value identity: ``==`` is ``is``.
+at import, a batch of rotations in ``rotate_photons``, each spec's entangler
+block in ``attack.EntanglerSpec`` (``attack.entangler_blocks``), which the
+attack and the exact analysis read, and a stack of whole entanglers in
+``attack.build_entanglers``. The run path applies no matrix product: the
+rotations, the encoding (``protocol.encode_message``) and the attack's
+block are written out as elementwise sums. The norm invariant is checked on
+every ``State`` and row-wise on a batch (``check_norms``). A ``State`` has
+no value identity: ``==`` is ``is``.
 """
 from __future__ import annotations
 
@@ -129,15 +131,15 @@ def apply_unitary(state: State, op: np.ndarray) -> State:
     """Apply ``op``, already checked unitary where it was built, to ``state``.
 
     A (dim, dim) ``op`` acts on the whole register, a (2, 2) ``op`` on its
-    last qubit, the photon (``apply_photon_op``). No command calls it; it
-    stays because qssbench/selftest.py checks that the benchmark's tracer
-    patches it here and in the modules that import it.
+    last qubit, the photon. No command calls it; it stays because
+    qssbench/selftest.py checks that the benchmark's tracer patches it here
+    and in the modules that import it.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape == (state.dim, state.dim):
         return State(op @ state.amps)
     if op.shape == (2, 2):
-        return State(apply_photon_op(state.amps, op))
+        return State((state.amps.reshape(-1, 2) @ op.T).reshape(-1))
     raise ValueError(
         f"operator shape {op.shape} acts neither on all {state.num_qubits} qubits "
         "nor on the last one"
@@ -162,12 +164,6 @@ def rotate_photons(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     out[..., 0] = c * rows[..., 0] - s * rows[..., 1]
     out[..., 1] = s * rows[..., 0] + c * rows[..., 1]
     return out.reshape(amps.shape)
-
-
-def apply_photon_op(amps: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Apply one 2x2 operator, already checked unitary where it was built,
-    to the photon (last qubit) of every row of ``amps``."""
-    return (amps.reshape(-1, 2) @ op.T).reshape(amps.shape)
 
 
 def check_norms(amps: np.ndarray) -> None:

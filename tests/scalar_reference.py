@@ -27,7 +27,15 @@ product. The package builds and compares its rows as arrays.
 builder, one spec at a time by Gram-Schmidt, kept verbatim but for the
 per-spec cache that sat on ``_build_entangler``; ``grid_specs`` is the
 earlier spec list of a sweep grid. The closed-form stack of
-``qsslab.attack.build_entanglers`` is checked against them.
+``qsslab.attack.build_entanglers`` is checked against them. The package
+writes one completion of E; the reference's "reversed" completion is the
+second one that the tests compare it with: the two agree on the pinned
+columns, E on |eps> (x) C^2, and differ off them.
+
+``spec_arrays`` stacks the fields of specs of one ancilla dimension, and
+``apply_photon_op`` applies one 2 x 2 operator to the photon of every row
+as a matrix product: the earlier package helpers that the kernels above
+were written on, kept verbatim.
 
 Tests import this module as they import ``conftest``.
 """
@@ -39,17 +47,34 @@ from collections.abc import Iterable
 import numpy as np
 
 from qsslab.analysis import _SUPPORT_ATOL, SweepGrid
-from qsslab.attack import EntanglerSpec, build_entanglers, spec_arrays
+from qsslab.attack import EntanglerSpec, build_entanglers
 from qsslab.quantum import (
     ATOL_STATE,
     MINUS_I_SIGMA_Y,
     InvariantError,
     State,
-    apply_photon_op,
     basis_state,
     check_unitary,
     rotation_operator,
 )
+
+
+def spec_arrays(specs) -> tuple[np.ndarray, ...]:
+    """The fields of ``specs``, all of one ancilla dimension d, stacked:
+    |eps> and |eps_perp> (S, d), alpha, beta and theta' (S,)."""
+    return (
+        np.stack([spec.epsilon.amps for spec in specs]),
+        np.stack([spec.epsilon_perp.amps for spec in specs]),
+        np.array([spec.alpha for spec in specs]),
+        np.array([spec.beta for spec in specs]),
+        np.array([spec.theta_prime for spec in specs]),
+    )
+
+
+def apply_photon_op(amps: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Apply one 2x2 operator, already checked unitary where it was built,
+    to the photon (last qubit) of every row of ``amps``."""
+    return (amps.reshape(-1, 2) @ op.T).reshape(amps.shape)
 
 
 def ket0(num_qubits: int = 1) -> State:
@@ -266,8 +291,7 @@ def _per_ancilla_dim(kernel, specs, thetas) -> np.ndarray:
 
 
 def _joint_distances(specs: list[EntanglerSpec], thetas: np.ndarray) -> np.ndarray:
-    fields = spec_arrays(specs)
-    rows = _encoded_rows(fields[0], build_entanglers(*fields), thetas)
+    rows = _encoded_rows(spec_arrays(specs)[0], build_entanglers(specs), thetas)
     return _trace_distances(rows[..., :, None] * rows.conj()[..., None, :])
 
 

@@ -112,7 +112,7 @@ def test_criterion_7_special_case_consistency(capsys, fixture_table):
     fx, ok, failed = fixture_group(fixture_table, 7)
     verdict(
         capsys, "criterion-7 special-case consistency", ok,
-        f"100 random (ancilla, photon) inputs, both completions: "
+        f"100 random (ancilla, photon) inputs, one stack of entanglers: "
         f"max amplitude deviation entangler vs circuit = "
         f"{fx['entangler-vs-circuit'].value:.3g} (<= 1e-10){failed}",
     )

@@ -25,7 +25,6 @@ from qsslab.attack import (
     gram_matrices,
     qgwz_spec,
     random_entangler_spec,
-    spec_arrays,
 )
 from qsslab.protocol import ConfigError, ProtocolConfig
 from qsslab.quantum import InvariantError, State, basis_state
@@ -34,10 +33,12 @@ from qsslab.transcript import render_transcripts
 from conftest import random_unitary
 from scalar_reference import (
     EIGVALSH_TOL,
+    _build_entangler,
     counterfactual_joint_distance,
     eigvalsh_distances,
     entangler_distances,
     grid_specs,
+    spec_arrays,
 )
 
 BELL = State(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -129,11 +130,14 @@ def test_counterfactual_pipeline_is_sensitive(rng):
 @pytest.mark.parametrize("completion", ["forward", "reversed"])
 def test_kernel_matches_eigvalsh_reference_on_random_specs(completion):
     # 150 specs, 50 of each ancilla dimension: the block kernel against the
-    # whole-E kernels it replaced, run on E of either completion.
+    # whole-E kernels it replaced, run on the package's E ("forward") or on
+    # the reference's reversed Gram-Schmidt completion.
     rng = np.random.default_rng(2901)
     for dim in (2, 4, 8):
-        fields = spec_arrays([random_entangler_spec(rng, ancilla_dim=dim) for _ in range(50)])
-        entanglers = build_entanglers(*fields, completion)
+        specs = [random_entangler_spec(rng, ancilla_dim=dim) for _ in range(50)]
+        fields = spec_arrays(specs)
+        entanglers = (build_entanglers(specs) if completion == "forward"
+                      else np.stack([_build_entangler(spec, completion) for spec in specs]))
         thetas = rng.uniform(0.0, 2 * np.pi, (50, 8))
         got = analysis._ancilla_distances(gram_matrices(*fields[:2]),
                                           entangler_blocks(*fields[2:]), thetas)

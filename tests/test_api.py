@@ -10,11 +10,13 @@ A batch's arrays are its only result: the row view, one record per run,
 lives in ``tests/row_view.py``.
 """
 import ast
+import inspect
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -63,6 +65,8 @@ ROW_VIEW_NAMES = [
 ]
 
 REFERENCE_NAMES = [
+    "spec_arrays",
+    "apply_photon_op",
     "apply_controlled",
     "apply_ccy",
     "partial_trace",
@@ -104,8 +108,11 @@ def test_reference_names_resolve_in_the_reference():
 
 def test_no_per_operator_path_in_src():
     # The exact analysis and verify run on entangler stacks; the one-State
-    # helpers and the per-spec grouping are defined and named nowhere in src/.
-    gone = {"_per_ancilla_dim", "_spec_distances", "tensor", "overlap", "ket0"}
+    # helpers, the per-spec grouping, the stacked spec fields, the matrix
+    # product on the photon and a second completion of E are defined and
+    # named nowhere in src/.
+    gone = {"_per_ancilla_dim", "_spec_distances", "tensor", "overlap", "ket0", "spec_arrays",
+            "_block_entries", "apply_photon_op", "completion"}
     found = []
     for path in sorted((ROOT / "src" / "qsslab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -147,7 +154,7 @@ def test_protocol_imports_nothing_from_transcript():
             imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-    assert "quantum.MINUS_I_SIGMA_Y" in imported
+    assert "quantum.rotate_photons" in imported
     assert [name for name in imported if "transcript" in name.split(".")] == []
 
 
@@ -162,20 +169,47 @@ def test_readme_library_sketch_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def run_path() -> dict[str, ast.AST]:
+    """The source tree of every ``qsslab`` function and class that a run
+    reaches, by qualified name: ``protocol.run_protocol_batch``, the
+    adversary and its guess rule, and every function or class of the package
+    that they call, transitively. ``quantum.check_norms`` is left out: its
+    ``einsum`` only feeds a check."""
+    todo = [protocol.run_protocol_batch, attack.EntanglingAdversary, attack.GuessRule]
+    trees = {}
+    while todo:
+        obj = todo.pop()
+        name = f"{obj.__module__.removeprefix('qsslab.')}.{obj.__qualname__}"
+        if name in trees or obj is quantum.check_norms:
+            continue
+        trees[name] = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+        namespace = vars(sys.modules[obj.__module__])
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callee = namespace.get(node.func.id)
+                if ((inspect.isfunction(callee) or inspect.isclass(callee))
+                        and callee.__module__.startswith("qsslab.")):
+                    todo.append(callee)
+    return trees
+
+
 def test_adversary_uses_no_matrix_product():
-    # The adversary applies its block and Gram matrix as elementwise sums
-    # (``attack._apply``), so no BLAS or LAPACK kernel picks the bits of a run.
-    tree = ast.parse(pathlib.Path(attack.__file__).read_text())
-    scopes = [node for node in tree.body
-              if getattr(node, "name", None) in ("EntanglingAdversary", "_apply")]
-    assert len(scopes) == 2
+    # The run path applies its rotations, the encoding, the adversary's
+    # block and its Gram matrix as elementwise sums (``attack._apply``), so
+    # no BLAS or LAPACK kernel picks the bits of a run.
+    trees = run_path()
+    phases = {"protocol.encryption_phase", "protocol.first_detection", "protocol.encode_message",
+              "protocol._second_phase", "protocol.recovery_phase", "attack._apply",
+              "quantum.rotate_photons", "quantum.measure_photons_z"}
+    assert phases <= set(trees)
     banned = {"matmul", "dot", "vdot", "einsum", "linalg"}
     found = []
-    for node in (n for scope in scopes for n in ast.walk(scope)):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append(f"attack.py:{node.lineno} @")
-        elif isinstance(node, ast.Attribute) and node.attr in banned:
-            found.append(f"attack.py:{node.lineno} {node.attr}")
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{name}:{node.lineno} @")
+            elif isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append(f"{name}:{node.lineno} {node.attr}")
     assert found == []
 
 
@@ -197,9 +231,33 @@ def unused_imports(path: pathlib.Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def unreferenced_definitions(src: pathlib.Path) -> list[str]:
+    """``file:line name`` for each top-level function or class of the
+    package in ``src`` that no module there names, reads or imports, and
+    that ``qsslab.__all__`` does not export."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = set(qsslab.__all__)
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return [f"{path.name}:{node.lineno} {node.name}" for path, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # The package's __init__ imports its public names to export them.
     paths = sorted((ROOT / "src" / "qsslab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     paths = [p for p in paths if p.name != "__init__.py"]
     assert len(paths) > 20
     assert [name for path in paths for name in unused_imports(path)] == []
+
+
+def test_no_module_defines_a_name_the_package_never_uses():
+    # The same lint for definitions: a top-level function or class that
+    # nothing in src/ uses and the package does not export is dead code.
+    assert unreferenced_definitions(ROOT / "src" / "qsslab") == []

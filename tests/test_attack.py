@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsslab import attack
-from qsslab.analysis import derive_seed, summarize
+from qsslab.analysis import derive_seed, indistinguishability, monte_carlo, summarize
 from qsslab.attack import (
     EntanglerSpec,
     EntanglingAdversary,
@@ -14,10 +14,9 @@ from qsslab.attack import (
     entangler_blocks,
     qgwz_spec,
     random_entangler_spec,
-    spec_arrays,
 )
 from qsslab.cli import CCY_CIRCUIT
-from qsslab.protocol import ProtocolConfig, run_protocol_batch
+from qsslab.protocol import MAX_RUN_SIZE, ProtocolConfig, run_protocol_batch
 from qsslab.quantum import (
     MINUS_I_SIGMA_Y,
     InvariantError,
@@ -32,11 +31,13 @@ from qsslab.transcript import render_transcripts
 
 from conftest import random_state
 from scalar_reference import (
+    _build_entangler,
     apply_ccy,
     global_phase_equal,
     ket0,
     overlap,
     partial_trace,
+    spec_arrays,
     split_product,
     tensor,
     trace_distance,
@@ -164,11 +165,12 @@ def test_entangler_explicit_image_on_ket0():
 
 def test_completions_agree_observationally(rng):
     # Different unitary completions act identically on the attack-relevant
-    # subspace and produce identical measurement statistics end to end.
+    # subspace and produce identical measurement statistics end to end: the
+    # package's E against the reference's reversed Gram-Schmidt completion.
     for _ in range(20):
         spec = random_entangler_spec(rng)
-        fwd = build_entangler(spec, "forward")
-        rev = build_entangler(spec, "reversed")
+        fwd = build_entangler(spec)
+        rev = _build_entangler(spec, "reversed")
         chi = random_state(rng, 1)
         src = tensor(spec.epsilon, chi).amps
         assert np.max(np.abs(fwd @ src - rev @ src)) <= 1e-12
@@ -181,41 +183,35 @@ def test_completions_agree_observationally(rng):
             ))) <= 1e-12
 
 
-@pytest.mark.parametrize("completion", ["forward", "reversed"])
-def test_stack_rows_equal_single_builds(rng, completion):
+def test_stack_rows_equal_single_builds(rng):
     # Every operator and every block of a stack has the bits of its spec
-    # built alone, whatever the stack's size.
+    # built alone, whatever the stack's size: a spec's block is built on a
+    # stack of one.
     for dim in (2, 4, 8):
         specs = [random_entangler_spec(rng, dim) for _ in range(40)]
-        alone = [entangler_blocks(*spec_arrays([spec])[2:])[0] for spec in specs]
         for size in (1, 2, 3, 7, 16, 40):
-            fields = spec_arrays(specs[:size])
-            stack = build_entanglers(*fields, completion)
+            stack = build_entanglers(specs[:size])
             assert stack.shape == (size, 2 * dim, 2 * dim)
             for entangler, spec in zip(stack, specs):
-                assert np.array_equal(entangler, build_entangler(spec, completion))
-            blocks = entangler_blocks(*fields[2:])
+                assert np.array_equal(entangler, build_entangler(spec))
+            blocks = entangler_blocks(*spec_arrays(specs[:size])[2:])
             assert blocks.shape == (size, 4, 4)
-            for block, want in zip(blocks, alone):
-                assert np.array_equal(block, want)
+            for block, spec in zip(blocks, specs):
+                assert np.array_equal(block, spec.block)
 
 
-@pytest.mark.parametrize("completion", ["forward", "reversed"])
-def test_entangler_acts_on_the_span_as_its_block(completion):
+def test_entangler_acts_on_the_span_as_its_block():
     # E V = V B for V = (|eps>, |eps_perp>) (x) I, on 150 specs, 50 of each
-    # ancilla dimension; the reversed E flips the photon of B's eps_perp
-    # columns.
+    # ancilla dimension.
     rng = np.random.default_rng(3001)
     for dim in (2, 4, 8):
-        fields = spec_arrays([random_entangler_spec(rng, dim) for _ in range(50)])
+        specs = [random_entangler_spec(rng, dim) for _ in range(50)]
+        fields = spec_arrays(specs)
         frame = np.zeros((50, dim, 2, 2, 2), dtype=complex)
         frame[:, :, 0, :, 0] = frame[:, :, 1, :, 1] = np.stack(fields[:2], axis=-1)
         frame = frame.reshape(50, 2 * dim, 4)
-        via_entangler = build_entanglers(*fields, completion) @ frame
-        blocks = entangler_blocks(*fields[2:])
-        if completion == "reversed":
-            blocks = blocks[:, :, [0, 1, 3, 2]]
-        via_block = frame @ blocks
+        via_entangler = build_entanglers(specs) @ frame
+        via_block = frame @ np.stack([spec.block for spec in specs])
         assert np.abs(via_entangler - via_block).max() <= 1e-14
 
 
@@ -224,34 +220,64 @@ def test_blocks_refuse_weights_off_the_unit_circle():
     # |alpha|^2 + |beta|^2 = 1 + 1e-9.
     alpha, beta = np.sqrt(0.36 * (1 + 1e-9)), np.sqrt(0.64 * (1 + 1e-9)) * 1j
     assert abs(alpha**2 + abs(beta) ** 2 - 1 - 1e-9) <= 1e-15
-    kets = np.eye(4, dtype=complex)[None, :2]
     with pytest.raises(InvariantError, match="not unitary"):
         entangler_blocks([alpha], [beta], [0.7])
-    for completion in ("forward", "reversed"):
-        with pytest.raises(InvariantError, match="not unitary"):
-            build_entanglers(kets[:, 0], kets[:, 1], [alpha], [beta], [0.7], completion)
+    # A spec refuses those weights before it builds its block, so no
+    # entangler is built from them.
+    with pytest.raises(InvariantError, match="must equal 1"):
+        EntanglerSpec(basis_state(2, 0), basis_state(2, 1), alpha, beta, 0.7)
 
 
 def test_completions_differ_off_the_pinned_columns(rng):
-    # Otherwise the completion tests, and criterion 7, would pass vacuously.
+    # Otherwise the completion tests would pass vacuously: the package's E
+    # against the reference's reversed completion.
     for _ in range(30):
         spec = random_entangler_spec(rng)
         off = np.eye(2 * spec.ancilla_dim) - np.kron(
             np.outer(spec.epsilon.amps, spec.epsilon.amps.conj()), np.eye(2)
         )
-        diff = (build_entangler(spec, "forward") - build_entangler(spec, "reversed")) @ off
+        diff = (build_entangler(spec) - _build_entangler(spec, "reversed")) @ off
         assert np.max(np.abs(diff)) >= 0.1
 
 
 def test_stack_is_checked_unitary_once(rng, monkeypatch):
+    specs = [random_entangler_spec(rng, 4) for _ in range(5)]
     checked = []
     monkeypatch.setattr(attack, "check_unitary", lambda ops: checked.append(ops.shape))
-    specs = [random_entangler_spec(rng, 4) for _ in range(5)]
-    build_entanglers(*spec_arrays(specs))
+    build_entanglers(specs)
     assert checked == [(5, 8, 8)]
     checked.clear()
     entangler_blocks(*spec_arrays(specs)[2:])
     assert checked == [(5, 4, 4)]
+
+
+def test_operators_are_built_once_per_spec(rng, monkeypatch):
+    # A spec builds and checks its Gram matrix and block when it is built;
+    # a campaign of several batches and the exact analysis of specs of every
+    # ancilla dimension only read them.
+    calls = {name: 0 for name in ("check_unitary", "entangler_blocks", "gram_matrices")}
+
+    def counted(name):
+        original = getattr(attack, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(attack, name, counted(name))
+    specs = [random_entangler_spec(rng, (2, 4, 8)[i % 3]) for i in range(6)]
+    assert calls == dict.fromkeys(calls, len(specs))
+    for name in calls:
+        calls[name] = 0
+    config = ProtocolConfig(num_agents=2, message_length=500, check_fraction_first=0.5,
+                            num_second_checks=0, seed=5)
+    # One trial more than a batch holds: two batches.
+    trials = MAX_RUN_SIZE // (config.sequence_length() * config.num_agents) + 1
+    assert monte_carlo(config, attack=specs[0], trials=trials).trials == trials
+    indistinguishability(specs, [0.3, 1.7])
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def near_orthonormal(rng, dim, size):
@@ -268,7 +294,7 @@ def near_orthonormal(rng, dim, size):
 
 def test_every_accepted_spec_builds_a_unitary_entangler(rng):
     # Pairs and weights up to 2.5e-11 from orthonormal: a spec is refused, or
-    # both completions of its entangler pass the unitarity check.
+    # its entangler passes the unitarity check.
     accepted = refused = 0
     for i in range(400):
         eps, perp = near_orthonormal(rng, (2, 4, 8)[i % 3], 2.5e-11)
@@ -281,8 +307,7 @@ def test_every_accepted_spec_builds_a_unitary_entangler(rng):
             refused += 1
             continue
         accepted += 1
-        build_entangler(spec, "forward")
-        build_entangler(spec, "reversed")
+        build_entangler(spec)
     assert accepted >= 50 and refused >= 50
 
 
@@ -372,8 +397,7 @@ def test_respond_collapses_to_definite_angle(rng):
 def span_rows(spec, k, thetas):
     """E applied to |k> (x) chi(theta) for each theta, k = 0 for eps and 1 for
     eps_perp, as rows (len(thetas), 4) of span coordinates: B (e_k (x) chi)."""
-    block = entangler_blocks(*spec_arrays([spec])[2:])[0]
-    return np.array([np.kron(np.eye(2)[k], chi_state(t).amps) for t in thetas]) @ block.T
+    return np.array([np.kron(np.eye(2)[k], chi_state(t).amps) for t in thetas]) @ spec.block.T
 
 
 def test_announcement_refuses_residual_outcome():

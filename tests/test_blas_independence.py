@@ -15,6 +15,14 @@ them: a d = 8 batch equals its batches of one
 ``--transcripts`` directories hash to their pinned digests
 (``test_engine_equivalence``).
 
+Each interpreter also evaluates every fixture of ``qsslab verify``
+(``cli.FIXTURES``). Every fixture value must be byte-identical to the
+default kernel's, except five that still pass through BLAS or LAPACK and
+move under some kernels (``KERNEL_BOUND``): criterion 3's
+``attacker-factor-overlap``, ``HT-norm`` and ``HT-overlap`` split the photon
+off with ``np.linalg.svd``, and criterion 6's ``rotation-additivity`` and
+``rotation-commutation`` multiply 2 x 2 rotations with ``@``.
+
 Out of scope: ``NPY_DISABLE_CPU_FEATURES``. numpy's complex multiply follows
 the SIMD level, so turning CPU features off may still move the last bits.
 """
@@ -35,13 +43,19 @@ OUTPUTS = (
     ["run", "configs/qgwz.json", "--format", "json-lines"],
 )
 
+# The fixtures of ``qsslab verify`` whose values may follow the kernel.
+KERNEL_BOUND = {"attacker-factor-overlap", "HT-norm", "HT-overlap", "rotation-additivity",
+                "rotation-commutation"}
+
 SCRIPT = """
 import pathlib, sys
-from qsslab.cli import main
+from qsslab.cli import FIXTURES, main
 import test_batch, test_engine_equivalence as golden
 out = pathlib.Path(sys.argv[1])
 for i, argv in enumerate({outputs!r}):
     assert main([*argv, "--out", str(out / f"{{i}}.out")]) == 0
+(out / "fixtures.out").write_text("".join(
+    f"{{fx.name}} {{fx.value:.17g}}\\n" for group in FIXTURES.values() for fx in group()))
 test_batch.test_batch_matches_batches_of_one("general-d8")
 for name in ("qgwz", "skewed"):
     (out / name).mkdir()
@@ -69,6 +83,12 @@ def digests(out_dir: pathlib.Path) -> list[str]:
             for i in range(len(OUTPUTS))]
 
 
+def fixture_lines(out_dir: pathlib.Path) -> list[str]:
+    """The ``name value`` line of each fixture that must not follow the kernel."""
+    lines = (out_dir / "fixtures.out").read_text().splitlines()
+    return [line for line in lines if line.split()[0] not in KERNEL_BOUND]
+
+
 def test_outputs_do_not_follow_the_openblas_kernel(tmp_path):
     kernels = (None, *CORETYPES)
     procs = {kernel: start(tmp_path / str(kernel), kernel) for kernel in kernels}
@@ -79,3 +99,8 @@ def test_outputs_do_not_follow_the_openblas_kernel(tmp_path):
     found = {kernel: digests(tmp_path / kernel) for kernel in CORETYPES}
     assert found == {kernel: default for kernel in CORETYPES}, json.dumps(
         dict(zip(map(" ".join, OUTPUTS), zip(default, *found.values()))), indent=1)
+    # 27 fixtures, all five kernel-bound ones among them.
+    default = fixture_lines(tmp_path / "None")
+    assert len(default) == 27 - len(KERNEL_BOUND)
+    for kernel in CORETYPES:
+        assert fixture_lines(tmp_path / kernel) == default, kernel

@@ -2,8 +2,9 @@
 
 ``attack.build_entanglers`` writes E down in closed form; the reference,
 ``scalar_reference._build_entangler``, completes E's pinned columns to a
-basis by Gram-Schmidt, one spec at a time. The two agree where E is pinned,
-on |eps> (x) C^2, and differ elsewhere, where the completion is free. So
+basis by Gram-Schmidt, one spec at a time, in a forward and a reversed
+order. The package's E agrees with both where E is pinned, on
+|eps> (x) C^2, and differs elsewhere, where the completion is free. So
 every observable must agree: a seeded campaign of the package's adversary,
 which runs on E's block, and of the earlier whole-E adversary
 (``kernel_reference.ReferenceAdversary``) given the reference's E give the
@@ -25,22 +26,12 @@ from qsslab.attack import (
     GuessRule,
     build_entangler,
     random_entangler_spec,
-    spec_arrays,
 )
 from qsslab.protocol import ProtocolConfig, run_protocol_batch
-from qsslab.quantum import State
 
-from scalar_reference import _build_entangler, entangler_distances
+from scalar_reference import _build_entangler, entangler_distances, spec_arrays
 
 TOL = 1e-12
-
-
-def reference_stack(epsilon, epsilon_perp, alpha, beta, theta_prime, completion="forward"):
-    """``build_entanglers``'s signature, one reference build per spec."""
-    return np.stack([
-        _build_entangler(EntanglerSpec(State(e), State(p), a, b, t), completion)
-        for e, p, a, b, t in zip(epsilon, epsilon_perp, alpha, beta, theta_prime)
-    ])
 
 
 def pinned(entangler: np.ndarray, spec: EntanglerSpec) -> np.ndarray:
@@ -54,7 +45,7 @@ def test_pinned_columns_match_reference(dim, completion):
     rng = np.random.default_rng(100 + dim)
     for _ in range(50):
         spec = random_entangler_spec(rng, dim)
-        got = pinned(build_entangler(spec, completion), spec)
+        got = pinned(build_entangler(spec), spec)
         want = pinned(_build_entangler(spec, completion), spec)
         assert np.max(np.abs(got - want)) <= TOL
 
@@ -108,7 +99,8 @@ def test_campaigns_match_with_either_builder(case):
         else:
             assert got == want, field.name
     fields = spec_arrays([spec])
-    ref_tds = entangler_distances(fields[0], fields[1], reference_stack(*fields), thetas[None])
+    ref_tds = entangler_distances(fields[0], fields[1], _build_entangler(spec, "forward")[None],
+                                  thetas[None])
     assert np.max(np.abs(indistinguishability([spec], thetas) - ref_tds)) <= TOL
 
 

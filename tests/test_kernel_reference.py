@@ -19,10 +19,9 @@ import pytest
 
 import kernel_reference as ref
 from qsslab.attack import EntanglingAdversary, random_entangler_spec
+from qsslab.protocol import encode_message
 from qsslab.quantum import (
-    MINUS_I_SIGMA_Y,
     InvariantError,
-    apply_photon_op,
     check_norms,
     measure_photons_z,
     rotate_photons,
@@ -229,8 +228,7 @@ def test_hooks_match_reference(d, seed):
         back = np.array([0, 2])
         returned = []
         for adv, joint in ((new, rows), (old, old_rows)):
-            joint = rotate_photons(joint[back], later[back])
-            joint[ones[back]] = apply_photon_op(joint[ones[back]], MINUS_I_SIGMA_Y)
+            joint = encode_message(rotate_photons(joint[back], later[back]), ones[back])
             returned.append(adv.on_photon_return(back, ids[back], joint))
         assert_close(*returned)
         assert_close(ref.on_ancilla(spec, new._returned[2]), old._returned[2])

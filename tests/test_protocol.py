@@ -25,10 +25,8 @@ from qsslab.protocol import (
     with_seed,
 )
 from qsslab.quantum import (
-    MINUS_I_SIGMA_Y,
     TWO_PI,
     State,
-    apply_photon_op,
     canonical_angles,
     rotation_operator,
     rotate_photons,
@@ -220,7 +218,7 @@ class PayloadFlipper(NullAdversary):
     """A tampering agent: flips every payload photon on its way back."""
 
     def on_photon_return(self, trials, photon_ids, amps):
-        return apply_photon_op(amps, MINUS_I_SIGMA_Y)
+        return encode_message(amps, np.ones(amps.shape[:-1], dtype=int))
 
 
 def test_second_detection_verdicts():

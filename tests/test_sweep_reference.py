@@ -20,11 +20,17 @@ import pytest
 
 from qsslab import analysis
 from qsslab.analysis import SweepGrid, helstrom_bound
-from qsslab.attack import EntanglerSpec, build_entanglers, spec_arrays
+from qsslab.attack import EntanglerSpec, build_entanglers
 from qsslab.cli import DEFAULT_GRID
 from qsslab.quantum import basis_state
 
-from scalar_reference import EIGVALSH_TOL, eigvalsh_distances, entangler_distances, grid_specs
+from scalar_reference import (
+    EIGVALSH_TOL,
+    eigvalsh_distances,
+    entangler_distances,
+    grid_specs,
+    spec_arrays,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -130,8 +136,7 @@ def test_sweep_matches_reference(grid):
     specs = [grid_spec(grid, tp, a2) for tp in grid.theta_prime_values
              for a2 in grid.alpha_sq_values]
     thetas = np.tile(grid.theta_values, (len(specs), 1))
-    fields = spec_arrays(specs)
-    eigvalsh = eigvalsh_distances(fields[0], build_entanglers(*fields), thetas)
+    eigvalsh = eigvalsh_distances(spec_arrays(specs)[0], build_entanglers(specs), thetas)
     assert np.abs(tds - eigvalsh).max() <= EIGVALSH_TOL
 
 
@@ -200,9 +205,10 @@ def benchmark_shaped_grid(seed: int) -> SweepGrid:
 def test_sweep_has_the_bits_of_the_entangler_kernel(grid):
     # On the pinned grids the block kernel computes every trace distance
     # with the bits of the whole-E kernel it replaced.
-    fields = spec_arrays(grid_specs(grid))
-    thetas = np.tile(grid.theta_values, (len(fields[0]), 1))
-    want = entangler_distances(fields[0], fields[1], build_entanglers(*fields), thetas)
+    specs = grid_specs(grid)
+    fields = spec_arrays(specs)
+    thetas = np.tile(grid.theta_values, (len(specs), 1))
+    want = entangler_distances(fields[0], fields[1], build_entanglers(specs), thetas)
     assert analysis.sweep(grid).tobytes() == want.tobytes()
 
 
